@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "SkillOpsError",
@@ -208,8 +208,22 @@ class SkillContract:
 
 def body_hash(contract: SkillContract) -> str:
     """Hex digest of the normalized body.  Metadata never contributes, so
-    two skills differing only in id, goal, tags or validator hash equal."""
-    return hashlib.sha256(normalize_body(contract.body).encode("utf-8")).hexdigest()
+    two skills differing only in id, goal, tags or validator hash equal.
+
+    Computed once per contract object and memoized on it.  replace() builds
+    a new object, so a changed body never reuses a stale digest.  The body
+    is normalized here because contracts built directly or by replace()
+    skip validate().
+    """
+    digest = getattr(contract, "_body_digest", None)
+    if digest is None:
+        digest = hashlib.sha256(normalize_body(contract.body).encode("utf-8")).hexdigest()
+        # object.__setattr__ passes the frozen guard without touching
+        # __dict__; writing through __dict__ (as functools.cached_property
+        # does) makes CPython 3.11 drop the object's inline attribute
+        # storage, which slowed every later field read about twofold.
+        object.__setattr__(contract, "_body_digest", digest)
+    return digest
 
 
 @dataclass(frozen=True)
@@ -422,7 +436,3 @@ def make_contract(**kwargs) -> SkillContract:
     contract = SkillContract(**kwargs)
     contract.validate()
     return contract
-
-
-def with_normalized_body(contract: SkillContract) -> SkillContract:
-    return replace(contract, body=normalize_body(contract.body))

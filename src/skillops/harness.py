@@ -56,6 +56,7 @@ from skillops.hseg import build_hseg
 from skillops.maint import MaintenanceConfig, run_maintenance
 from skillops.planner import (
     EMPTY_TRACE,
+    OUTCOMES,
     ExecutionTrace,
     NoFeasiblePlan,
     PlannerConfig,
@@ -88,8 +89,6 @@ __all__ = [
 
 FORMAT_VERSION = 1
 SEED_ENV_VAR = "SKILLOPS_SEED"
-
-OUTCOMES = ("success", "failure")
 
 
 class ManifestError(SkillOpsError):
@@ -542,10 +541,6 @@ def _add_cgpd_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=None, help="iteration cap")
 
 
-def _load_lib_arg(path: str) -> tuple[Library, dict[str, str]]:
-    return load_library(path)
-
-
 def cmd_inject(args) -> int:
     seed = _resolve_seed(args)
     lib, provenance = build_library(args.n, args.noise, seed)
@@ -566,7 +561,7 @@ def cmd_inject(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    lib, _ = _load_lib_arg(args.lib)
+    lib, _ = load_library(args.lib)
     trace = load_trace(args.trace) if args.trace else EMPTY_TRACE
     g = build_hseg(lib.skills, adapters=lib.adapters)
     report = library_health(lib, g, trace, window=args.window)
@@ -584,7 +579,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_maintain(args) -> int:
-    lib, provenance = _load_lib_arg(args.lib)
+    lib, provenance = load_library(args.lib)
     trace = load_trace(args.trace) if args.trace else EMPTY_TRACE
     cfg = MaintenanceConfig(force=not args.no_force, cgpd=_cgpd_config(args))
     new_lib, report = run_maintenance(lib, trace, cfg)
@@ -595,7 +590,7 @@ def cmd_maintain(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    lib, _ = _load_lib_arg(args.lib)
+    lib, _ = load_library(args.lib)
     g = build_hseg(lib.skills, adapters=lib.adapters)
     facts = frozenset(f for f in (args.state or "").split(",") if f)
     task = TaskSpec(id=args.task_id, goal_text=args.goal, state_facts=facts)
@@ -643,7 +638,7 @@ def cmd_grade(args) -> int:
 
 
 def cmd_eval_retrieval(args) -> int:
-    lib, _ = _load_lib_arg(args.lib)
+    lib, _ = load_library(args.lib)
     queries = []
     text = Path(args.queries).read_text(encoding="utf-8")
     for line_no, line in enumerate(text.split("\n"), start=1):

@@ -9,11 +9,13 @@ actions in five fixed stages:
   add_validator  give unvalidated skills a checklist
   add_adapter    register shims for dep edges below the comp threshold
 
-Each stage plans against the library produced by the previous stages, so
-replaying the action list on the input library reproduces the output
-exactly.  Red clusters whose members disagree on body are never merged;
-they are reported as conflicts instead, which keeps the size arithmetic
-exact: size_after = size_before - absorbed - retired.
+Each stage plans against the library produced by the previous stages and
+is applied once, in a single pass, while planning; the library the last
+stage leaves is the output.  Replaying the action list one action at a
+time with apply_action on the input library reproduces the output exactly,
+which the test suite checks.  Red clusters whose members disagree on body
+are never merged; they are reported as conflicts instead, which keeps the
+size arithmetic exact: size_after = size_before - absorbed - retired.
 
 Everything here is pure computation over the contracts and the trace; no
 external model is consulted, and the same inputs always produce the same
@@ -22,6 +24,7 @@ actions, the same log and the same output library.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from skillops.cgpd import CgpdConfig, propagate, trigger_set
@@ -185,35 +188,11 @@ def _require(by_id: dict[str, SkillContract], skill_id: str) -> SkillContract:
     return by_id[skill_id]
 
 
-def _drop_adapters(lib: Library, removed: set[str]) -> tuple:
-    return tuple(
-        a for a in lib.adapters if a.src not in removed and a.dst not in removed
-    )
+def _iface(s: SkillContract) -> tuple:
+    return (s.preconditions, s.artifact_types)
 
 
-def _same_interface(a: SkillContract, b: SkillContract) -> bool:
-    return (a.preconditions == b.preconditions
-            and a.artifact_types == b.artifact_types)
-
-
-def _apply_merge(lib: Library, action: MaintenanceAction) -> Library:
-    by_id = lib.by_id()
-    keep = _require(by_id, action.target)
-    if not action.drops:
-        raise IllegalMerge("merge must absorb at least one skill")
-    if action.target in action.drops:
-        raise IllegalMerge(f"{action.target} cannot absorb itself")
-    keep_hash = body_hash(keep)
-    absorbed = []
-    for sid in action.drops:
-        s = _require(by_id, sid)
-        if body_hash(s) != keep_hash:
-            raise IllegalMerge(
-                f"{sid} does not share {action.target}'s body; merging would"
-                " discard an implementation"
-            )
-        absorbed.append(s)
-
+def _merged(keep: SkillContract, absorbed: list[SkillContract]) -> SkillContract:
     dirs = {name: set(keep.artifact_dirs.get(name)) for name in ARTIFACT_DIR_NAMES}
     tags, fmodes = set(keep.tags), set(keep.failure_modes)
     checklist = keep.checklist
@@ -224,7 +203,7 @@ def _apply_merge(lib: Library, action: MaintenanceAction) -> Library:
         fmodes.update(s.failure_modes)
         if not checklist and s.checklist:
             checklist = s.checklist
-    merged = replace(
+    return replace(
         keep,
         artifact_dirs=ArtifactDirs(
             scripts=tuple(sorted(dirs["scripts"])),
@@ -235,27 +214,12 @@ def _apply_merge(lib: Library, action: MaintenanceAction) -> Library:
         failure_modes=frozenset(fmodes),
         checklist=checklist,
     )
-    removed = set(action.drops)
-    return Library(
-        skills=tuple(
-            merged if s.id == keep.id else s
-            for s in lib.skills
-            if s.id not in removed
-        ),
-        adapters=_drop_adapters(lib, removed),
-    )
 
 
-def _apply_repair(lib: Library, action: MaintenanceAction) -> Library:
-    by_id = lib.by_id()
-    target = _require(by_id, action.target)
-    if action.source_sibling is None:
-        return lib
-    sibling = _require(by_id, action.source_sibling)
-    if body_hash(sibling) != body_hash(target) and not _same_interface(sibling, target):
+def _repaired(target: SkillContract, sibling: SkillContract) -> SkillContract:
+    if body_hash(sibling) != body_hash(target) and _iface(sibling) != _iface(target):
         raise IllegalRepair(
-            f"{action.source_sibling} is neither a body nor an interface"
-            f" sibling of {action.target}"
+            f"{sibling.id} is neither a body nor an interface sibling of {target.id}"
         )
     scripts = sorted(set(target.artifact_dirs.scripts) | set(sibling.artifact_dirs.scripts))
     references = sorted(
@@ -267,84 +231,119 @@ def _apply_repair(lib: Library, action: MaintenanceAction) -> Library:
         assets=target.artifact_dirs.assets,
     )
     if dirs == target.artifact_dirs:
-        return lib
-    patched = replace(target, artifact_dirs=dirs)
-    return replace(
-        lib,
-        skills=tuple(patched if s.id == target.id else s for s in lib.skills),
-    )
+        return target
+    return replace(target, artifact_dirs=dirs)
 
 
-def _apply_retire(lib: Library, action: MaintenanceAction) -> Library:
+def _apply_actions(lib: Library, actions: Iterable[MaintenanceAction]) -> Library:
+    """Apply actions in order in one pass and build one library at the end.
+
+    Each action sees the state its predecessors produced, exactly as if they
+    were applied one at a time.  The first illegal action raises.  Adapters
+    touching a removed skill are dropped.  Retire's duplicate check reads
+    survivor counts per interface and per body hash, built on the first
+    retire and decremented as skills leave.  When no action changes anything
+    the input object is returned.
+    """
     by_id = lib.by_id()
-    target = _require(by_id, action.target)
-    t_hash = body_hash(target)
-    has_duplicate = any(
-        s.id != target.id
-        and (_same_interface(s, target) or body_hash(s) == t_hash)
-        for s in lib.skills
-    )
-    if not has_duplicate:
-        raise RetireRequiresDuplicate(
-            f"{action.target} has no surviving duplicate; retiring it would"
-            " lose capability"
-        )
-    removed = {target.id}
+    adapters = list(lib.adapters)
+    pairs = {(a.src, a.dst) for a in adapters}
+    removed: set[str] = set()
+    survivors: dict[object, int] | None = None
+    changed = False
+
+    def remove(sid: str) -> None:
+        s = by_id.pop(sid, None)
+        if s is None:
+            return
+        removed.add(sid)
+        if survivors is not None:
+            survivors[_iface(s)] -= 1
+            survivors[body_hash(s)] -= 1
+
+    for a in actions:
+        if a.kind == "merge":
+            keep = _require(by_id, a.target)
+            if not a.drops:
+                raise IllegalMerge("merge must absorb at least one skill")
+            if a.target in a.drops:
+                raise IllegalMerge(f"{a.target} cannot absorb itself")
+            absorbed = []
+            for sid in a.drops:
+                s = _require(by_id, sid)
+                if body_hash(s) != body_hash(keep):
+                    raise IllegalMerge(
+                        f"{sid} does not share {a.target}'s body; merging would"
+                        " discard an implementation"
+                    )
+                absorbed.append(s)
+            by_id[keep.id] = _merged(keep, absorbed)
+            for sid in a.drops:
+                remove(sid)
+        elif a.kind == "repair":
+            target = _require(by_id, a.target)
+            if a.source_sibling is None:
+                continue
+            patched = _repaired(target, _require(by_id, a.source_sibling))
+            if patched is target:
+                continue
+            by_id[target.id] = patched
+        elif a.kind == "retire":
+            target = _require(by_id, a.target)
+            if survivors is None:
+                survivors = {}
+                for s in by_id.values():
+                    for key in (_iface(s), body_hash(s)):
+                        survivors[key] = survivors.get(key, 0) + 1
+            if survivors[_iface(target)] < 2 and survivors[body_hash(target)] < 2:
+                raise RetireRequiresDuplicate(
+                    f"{a.target} has no surviving duplicate; retiring it would"
+                    " lose capability"
+                )
+            remove(target.id)
+        elif a.kind == "add_validator":
+            target = _require(by_id, a.target)
+            if target.checklist:
+                continue
+            if a.source_sibling is not None:
+                donor = _require(by_id, a.source_sibling)
+                if not donor.checklist:
+                    raise ConfigInvalid(
+                        f"validator donor {donor.id} has no checklist to give"
+                    )
+                checklist = donor.checklist
+            else:
+                checklist = (CANONICAL_CHECKLIST_ITEM,)
+            by_id[target.id] = replace(target, checklist=checklist)
+        elif a.kind == "add_adapter":
+            src = _require(by_id, a.target)
+            if a.dst is None:
+                raise ConfigInvalid("add_adapter needs a destination skill")
+            dst = _require(by_id, a.dst)
+            if (src.id, dst.id) in pairs:
+                continue
+            adapters.append(make_adapter_shim(src, dst))
+            pairs.add((src.id, dst.id))
+        elif a.kind == "instantiate":
+            continue
+        else:
+            raise ConfigInvalid(f"unknown action kind: {a.kind!r}")
+        changed = True
+
+    if not changed:
+        return lib
     return Library(
-        skills=tuple(s for s in lib.skills if s.id != target.id),
-        adapters=_drop_adapters(lib, removed),
+        skills=tuple(by_id.values()),
+        adapters=tuple(
+            a for a in adapters if a.src not in removed and a.dst not in removed
+        ),
     )
-
-
-def _apply_add_validator(lib: Library, action: MaintenanceAction) -> Library:
-    by_id = lib.by_id()
-    target = _require(by_id, action.target)
-    if target.checklist:
-        return lib
-    if action.source_sibling is not None:
-        donor = _require(by_id, action.source_sibling)
-        if not donor.checklist:
-            raise ConfigInvalid(
-                f"validator donor {donor.id} has no checklist to give"
-            )
-        checklist = donor.checklist
-    else:
-        checklist = (CANONICAL_CHECKLIST_ITEM,)
-    patched = replace(target, checklist=checklist)
-    return replace(
-        lib,
-        skills=tuple(patched if s.id == target.id else s for s in lib.skills),
-    )
-
-
-def _apply_add_adapter(lib: Library, action: MaintenanceAction) -> Library:
-    by_id = lib.by_id()
-    src = _require(by_id, action.target)
-    if action.dst is None:
-        raise ConfigInvalid("add_adapter needs a destination skill")
-    dst = _require(by_id, action.dst)
-    if any(a.src == src.id and a.dst == dst.id for a in lib.adapters):
-        return lib
-    shim = make_adapter_shim(src, dst)
-    return replace(lib, adapters=lib.adapters + (shim,))
 
 
 def apply_action(lib: Library, action: MaintenanceAction) -> Library:
     """Apply one action, returning a new library.  Unknown ids raise, and a
     merge of differing bodies or a retire without a duplicate is refused."""
-    if action.kind == "merge":
-        return _apply_merge(lib, action)
-    if action.kind == "repair":
-        return _apply_repair(lib, action)
-    if action.kind == "retire":
-        return _apply_retire(lib, action)
-    if action.kind == "add_validator":
-        return _apply_add_validator(lib, action)
-    if action.kind == "add_adapter":
-        return _apply_add_adapter(lib, action)
-    if action.kind == "instantiate":
-        return lib
-    raise ConfigInvalid(f"unknown action kind: {action.kind!r}")
+    return _apply_actions(lib, (action,))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +385,7 @@ def _sibling_index(skills) -> tuple[dict, dict, dict]:
     by_iface: dict[tuple, list[SkillContract]] = {}
     for s in skills:
         by_hash.setdefault(hashes[s.id], []).append(s)
-        by_iface.setdefault((s.preconditions, s.artifact_types), []).append(s)
+        by_iface.setdefault(_iface(s), []).append(s)
     return hashes, by_hash, by_iface
 
 
@@ -396,11 +395,10 @@ def _repair_source(target: SkillContract, index) -> tuple[str | None, int]:
     target is missing."""
     hashes, by_hash, by_iface = index
     body_sibs = [s for s in by_hash[hashes[target.id]] if s.id != target.id]
-    iface_key = (target.preconditions, target.artifact_types)
     body_ids = {s.id for s in body_sibs}
     iface_sibs = [
         s
-        for s in by_iface.get(iface_key, [])
+        for s in by_iface.get(_iface(target), [])
         if s.id != target.id and s.id not in body_ids
     ]
     for s in sorted(body_sibs, key=lambda s: s.id) + sorted(iface_sibs, key=lambda s: s.id):
@@ -478,9 +476,7 @@ def _plan_validators(work: Library) -> list[MaintenanceAction]:
     for s in sorted(work.skills, key=lambda s: s.id):
         if s.checklist:
             continue
-        candidates = by_hash[hashes[s.id]] + by_iface.get(
-            (s.preconditions, s.artifact_types), []
-        )
+        candidates = by_hash[hashes[s.id]] + by_iface.get(_iface(s), [])
         donor = min(
             (d.id for d in candidates if d.id != s.id and d.checklist),
             default=None,
@@ -497,8 +493,7 @@ def _plan_validators(work: Library) -> list[MaintenanceAction]:
     return actions
 
 
-def _plan_adapters(work: Library, cfg: MaintenanceConfig) -> list[MaintenanceAction]:
-    g = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
+def _plan_adapters(g: Hseg) -> list[MaintenanceAction]:
     actions = []
     for src, dst in g.dep_not_comp_pairs():
         if g.is_bridged(src, dst):
@@ -514,15 +509,14 @@ def _plan_adapters(work: Library, cfg: MaintenanceConfig) -> list[MaintenanceAct
     return actions
 
 
-def plan_actions(
-    lib: Library,
-    trace: ExecutionTrace = EMPTY_TRACE,
-    cfg: MaintenanceConfig = MaintenanceConfig(),
-) -> MaintenancePlan:
-    """Diagnose the library and produce the full staged action list.
+def _plan(
+    lib: Library, trace: ExecutionTrace, cfg: MaintenanceConfig
+) -> tuple[MaintenancePlan, Library, Hseg | None]:
+    """Diagnose the library, plan every stage and apply it to a shadow copy.
 
-    Stages after the first plan against shadow copies so that each action
-    sees the library state its predecessors will have produced.
+    Returns the plan, the shadow library the actions produce, and the graph
+    of that library if planning built one (the gate held, or the add_adapter
+    stage applied nothing), else None.
     """
     cfg.validate()
     g = build_hseg(lib.skills, cfg.comp_threshold, cfg.dep_mode, lib.adapters)
@@ -543,7 +537,7 @@ def plan_actions(
             red_conflicts.append(cluster)
 
     if not cfg.force and health.debt < cfg.debt_gate:
-        return MaintenancePlan(
+        plan = MaintenancePlan(
             actions=(),
             red_conflicts=tuple(red_conflicts),
             health_before=health,
@@ -551,14 +545,14 @@ def plan_actions(
             cgpd_triggered=triggered,
             gated=True,
         )
+        return plan, lib, g
 
     actions: list[MaintenanceAction] = []
     work = lib
 
     def run_stage(staged: list[MaintenanceAction]) -> None:
         nonlocal work
-        for a in staged:
-            work = apply_action(work, a)
+        work = _apply_actions(work, staged)
         actions.extend(staged)
 
     run_stage(_plan_merges(work, health))
@@ -572,15 +566,31 @@ def plan_actions(
         )
     )
     run_stage(_plan_validators(work))
-    run_stage(_plan_adapters(work, cfg))
+    before_adapters = work
+    g = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
+    run_stage(_plan_adapters(g))
 
-    return MaintenancePlan(
+    plan = MaintenancePlan(
         actions=tuple(actions),
         red_conflicts=tuple(red_conflicts),
         health_before=health,
         risk=risk,
         cgpd_triggered=triggered,
     )
+    return plan, work, g if work is before_adapters else None
+
+
+def plan_actions(
+    lib: Library,
+    trace: ExecutionTrace = EMPTY_TRACE,
+    cfg: MaintenanceConfig = MaintenanceConfig(),
+) -> MaintenancePlan:
+    """Diagnose the library and produce the full staged action list.
+
+    Stages after the first plan against shadow copies so that each action
+    sees the library state its predecessors will have produced.
+    """
+    return _plan(lib, trace, cfg)[0]
 
 
 def _describe(a: MaintenanceAction) -> str:
@@ -611,7 +621,7 @@ def run_maintenance(
     and the report says so; otherwise every planned action is applied in
     order and the report carries the audit log plus health before and after.
     """
-    plan = plan_actions(lib, trace, cfg)
+    plan, work, g_after = _plan(lib, trace, cfg)
     counts = {kind: 0 for kind in ACTION_KINDS}
     if plan.gated:
         report = MaintenanceReport(
@@ -628,13 +638,12 @@ def run_maintenance(
         )
         return lib, report
 
-    work = lib
     log = []
     for a in plan.actions:
-        work = apply_action(work, a)
         counts[a.kind] += 1
         log.append(_describe(a))
-    g_after = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
+    if g_after is None:
+        g_after = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
     health_after = library_health(work, g_after, trace, cfg.weights, cfg.window)
     report = MaintenanceReport(
         size_before=len(lib),

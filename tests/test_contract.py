@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -139,6 +142,32 @@ def test_body_hash_ignores_metadata():
                       body="do another thing", artifact_types=frozenset({"y"}))
     assert body_hash(a) != body_hash(c)
     assert len(body_hash(a)) == 64  # 256-bit hex
+
+
+def test_body_hash_normalizes_contracts_built_without_validation():
+    kwargs = dict(id="a", goal="g", preconditions=frozenset({"x"}),
+                  artifact_types=frozenset({"y"}))
+    raw = SkillContract(body="a  \n\n b", **kwargs)
+    assert body_hash(raw) == body_hash(make_contract(body="a  \n\n b", **kwargs))
+
+
+def test_body_hash_memo_follows_replace():
+    c = make_contract(id="a", goal="g", preconditions=frozenset({"x"}),
+                      body="first body", artifact_types=frozenset({"y"}))
+    assert body_hash(c) == hashlib.sha256(b"first body").hexdigest()
+    changed = replace(c, body="second body")
+    assert body_hash(changed) == hashlib.sha256(b"second body").hexdigest()
+
+
+def test_body_hash_memo_leaves_equality_and_hash_alone():
+    kwargs = dict(id="a", goal="g", preconditions=frozenset({"x"}),
+                  body="some body", artifact_types=frozenset({"y"}))
+    hashed, fresh = make_contract(**kwargs), make_contract(**kwargs)
+    before = hash(hashed)
+    body_hash(hashed)
+    assert hashed == fresh and fresh == hashed
+    assert hash(hashed) == before == hash(fresh)
+    assert len({hashed, fresh}) == 1
 
 
 def test_serialize_is_canonical_and_stable():

@@ -9,12 +9,15 @@ from skillops.contract import (
     library_fingerprint,
     make_contract,
 )
+from skillops.debtgen import build_library
+from skillops.harness import exercise_library
 from skillops.maint import (
     IllegalMerge,
     IllegalRepair,
     MaintenanceAction,
     MaintenanceConfig,
     RetireRequiresDuplicate,
+    _apply_actions,
     apply_action,
     plan_actions,
     run_maintenance,
@@ -177,6 +180,44 @@ def test_unknown_action_kind_rejected():
     assert apply_action(lib, MaintenanceAction(kind="instantiate", target="s")) is lib
 
 
+def test_retire_sequence_keeps_one_interface_survivor():
+    trio = Library(skills=tuple(
+        skill(sid, pre=("x",), art=("y",), body=f"variant {sid}") for sid in "abc"
+    ))
+    out = _apply_actions(trio, [MaintenanceAction(kind="retire", target=t) for t in "bc"])
+    assert out.ids() == ("a",)
+    with pytest.raises(RetireRequiresDuplicate, match="^c "):
+        _apply_actions(trio, [MaintenanceAction(kind="retire", target=t) for t in "abc"])
+
+
+def test_adapter_from_a_skill_merged_earlier_in_the_list_is_refused():
+    lib = Library(skills=(
+        skill("emit1", art=("x",), body="emitter body"),
+        skill("emit2", art=("x",), body="emitter body"),
+        skill("need", pre=("x", "a", "b", "c")),
+    ))
+    with pytest.raises(UnknownSkillId):
+        _apply_actions(lib, [
+            MaintenanceAction(kind="merge", target="emit1", drops=("emit2",)),
+            MaintenanceAction(kind="add_adapter", target="emit2", dst="need"),
+        ])
+
+
+def test_shim_to_a_skill_retired_later_in_the_list_is_dropped():
+    lib = Library(skills=(
+        skill("emit", art=("x",)),
+        skill("need1", pre=("x", "a", "b", "c"), body="variant one"),
+        skill("need2", pre=("x", "a", "b", "c"), body="variant two"),
+    ))
+    out = _apply_actions(lib, [
+        MaintenanceAction(kind="add_adapter", target="emit", dst="need1"),
+        MaintenanceAction(kind="add_adapter", target="emit", dst="need2"),
+        MaintenanceAction(kind="retire", target="need1"),
+    ])
+    assert out.ids() == ("emit", "need2")
+    assert [(a.src, a.dst) for a in out.adapters] == [("emit", "need2")]
+
+
 # ---------------------------------------------------------------------------
 # planning
 
@@ -330,8 +371,7 @@ def test_merge_removes_adapters_of_absorbed_skills():
     assert out.adapters == ()
 
 
-def test_stage_order_is_merge_repair_retire_validate_adapt():
-    order = {"merge": 0, "repair": 1, "retire": 2, "add_validator": 3, "add_adapter": 4}
+def five_stage_library():
     lib = Library(
         skills=(
             skill("c1", pre=("x",), art=("y",), body="same body", checklist=()),
@@ -341,7 +381,12 @@ def test_stage_order_is_merge_repair_retire_validate_adapt():
             skill("need", pre=("q", "a", "b", "c"), checklist=()),
         )
     )
-    trace = trace_of({"alt1": (1, 9), "c1": (8, 2)})
+    return lib, trace_of({"alt1": (1, 9), "c1": (8, 2)})
+
+
+def test_stage_order_is_merge_repair_retire_validate_adapt():
+    order = {"merge": 0, "repair": 1, "retire": 2, "add_validator": 3, "add_adapter": 4}
+    lib, trace = five_stage_library()
     _, report = run_maintenance(lib, trace)
     kinds = [a.kind for a in report.actions]
     assert kinds == sorted(kinds, key=order.__getitem__)
@@ -448,3 +493,26 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         MaintenanceConfig(window=0).validate()
     MaintenanceConfig(cgpd=CgpdConfig()).validate()
+
+
+def replayed(lib, actions):
+    for a in actions:
+        lib = apply_action(lib, a)
+    return lib
+
+
+@pytest.mark.parametrize("case", ["noisy-2000", "crowded-500", "five-stage"])
+def test_replaying_the_action_list_reproduces_the_output(case):
+    if case == "noisy-2000":
+        lib, _ = build_library(2000, 0.3, 7)
+        trace = exercise_library(lib)
+    elif case == "crowded-500":
+        lib, _ = build_library(500, 0.6, 42)
+        trace = ExecutionTrace()
+    else:
+        lib, trace = five_stage_library()
+    new_lib, report = run_maintenance(lib, trace)
+    assert report.actions
+    assert library_fingerprint(replayed(lib, report.actions)) == library_fingerprint(new_lib)
+    if case == "five-stage":
+        assert report.action_counts["add_adapter"] == 1
