@@ -70,6 +70,7 @@ from skillops.planner import (
 
 __all__ = [
     "ManifestError",
+    "MalformedQueryLine",
     "MalformedTraceLine",
     "EvalReport",
     "SimulatedExecutor",
@@ -95,10 +96,36 @@ class ManifestError(SkillOpsError):
     pass
 
 
-class MalformedTraceLine(SkillOpsError):
+class _MalformedLine(SkillOpsError):
+    what = "input"
+
     def __init__(self, line_no: int, reason: str):
-        super().__init__(f"trace line {line_no}: {reason}")
+        super().__init__(f"{self.what} line {line_no}: {reason}")
         self.line_no = line_no
+
+
+class MalformedTraceLine(_MalformedLine):
+    what = "trace"
+
+
+class MalformedQueryLine(_MalformedLine):
+    what = "query"
+
+
+def _json_objects(path: str | Path, error: type[_MalformedLine]):
+    """(line number, object) for each non-blank line of a JSON-lines file;
+    a line that is not a JSON object raises `error`."""
+    text = Path(path).read_text(encoding="utf-8")
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise error(line_no, f"invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict):
+            raise error(line_no, "expected an object")
+        yield line_no, obj
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +181,18 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
     (root / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
+def _read_entry(root: Path, entry, keys: tuple[str, ...]):
+    """Parse the skill file a manifest entry names.  The entry must carry
+    `keys`, and its path must not be absolute or climb out with `..`."""
+    if not isinstance(entry, dict) or any(k not in entry for k in keys):
+        raise ManifestError(f"manifest entry {entry!r} needs keys {list(keys)}")
+    rel = entry["path"]
+    if (not isinstance(rel, str) or os.path.isabs(rel)
+            or os.path.normpath(rel).split(os.sep)[0] == os.pardir):
+        raise ManifestError(f"manifest path {rel!r} leaves the library {root}")
+    return parse_skill_file((root / rel).read_text(encoding="utf-8"))
+
+
 def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
     """Read a library directory back.  Front matter is authoritative for
     contract content; the manifest supplies ordering, provenance and the
@@ -163,14 +202,13 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
     if not manifest_path.exists():
         raise ManifestError(f"{root} has no manifest.json")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ManifestError(
-            f"unsupported format_version: {manifest.get('format_version')!r}"
-        )
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != FORMAT_VERSION:
+        raise ManifestError(f"unsupported format_version: {version!r}")
     skills = []
     provenance: dict[str, str] = {}
     for entry in manifest.get("skills", ()):
-        contract = parse_skill_file((root / entry["path"]).read_text(encoding="utf-8"))
+        contract = _read_entry(root, entry, ("id", "path"))
         if contract.id != entry["id"]:
             raise ManifestError(
                 f"{entry['path']}: file declares id {contract.id!r},"
@@ -180,7 +218,7 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
         provenance[contract.id] = entry.get("provenance", "clean")
     adapters = []
     for entry in manifest.get("adapters", ()):
-        contract = parse_skill_file((root / entry["path"]).read_text(encoding="utf-8"))
+        contract = _read_entry(root, entry, ("src", "dst", "path"))
         adapters.append(AdapterShim(src=entry["src"], dst=entry["dst"], contract=contract))
     return Library(skills=tuple(skills), adapters=tuple(adapters)), provenance
 
@@ -205,16 +243,7 @@ def save_trace(trace: ExecutionTrace, path: str | Path) -> None:
 
 def load_trace(path: str | Path) -> ExecutionTrace:
     entries = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise MalformedTraceLine(line_no, f"invalid JSON ({e.msg})") from None
-        if not isinstance(obj, dict):
-            raise MalformedTraceLine(line_no, "expected an object")
+    for line_no, obj in _json_objects(path, MalformedTraceLine):
         missing = {"task_id", "skill_id", "step", "outcome"} - set(obj)
         if missing:
             raise MalformedTraceLine(line_no, f"missing keys: {sorted(missing)}")
@@ -521,16 +550,8 @@ def _emit(payload: dict, out: str | None) -> None:
 def _cgpd_config(args) -> CgpdConfig | None:
     if not args.cgpd:
         return None
-    kwargs = {}
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
-    if args.tau is not None:
-        kwargs["tau"] = args.tau
-    if args.eps is not None:
-        kwargs["eps"] = args.eps
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    return CgpdConfig(**kwargs)
+    flags = ("alpha", "tau", "eps", "max_iters")
+    return CgpdConfig(**{f: getattr(args, f) for f in flags if getattr(args, f) is not None})
 
 
 def _add_cgpd_flags(p: argparse.ArgumentParser) -> None:
@@ -640,18 +661,14 @@ def cmd_grade(args) -> int:
 def cmd_eval_retrieval(args) -> int:
     lib, _ = load_library(args.lib)
     queries = []
-    text = Path(args.queries).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise MalformedTraceLine(line_no, f"invalid JSON ({e.msg})") from None
+    for line_no, obj in _json_objects(args.queries, MalformedQueryLine):
         if "query" not in obj or "relevant" not in obj:
-            raise MalformedTraceLine(line_no, "need query and relevant keys")
+            raise MalformedQueryLine(line_no, "need query and relevant keys")
+        relevant = obj["relevant"]
+        if not isinstance(relevant, list) or not all(isinstance(r, str) for r in relevant):
+            raise MalformedQueryLine(line_no, "relevant must be a list of skill ids")
         queries.append(
-            (str(obj.get("id", line_no)), str(obj["query"]), frozenset(obj["relevant"]))
+            (str(obj.get("id", line_no)), str(obj["query"]), frozenset(relevant))
         )
     payload = _eval_condition(lib, tuple(queries), args.k)
     _emit(payload, args.out)

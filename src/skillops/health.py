@@ -111,7 +111,8 @@ def health_vector(
     trace: ExecutionTrace = ExecutionTrace(),
     window: int = DEFAULT_WINDOW,
 ) -> HealthVector:
-    return _vector(s, g, trace.for_skill(s.id), window)
+    entries = tuple(e for e in trace.entries if e.skill == s.id)
+    return _vector(s, g, entries, window)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ Four directed edge kinds connect skills i -> j:
   alt   same goal, different body hash (symmetric)
 
 Self edges never exist.  Because libraries are clone-heavy, the graph keeps
-interface-signature groups instead of a materialized edge set: all pair
-predicates are answered from per-skill signatures, and aggregate counts are
-computed once per distinct (artifact-set, precondition-set) pair.  Edge
+interface-signature groups instead of a materialized edge set and answers
+pair predicates from per-skill signatures.  The dep relation is built once
+between signatures from token postings (a dep pair always shares a token);
+parents, dep/comp counts and dep-only pairs are all read from it.  Edge
 listings for export or brute-force checks are generated on demand.
 """
 
@@ -69,6 +70,7 @@ class Hseg:
     _out_counts: dict[frozenset, tuple[int, int]] = field(default_factory=dict)
     _in_counts: dict[frozenset, tuple[int, int]] = field(default_factory=dict)
     _bridged_counts: dict[str, int] = field(default_factory=dict)
+    _bridged_pairs: frozenset[tuple[str, str]] = frozenset()
 
     # ---- pair predicates -------------------------------------------------
 
@@ -98,15 +100,9 @@ class Hseg:
         raise ValueError(f"unknown edge kind: {kind}")
 
     def is_bridged(self, src: str, dst: str) -> bool:
-        """True when a registered adapter carries this pair and its artifact
-        types satisfy the destination's preconditions."""
-        p_dst = self.precondition_sets.get(dst)
-        if p_dst is None:
-            return False
-        return any(
-            rec.src == src and rec.dst == dst and rec.artifact_types <= p_dst
-            for rec in self.adapter_records
-        )
+        """True when a registered adapter carries this pair of skills and its
+        artifact types satisfy the destination's preconditions."""
+        return (src, dst) in self._bridged_pairs
 
     # ---- neighborhoods ---------------------------------------------------
 
@@ -189,11 +185,12 @@ class Hseg:
     def dep_not_comp_pairs(self):
         """Ordered (src, dst) pairs holding a dep edge without comp."""
         pairs = []
-        for a_sig, srcs in self._a_groups.items():
-            for p_sig, dsts in self._p_groups.items():
-                if self._dep_sig(a_sig, p_sig) and not self._comp_sig(a_sig, p_sig):
+        for p_sig, a_sigs in self._parent_sigs.items():
+            dsts = self._p_groups[p_sig]
+            for a_sig in a_sigs:
+                if not self._comp_sig(a_sig, p_sig):
                     pairs.extend(
-                        (s, d) for s in srcs for d in dsts if s != d
+                        (s, d) for s in self._a_groups[a_sig] for d in dsts if s != d
                     )
         return sorted(pairs)
 
@@ -211,24 +208,6 @@ class Hseg:
         }
 
 
-def _feeding_sigs(p_sig, a_groups, dep_mode) -> tuple[frozenset, ...]:
-    """Artifact signatures with a dep relation into p_sig.  Under subset
-    mode, enumerating the powerset of p_sig beats scanning every group when
-    p_sig is small."""
-    if dep_mode == "subset" and 2 ** len(p_sig) <= len(a_groups):
-        items = sorted(p_sig)
-        found = [
-            frozenset(combo)
-            for r in range(1, len(items) + 1)
-            for combo in combinations(items, r)
-            if frozenset(combo) in a_groups
-        ]
-        return tuple(sorted(found, key=sorted))
-    if dep_mode == "subset":
-        return tuple(sorted((a for a in a_groups if a and a <= p_sig), key=sorted))
-    return tuple(sorted((a for a in a_groups if a & p_sig), key=sorted))
-
-
 def build_hseg(
     skills,
     comp_threshold: float = 0.3,
@@ -237,8 +216,9 @@ def build_hseg(
 ) -> Hseg:
     """Construct the graph for a collection of contracts.
 
-    Pairwise over distinct interface signatures rather than skills, so the
-    cost is O(N + distinct_A * distinct_P) instead of O(N^2) on libraries
+    Pairwise over distinct interface signatures rather than skills, and only
+    over the signature pairs that share a token, so the cost is
+    O(N + signature pairs sharing a token) instead of O(N^2) on libraries
     full of clones.
     """
     if dep_mode not in ("subset", "overlap"):
@@ -277,40 +257,41 @@ def build_hseg(
     g._iface_groups = {k: tuple(v) for k, v in iface_groups.items()}
     g._goal_groups = {k: tuple(v) for k, v in goal_groups.items()}
 
+    # the dep relation: the postings of a_sig's tokens hold all its candidates;
+    # each pair adds group sizes to both signatures' dep/comp counts, and
+    # walking _a_groups in order fixes the order of every parent list
+    postings: dict[str, list[frozenset]] = {}
     for p_sig in g._p_groups:
-        g._parent_sigs[p_sig] = _feeding_sigs(p_sig, g._a_groups, dep_mode)
-
-    # aggregate dep/comp counts per signature, reused by every member skill
-    out_counts: dict[frozenset, tuple[int, int]] = {}
-    in_counts: dict[frozenset, tuple[int, int]] = {}
-    p_sizes = {sig: len(members) for sig, members in g._p_groups.items()}
-    a_sizes = {sig: len(members) for sig, members in g._a_groups.items()}
-    for a_sig in g._a_groups:
+        for token in p_sig:
+            postings.setdefault(token, []).append(p_sig)
+    parent_sigs: dict[frozenset, list] = {p_sig: [] for p_sig in g._p_groups}
+    in_counts = {p_sig: [0, 0] for p_sig in g._p_groups}
+    for a_sig, srcs in g._a_groups.items():
         dep_n = ok_n = 0
-        for p_sig, count in p_sizes.items():
+        for p_sig in {p for token in a_sig for p in postings.get(token, ())}:
             if g._dep_sig(a_sig, p_sig):
-                dep_n += count
-                if g._comp_sig(a_sig, p_sig):
-                    ok_n += count
-        out_counts[a_sig] = (dep_n, ok_n)
-    for p_sig in g._p_groups:
-        dep_n = ok_n = 0
-        for a_sig in g._parent_sigs[p_sig]:
-            count = a_sizes[a_sig]
-            dep_n += count
-            if g._comp_sig(a_sig, p_sig):
-                ok_n += count
-        in_counts[p_sig] = (dep_n, ok_n)
-    g._out_counts.update(out_counts)
-    g._in_counts.update(in_counts)
+                parent_sigs[p_sig].append(a_sig)
+                ok = g._comp_sig(a_sig, p_sig)
+                dep_n += len(g._p_groups[p_sig])
+                ok_n += ok * len(g._p_groups[p_sig])
+                in_counts[p_sig][0] += len(srcs)
+                in_counts[p_sig][1] += ok * len(srcs)
+        g._out_counts[a_sig] = (dep_n, ok_n)
+    g._parent_sigs = {k: tuple(v) for k, v in parent_sigs.items()}
+    g._in_counts = {k: tuple(v) for k, v in in_counts.items()}
 
     bridged: dict[str, int] = {}
+    bridged_pairs = set()
     for rec in records:
         if rec.src not in g.nodes or rec.dst not in g.nodes:
             continue
         a, p = g.artifact_sets[rec.src], g.precondition_sets[rec.dst]
-        if g._dep_sig(a, p) and not g._comp_sig(a, p) and rec.artifact_types <= p:
+        if not rec.artifact_types <= p:
+            continue
+        bridged_pairs.add((rec.src, rec.dst))
+        if g._dep_sig(a, p) and not g._comp_sig(a, p):
             bridged[rec.src] = bridged.get(rec.src, 0) + 1
             bridged[rec.dst] = bridged.get(rec.dst, 0) + 1
     g._bridged_counts.update(bridged)
+    g._bridged_pairs = frozenset(bridged_pairs)
     return g

@@ -143,9 +143,6 @@ class ExecutionTrace:
                 )
             last[e.task_id] = e.step
 
-    def for_skill(self, skill_id: str) -> tuple[TraceEntry, ...]:
-        return tuple(e for e in self.entries if e.skill == skill_id)
-
 
 EMPTY_TRACE = ExecutionTrace()
 

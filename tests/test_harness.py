@@ -154,6 +154,9 @@ def test_load_rejects_bad_manifest(tmp_path):
     (target / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError):
         load_library(target)
+    (target / "manifest.json").write_text("[]")  # not an object at all
+    with pytest.raises(ManifestError):
+        load_library(target)
 
 
 def test_load_rejects_id_mismatch(tmp_path):
@@ -165,6 +168,41 @@ def test_load_rejects_id_mismatch(tmp_path):
     (target / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError):
         load_library(target)
+
+
+@pytest.mark.parametrize("section,key", [("skills", "path"), ("skills", "id"),
+                                         ("adapters", "path"), ("adapters", "src")])
+def test_load_rejects_manifest_entry_without_key(tmp_path, capsys, section, key):
+    emit, need = _skill("emit", [], ["x"]), _skill("need", ["x", "y"], [])
+    target = tmp_path / "lib"
+    save_library(Library(skills=(emit, need), adapters=(make_adapter_shim(emit, need),)),
+                 target)
+    manifest = json.loads((target / "manifest.json").read_text())
+    del manifest[section][0][key]
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=key):
+        load_library(target)
+    assert main(["diagnose", "--lib", str(target)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("escape", ["../outside/SKILL.md", "skills/../../outside/SKILL.md",
+                                    "ABSOLUTE"])
+def test_load_rejects_paths_outside_the_library(tmp_path, capsys, escape):
+    lib, prov = build_library(3, 0.0, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    # a readable, valid skill file just outside the library root
+    outside = tmp_path / "outside" / "SKILL.md"
+    outside.parent.mkdir()
+    outside.write_text((target / "skills" / lib.skills[0].id / "SKILL.md").read_text())
+    manifest = json.loads((target / "manifest.json").read_text())
+    manifest["skills"][0]["path"] = str(outside) if escape == "ABSOLUTE" else escape
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match="leaves the library"):
+        load_library(target)
+    assert main(["diagnose", "--lib", str(target)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +460,30 @@ def test_cli_eval_retrieval(tmp_path, capsys):
     assert code == 0
     assert payload["n"] == 4
     assert payload["precision_at_k"] == 0.0  # decoys win before maintenance
+
+
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("5", "expected an object"),
+        ("[1, 2]", "expected an object"),
+        ("{not json", "invalid JSON"),
+        ('{"query": "x"}', "need query and relevant keys"),
+        ('{"query": "x", "relevant": 5}', "relevant must be a list"),
+        ('{"query": "x", "relevant": [["a"]]}', "relevant must be a list"),
+    ],
+)
+def test_cli_eval_retrieval_malformed_query_lines_exit_two(tmp_path, capsys, line, fragment):
+    lib, _ = build_retrieval_scenario(2, seed=0)
+    libdir = str(tmp_path / "lib")
+    save_library(lib, libdir)
+    qfile = tmp_path / "queries.jsonl"
+    qfile.write_text('{"query": "fetch", "relevant": []}\n' + line + "\n")
+    code = main(["eval-retrieval", "--lib", libdir, "--queries", str(qfile)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"query line 2: {fragment}" in err
+    assert "trace line" not in err
 
 
 def test_cli_pipeline_writes_report(tmp_path, capsys):

@@ -203,9 +203,24 @@ def libraries(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(libraries(), st.sampled_from([0.3, 0.5]), st.sampled_from(["subset", "overlap"]))
-def test_edges_match_brute_force_oracle(lib, threshold, dep_mode):
-    g = build_hseg(lib, comp_threshold=threshold, dep_mode=dep_mode)
+@given(
+    libraries(),
+    st.sampled_from([0.0, 0.3, 0.5]),
+    st.sampled_from(["subset", "overlap"]),
+    st.data(),
+)
+def test_edges_match_brute_force_oracle(lib, threshold, dep_mode, data):
+    ids = [s.id for s in lib]
+    # random shims, some naming a skill outside the graph
+    shims = data.draw(st.lists(
+        st.tuples(st.sampled_from(ids + ["ghost"]), st.sampled_from(ids + ["ghost"]), _tags),
+        max_size=6,
+    ))
+    adapters = tuple(
+        AdapterShim(src=a, dst=b, contract=skill(f"adapt--{a}--{b}", art=t))
+        for a, b, t in shims
+    )
+    g = build_hseg(lib, comp_threshold=threshold, dep_mode=dep_mode, adapters=adapters)
     expected = brute_force_edges(lib, threshold, dep_mode)
     assert g.edge_set() == expected
     for i in lib:
@@ -214,29 +229,41 @@ def test_edges_match_brute_force_oracle(lib, threshold, dep_mode):
                 assert g.edge_exists(kind, i.id, j.id) == (
                     (i.id, j.id, kind) in expected
                 )
+            assert g.is_bridged(i.id, j.id) == any(
+                a == i.id and b == j.id and t <= j.preconditions for a, b, t in shims
+            )
+    assert g.dep_not_comp_pairs() == sorted(
+        (a, b) for a, b, k in expected if k == "dep" and (a, b, "comp") not in expected
+    )
+
+
+# every (dep_mode, comp_threshold) pair, checked on each drawn library
+GRAPH_CONFIGS = [(m, t) for m in ("subset", "overlap") for t in (0.0, 0.3, 0.5)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(libraries())
 def test_incident_counts_match_oracle(lib):
-    g = build_hseg(lib)
-    edges = brute_force_edges(lib)
-    for s in lib:
-        dep_edges = [
-            (a, b) for (a, b, k) in edges if k == "dep" and s.id in (a, b)
-        ]
-        ok = sum(1 for (a, b) in dep_edges if (a, b, "comp") in edges)
-        assert g.incident_dep_counts(s.id) == (len(dep_edges), ok)
+    for dep_mode, threshold in GRAPH_CONFIGS:
+        g = build_hseg(lib, comp_threshold=threshold, dep_mode=dep_mode)
+        edges = brute_force_edges(lib, threshold, dep_mode)
+        for s in lib:
+            dep_edges = [
+                (a, b) for (a, b, k) in edges if k == "dep" and s.id in (a, b)
+            ]
+            ok = sum(1 for (a, b) in dep_edges if (a, b, "comp") in edges)
+            assert g.incident_dep_counts(s.id) == (len(dep_edges), ok)
 
 
 @settings(max_examples=60, deadline=None)
 @given(libraries())
 def test_parents_and_clusters_match_oracle(lib):
-    g = build_hseg(lib)
-    edges = brute_force_edges(lib)
-    for s in lib:
-        expected = frozenset(a for (a, b, k) in edges if k == "dep" and b == s.id)
-        assert g.parents(s.id) == expected
+    for dep_mode, threshold in GRAPH_CONFIGS:
+        g = build_hseg(lib, comp_threshold=threshold, dep_mode=dep_mode)
+        edges = brute_force_edges(lib, threshold, dep_mode)
+        for s in lib:
+            expected = frozenset(a for (a, b, k) in edges if k == "dep" and b == s.id)
+            assert g.parents(s.id) == expected
     # red clusters partition the nodes and members are pairwise red-linked
     clusters = g.red_clusters()
     seen = [sid for cl in clusters for sid in cl]

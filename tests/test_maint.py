@@ -350,6 +350,19 @@ def test_adapters_planned_for_dep_only_edges():
     assert len(again.adapters) == 1
 
 
+def test_second_overlap_pass_plans_no_adapters():
+    # overlap mode with a high threshold bridges most dep edges with shims;
+    # the second pass must find every one of them bridged, in time linear in
+    # the shim count (a per-pair scan of the shims took over ten seconds here)
+    cfg = MaintenanceConfig(dep_mode="overlap", comp_threshold=0.6)
+    lib, _ = build_library(500, 0.6, 7)
+    once, report1 = run_maintenance(lib, cfg=cfg)
+    assert report1.action_counts["add_adapter"] == len(once.adapters) > 10_000
+    twice, report2 = run_maintenance(once, cfg=cfg)
+    assert report2.action_counts["add_adapter"] == 0
+    assert len(twice.adapters) == len(once.adapters)
+
+
 def test_merge_removes_adapters_of_absorbed_skills():
     emit1 = skill("emit1", art=("x",), body="emitter body")
     emit2 = skill("emit2", art=("x",), body="emitter body")
