@@ -409,19 +409,31 @@ def build_retrieval_scenario(
 
 
 def _rank_ids(lib: Library, query: str, k: int) -> list[str]:
-    ranked = rank_candidates(lib.skills, query, PlannerConfig())
+    ranked = rank_candidates(lib, query, PlannerConfig())
     return [sid for sid, _ in ranked[:k]]
 
 
 def _eval_condition(lib: Library, queries, k: int) -> dict:
-    per_query = []
+    """Retrieval metrics over the top k ids of each query.
+
+    precision_at_k divides by k, so it is capped at 1/k once maintenance
+    merges a relevance class down to one survivor.  hit_rate_at_k (a
+    relevant id in the top k), mrr_at_k (reciprocal rank of the first
+    one, 0 when none) and recall_at_k (the share of the relevant ids still
+    in the library that the top k holds) are not.
+    """
+    present = set(lib.ids())
+    per_query, reciprocal_ranks, recalls = [], [], []
     hits = 0
     for _, query, relevant in queries:
         top = _rank_ids(lib, query, k)
-        p = precision_at_k(relevant, top, k)
-        per_query.append(p)
-        if set(top) & set(relevant):
+        per_query.append(precision_at_k(relevant, top, k))
+        ranks = [rank for rank, sid in enumerate(top, start=1) if sid in relevant]
+        if ranks:
             hits += 1
+        reciprocal_ranks.append(1.0 / ranks[0] if ranks else 0.0)
+        held = len(relevant & present)
+        recalls.append(len(ranks) / held if held else 0.0)
     n = len(per_query)
     lo, hi = wilson_ci(hits, n)
     return {
@@ -430,6 +442,9 @@ def _eval_condition(lib: Library, queries, k: int) -> dict:
         "n": n,
         "wilson_low": lo,
         "wilson_high": hi,
+        "hit_rate_at_k": hits / n if n else 0.0,
+        "mrr_at_k": sum(reciprocal_ranks) / n if n else 0.0,
+        "recall_at_k": sum(recalls) / n if n else 0.0,
     }
 
 
@@ -592,6 +607,7 @@ def cmd_diagnose(args) -> int:
         result = propagate(g, report.local_risks(), cgpd_cfg)
         payload["risk"] = {sid: result.risk[sid] for sid in sorted(result.risk)}
         payload["risk_iterations"] = result.iterations_used
+        payload["risk_converged"] = result.converged
         payload["triggered"] = sorted(trigger_set(g, result.risk, lib, cgpd_cfg.tau))
     if args.dump_graph:
         Path(args.dump_graph).write_text(_json_text(g.export()), encoding="utf-8")

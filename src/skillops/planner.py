@@ -3,7 +3,10 @@
 Retrieval is a 50/50 hybrid by default: BM25 over each skill's goal, tags
 and body, min-max normalized per query, blended with the cosine similarity
 of hashed term-frequency vectors.  Both scorers are plain arithmetic over
-token counts, so ranking a query twice gives identical results.
+token counts, so ranking a query twice gives identical results.  A Library
+gets one BM25 index per (k1, b), built on its first ranked query and kept
+on the Library object; the index stores each (term, doc) weight once in
+per-term postings, and a query sums the postings of its tokens.
 
 Plans are stitched with a bounded-width search over the candidate set where
 consecutive steps must hold both dep and comp edges.  When the beam bound
@@ -16,10 +19,13 @@ same-goal alternatives before re-invoking the original skill.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from skillops.contract import (
     AdapterShim,
@@ -167,6 +173,7 @@ _MASK64 = (1 << 64) - 1
 HASH_BUCKETS = 1 << 16
 
 
+@lru_cache(maxsize=4096)
 def _fnv1a(token: str) -> int:
     h = _FNV_OFFSET
     for byte in token.encode("utf-8"):
@@ -181,9 +188,7 @@ def _hash_vector(tokens) -> Counter:
     return vec
 
 
-def semantic_similarity(query: str, doc: str) -> float:
-    """Cosine between hashed term-frequency vectors, clipped to [0, 1]."""
-    q, d = _hash_vector(tokenize(query)), _hash_vector(tokenize(doc))
+def _cosine(q: Counter, d: Counter) -> float:
     if not q or not d:
         return 0.0
     dot = sum(count * d.get(bucket, 0) for bucket, count in q.items())
@@ -195,39 +200,91 @@ def semantic_similarity(query: str, doc: str) -> float:
     return min(1.0, max(0.0, dot / norm))
 
 
+def semantic_similarity(query: str, doc: str) -> float:
+    """Cosine between hashed term-frequency vectors, clipped to [0, 1]."""
+    return _cosine(_hash_vector(tokenize(query)), _hash_vector(tokenize(doc)))
+
+
 class Bm25Index:
-    """Okapi BM25 with the usual nonnegative idf variant."""
+    """Okapi BM25 with the usual nonnegative idf variant, over token postings.
+
+    Each (term, doc) weight idf * freq * (k1 + 1) / (freq + denom_norm) is
+    computed once, when the index is built, and stored under its term as two
+    parallel arrays: doc positions (insertion order of `docs`) and weights.
+    A query adds up the postings of its tokens in query order, repeats
+    included, so every doc's float sum is the one a per-doc loop over the
+    query tokens would give.
+    """
 
     def __init__(self, docs: dict[str, str], k1: float = 1.2, b: float = 0.75):
         self.k1, self.b = k1, b
-        self.doc_tokens = {doc_id: tokenize(text) for doc_id, text in docs.items()}
-        self.doc_len = {doc_id: len(toks) for doc_id, toks in self.doc_tokens.items()}
-        self.n_docs = len(docs)
-        self.avg_len = (
-            sum(self.doc_len.values()) / self.n_docs if self.n_docs else 0.0
-        )
-        self.tf = {doc_id: Counter(toks) for doc_id, toks in self.doc_tokens.items()}
-        df: Counter = Counter()
-        for toks in self.doc_tokens.values():
-            df.update(set(toks))
-        self.idf = {
-            term: math.log(1.0 + (self.n_docs - n + 0.5) / (n + 0.5))
-            for term, n in df.items()
-        }
+        self.ids = tuple(docs)
+        self.postings: dict[str, tuple[array, array]] = {}
+        lengths = array("i")
+        for pos, text in enumerate(docs.values()):
+            toks = tokenize(text)
+            lengths.append(len(toks))
+            for term, freq in Counter(toks).items():
+                entry = self.postings.get(term)
+                if entry is None:
+                    entry = self.postings[term] = (array("i"), array("d"))
+                entry[0].append(pos)
+                entry[1].append(freq)  # the weight replaces it below
+        n_docs = len(lengths)
+        avg_len = sum(lengths) / n_docs if n_docs else 0.0
+        denom_norm = [
+            k1 * (1 - b + b * length / avg_len) if avg_len else k1 for length in lengths
+        ]
+        for positions, weights in self.postings.values():
+            n = len(positions)
+            idf = math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5))
+            for j, pos in enumerate(positions):
+                freq = weights[j]
+                weights[j] = idf * freq * (k1 + 1) / (freq + denom_norm[pos])
+        # positions in ascending id order: the tie order of a ranking
+        self._by_id = array("i", sorted(range(n_docs), key=self.ids.__getitem__))
 
-    def score(self, query: str, doc_id: str) -> float:
-        tf, length = self.tf[doc_id], self.doc_len[doc_id]
-        denom_norm = self.k1 * (1 - self.b + self.b * length / self.avg_len) if self.avg_len else self.k1
-        total = 0.0
+    def _accumulate(self, query: str) -> list[float]:
+        """Every doc's score by position, 0.0 where no query token occurs."""
+        acc = [0.0] * len(self.ids)
         for term in tokenize(query):
-            if term not in self.idf or tf[term] == 0:
-                continue
-            freq = tf[term]
-            total += self.idf[term] * freq * (self.k1 + 1) / (freq + denom_norm)
-        return total
+            entry = self.postings.get(term)
+            if entry is not None:
+                for pos, weight in zip(*entry):
+                    acc[pos] += weight
+        return acc
 
     def scores(self, query: str) -> dict[str, float]:
-        return {doc_id: self.score(query, doc_id) for doc_id in self.doc_tokens}
+        return dict(zip(self.ids, self._accumulate(query)))
+
+    def top(self, query: str, k: int) -> list[tuple[int, float]]:
+        """The first k (doc position, score) pairs by descending score, ties
+        by ascending id."""
+        acc = self._accumulate(query)
+        best = heapq.nlargest(k, self._by_id, key=acc.__getitem__)
+        return [(pos, acc[pos]) for pos in best]
+
+
+def _library_index(lib: Library, cfg: PlannerConfig) -> Bm25Index:
+    """The library's index for (k1, b), built on its first ranked query.
+
+    Memoized on the Library object with object.__setattr__, as
+    contract.body_hash does, so dataclass eq, hash and repr never see it.
+    replace() builds a new Library, which builds its own index.
+    """
+    memo = getattr(lib, "_bm25_indexes", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(lib, "_bm25_indexes", memo)
+    key = (cfg.k1, cfg.b)
+    index = memo.get(key)
+    if index is None:
+        index = memo[key] = _build_index(lib.skills, cfg)
+    return index
+
+
+def _build_index(skills: tuple[SkillContract, ...], cfg: PlannerConfig) -> Bm25Index:
+    return Bm25Index({s.id: skill_document(s) for s in skills}, k1=cfg.k1, b=cfg.b)
 
 
 def hybrid_score(lam: float, bm25_norm: float, sem: float) -> float:
@@ -239,23 +296,33 @@ def rank_candidates(
 ) -> tuple[tuple[str, float], ...]:
     """Hybrid ranking: BM25 shortlist of bm25_k, min-max normalized per
     query, rescored with the hashed-vector similarity.  Descending score,
-    ties ascending id."""
+    ties ascending id.
+
+    `skills` is a Library, whose index is built once and reused by every
+    later query, or any iterable of skills, indexed for this query alone.
+    """
     cfg.validate()
-    skills = tuple(skills)
+    if isinstance(skills, Library):
+        lib = skills
+        skills = lib.skills
+    else:
+        lib = None
+        # a repeated id keeps its first position and its last skill
+        skills = tuple({s.id: s for s in skills}.values())
     if not skills:
         raise EmptyLibrary("cannot rank over an empty library")
-    docs = {s.id: skill_document(s) for s in skills}
-    index = Bm25Index(docs, k1=cfg.k1, b=cfg.b)
-    raw = index.scores(query)
-    shortlist = sorted(raw, key=lambda sid: (-raw[sid], sid))[: cfg.bm25_k]
-    lo = min(raw[sid] for sid in shortlist)
-    hi = max(raw[sid] for sid in shortlist)
+    index = _library_index(lib, cfg) if lib is not None else _build_index(skills, cfg)
+    shortlist = index.top(query, cfg.bm25_k)
+    lo = min(score for _, score in shortlist)
+    hi = max(score for _, score in shortlist)
     span = hi - lo
+    query_vec = _hash_vector(tokenize(query))
     rescored = []
-    for sid in shortlist:
-        bm25_norm = (raw[sid] - lo) / span if span > 0 else 0.0
-        sem = semantic_similarity(query, docs[sid])
-        rescored.append((sid, hybrid_score(cfg.lam, bm25_norm, sem)))
+    for pos, raw in shortlist:
+        s = skills[pos]
+        bm25_norm = (raw - lo) / span if span > 0 else 0.0
+        sem = _cosine(query_vec, _hash_vector(tokenize(skill_document(s))))
+        rescored.append((s.id, hybrid_score(cfg.lam, bm25_norm, sem)))
     rescored.sort(key=lambda pair: (-pair[1], pair[0]))
     return tuple(rescored)
 
@@ -265,7 +332,7 @@ def match_skills(
 ) -> tuple[tuple[str, float], ...]:
     """Candidate set: top keep_top ranked skills whose score clears
     theta_score and whose preconditions hold in the task's state facts."""
-    ranked = rank_candidates(lib.skills, task.goal_text, cfg)
+    ranked = rank_candidates(lib, task.goal_text, cfg)
     by_id = lib.by_id()
     kept = [
         (sid, score)

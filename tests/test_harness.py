@@ -2,6 +2,10 @@
 CLI entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -348,6 +352,42 @@ def test_pipeline_is_deterministic_modulo_timing():
     assert a == b
 
 
+def test_retrieval_metrics_on_retrieval_20():
+    # the real skill sits at rank 2 behind a decoy after maintenance: every
+    # query hits, so precision is capped at 1/k while MRR and recall say more
+    report = run_pipeline("retrieval-20", seed=0)
+    raw, maintained = report.conditions["raw"], report.conditions["maintained"]
+    for cond in (raw, maintained):
+        assert cond["hit_rate_at_k"] == cond["hits"] / cond["n"]
+    assert (raw["hit_rate_at_k"], raw["mrr_at_k"], raw["recall_at_k"]) == (0.0, 0.0, 0.0)
+    assert maintained["hit_rate_at_k"] == 1.0
+    assert maintained["mrr_at_k"] == 0.5
+    assert maintained["recall_at_k"] == 1.0
+
+
+def test_recall_counts_only_relevant_ids_the_library_holds(tmp_path, capsys):
+    lib = Library(skills=(
+        _skill("load-a", [], ["out"], body="Load the batch into the store."),
+        _skill("load-b", [], ["out"], body="Load the batch into the store."),
+        _skill("other", [], ["out"], body="Rotate the api keys."),
+    ))
+    libdir = str(tmp_path / "lib")
+    save_library(lib, libdir)
+    queries = tmp_path / "q.jsonl"
+    queries.write_text(
+        json.dumps({"query": "load batch store", "relevant": ["load-a", "gone"]}) + "\n"
+        + json.dumps({"query": "rotate keys", "relevant": ["gone"]}) + "\n"
+    )
+    code, out = _run(capsys, ["eval-retrieval", "--lib", libdir, "--queries", str(queries),
+                              "--k", "2"])
+    assert code == 0
+    assert out["hits"] == 1 and out["n"] == 2
+    # query 1: load-a is held and found (1/1), query 2 holds none of its ids (0)
+    assert out["recall_at_k"] == 0.5
+    assert out["mrr_at_k"] == 0.5
+    assert out["hit_rate_at_k"] == 0.5
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -537,3 +577,33 @@ def test_cli_errors_exit_two(tmp_path, capsys):
             os.environ.pop("SKILLOPS_SEED", None)
         else:
             os.environ["SKILLOPS_SEED"] = old
+
+
+def test_cli_diagnose_reports_whether_cgpd_converged(tmp_path, capsys):
+    libdir = str(tmp_path / "lib")
+    lib, prov = build_library(60, 0.5, seed=8)
+    save_library(lib, libdir, prov)
+    code, report = _run(
+        capsys, ["diagnose", "--lib", libdir, "--cgpd", "--alpha", "0.99", "--max-iters", "64"]
+    )
+    assert code == 0
+    assert report["risk_converged"] is False
+    assert report["risk_iterations"] == 64
+    code, report = _run(capsys, ["diagnose", "--lib", libdir, "--cgpd"])
+    assert code == 0
+    assert report["risk_converged"] is True
+    code, report = _run(capsys, ["diagnose", "--lib", libdir])
+    assert "risk_converged" not in report
+
+
+def test_python_dash_m_skillops_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skillops", "grade", "--actions", "a,b", "--gold-list", "a,c"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1  # the lists differ
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["exact_match"] is False

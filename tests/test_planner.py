@@ -1,7 +1,13 @@
+import dataclasses
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from skillops import planner
 
 from skillops.contract import ConfigInvalid, EmptyLibrary, Library, make_contract
 from skillops.hseg import build_hseg
@@ -192,6 +198,186 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         PlannerConfig(beam_width=0).validate()
     PlannerConfig().validate()
+
+
+# ---------------------------------------------------------------------------
+# BM25 postings index against the dense per-doc formula
+
+def reference_bm25_scores(docs, query, k1=1.2, b=0.75):
+    """Every doc's score from a per-doc loop over the query tokens: the
+    dense formula the postings index must reproduce bit for bit."""
+    doc_tokens = {doc_id: tokenize(text) for doc_id, text in docs.items()}
+    doc_len = {doc_id: len(toks) for doc_id, toks in doc_tokens.items()}
+    n_docs = len(docs)
+    avg_len = sum(doc_len.values()) / n_docs if n_docs else 0.0
+    tf = {doc_id: Counter(toks) for doc_id, toks in doc_tokens.items()}
+    df = Counter()
+    for toks in doc_tokens.values():
+        df.update(set(toks))
+    idf = {term: math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5)) for term, n in df.items()}
+    out = {}
+    for doc_id in doc_tokens:
+        length = doc_len[doc_id]
+        denom_norm = k1 * (1 - b + b * length / avg_len) if avg_len else k1
+        total = 0.0
+        for term in tokenize(query):
+            if term not in idf or tf[doc_id][term] == 0:
+                continue
+            freq = tf[doc_id][term]
+            total += idf[term] * freq * (k1 + 1) / (freq + denom_norm)
+        out[doc_id] = total
+    return out
+
+
+def reference_rank(skills, query, cfg):
+    """Shortlist the bm25_k best of every doc's dense score, then rescore."""
+    docs = {s.id: skill_document(s) for s in skills}
+    raw = reference_bm25_scores(docs, query, cfg.k1, cfg.b)
+    shortlist = sorted(raw, key=lambda sid: (-raw[sid], sid))[: cfg.bm25_k]
+    lo = min(raw[sid] for sid in shortlist)
+    hi = max(raw[sid] for sid in shortlist)
+    span = hi - lo
+    rescored = []
+    for sid in shortlist:
+        bm25_norm = (raw[sid] - lo) / span if span > 0 else 0.0
+        sem = semantic_similarity(query, docs[sid])
+        rescored.append((sid, hybrid_score(cfg.lam, bm25_norm, sem)))
+    rescored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return tuple(rescored)
+
+
+WORDS = ("alpha", "beta", "gamma", "delta", "omega")
+texts = st.lists(st.sampled_from(WORDS + ("--", "!")), max_size=8).map(" ".join)
+queries = st.lists(st.sampled_from(WORDS + ("absent", "nowhere")), max_size=10).map(" ".join)
+params = st.sampled_from([(1.2, 0.75), (0.5, 0.0), (2.0, 1.0)])
+
+
+def ranked_skills(bodies):
+    # goal "--" and body "!" tokenize to nothing, so a document can be empty
+    return [
+        skill(f"s{i:02d}", goal="--", body=body or "!")
+        for i, body in enumerate(bodies)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.from_regex(r"[a-z]{1,3}", fullmatch=True), texts, max_size=14),
+       queries, params)
+@example({"a": "alpha beta", "b": "beta beta gamma"}, "beta beta alpha beta", (1.2, 0.75))
+@example({"a": "alpha", "b": "beta"}, "absent nowhere alpha", (1.2, 0.75))
+@example({"a": "", "b": "--", "c": "!"}, "alpha alpha", (1.2, 0.75))
+@example({}, "alpha", (1.2, 0.75))
+def test_bm25_scores_equal_dense_formula(docs, query, k1b):
+    index = Bm25Index(docs, k1=k1b[0], b=k1b[1])
+    got = index.scores(query)
+    want = reference_bm25_scores(docs, query, *k1b)
+    assert got == want
+    assert list(got) == list(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(texts, min_size=1, max_size=14), queries, params, st.integers(1, 16))
+@example(["alpha beta", "beta", "gamma"], "beta beta beta", (1.2, 0.75), 2)
+@example(["alpha", "beta", "gamma"], "nowhere absent beta nowhere", (1.2, 0.75), 10)
+@example([f"gamma w{i}" for i in range(12)] + ["alpha"], "alpha", (1.2, 0.75), 10)
+@example(["alpha", "beta", "alpha gamma"], "alpha", (1.2, 0.75), 10)
+@example(["", "--", "!"], "alpha beta", (1.2, 0.75), 10)
+def test_rank_candidates_equals_dense_reference(bodies, query, k1b, bm25_k):
+    sks = ranked_skills(bodies)
+    cfg = PlannerConfig(k1=k1b[0], b=k1b[1], bm25_k=bm25_k, keep_top=1)
+    assert rank_candidates(sks, query, cfg) == reference_rank(sks, query, cfg)
+    lib = Library(skills=tuple(reversed(sks)))
+    assert rank_candidates(lib, query, cfg) == reference_rank(lib.skills, query, cfg)
+
+
+def test_rank_zero_fill_takes_unscored_docs_by_ascending_id():
+    # one doc scores; the other bm25_k - 1 places go to zero-score docs in
+    # ascending id order, whatever their order in the library
+    sks = [skill(f"z{i:02d}", body="filler text") for i in range(12, 0, -1)]
+    sks.append(skill("hit", body="the zebra token"))
+    cfg = PlannerConfig(bm25_k=5, lam=1.0)
+    ranked = rank_candidates(Library(skills=tuple(sks)), "zebra", cfg)
+    assert ranked == reference_rank(sks, "zebra", cfg)
+    assert [sid for sid, _ in ranked] == ["hit", "z01", "z02", "z03", "z04"]
+
+
+def test_rank_iterable_with_repeated_id_keeps_first_position_last_skill():
+    first = skill("a", body="alpha beta")
+    last = skill("a", body="gamma only")
+    sks = [first, skill("b", body="beta"), last]
+    assert rank_candidates(sks, "gamma") == reference_rank(sks, "gamma", PlannerConfig())
+
+
+# ---------------------------------------------------------------------------
+# one index per library
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    built = []
+    real = planner.Bm25Index
+
+    def counting(*args, **kwargs):
+        index = real(*args, **kwargs)
+        built.append(index)
+        return index
+
+    monkeypatch.setattr(planner, "Bm25Index", counting)
+    return built
+
+
+def memo_library():
+    return Library(skills=tuple(
+        skill(f"m{i}", body=f"migrate the database schema step {i}") for i in range(6)
+    ))
+
+
+def test_library_ranks_through_one_index(count_builds):
+    lib = memo_library()
+    first = rank_candidates(lib, "migrate schema")
+    assert len(count_builds) == 1
+    assert rank_candidates(lib, "migrate schema") == first
+    match_skills(lib, TaskSpec(id="t", goal_text="database step 3"))
+    assert len(count_builds) == 1
+    assert first == rank_candidates(lib.skills, "migrate schema")
+    assert len(count_builds) == 2  # a plain iterable is indexed per call
+
+
+def test_each_k1_b_gets_its_own_index(count_builds):
+    lib = memo_library()
+    rank_candidates(lib, "migrate")
+    rank_candidates(lib, "migrate", PlannerConfig(lam=0.2, bm25_k=6))  # same (k1, b)
+    assert len(count_builds) == 1
+    for n, other in enumerate((PlannerConfig(b=0.3), PlannerConfig(k1=2.0)), start=2):
+        want = reference_rank(lib.skills, "migrate", other)
+        assert rank_candidates(lib, "migrate", other) == want
+        assert len(count_builds) == n
+    rank_candidates(lib, "schema", PlannerConfig(b=0.3))
+    rank_candidates(lib, "schema")
+    assert len(count_builds) == 3
+
+
+def test_new_or_replaced_library_builds_fresh(count_builds):
+    lib = memo_library()
+    rank_candidates(lib, "migrate")
+    rank_candidates(Library(skills=lib.skills), "migrate")
+    assert len(count_builds) == 2
+    fewer = dataclasses.replace(lib, skills=lib.skills[:2])
+    ranked = rank_candidates(fewer, "migrate")
+    assert len(count_builds) == 3
+    assert {sid for sid, _ in ranked} == {"m0", "m1"}
+    rank_candidates(dataclasses.replace(lib), "migrate")
+    assert len(count_builds) == 4
+
+
+def test_index_memo_leaves_library_eq_hash_repr_alone():
+    lib = memo_library()
+    twin = Library(skills=lib.skills)
+    before = (hash(lib), repr(lib))
+    rank_candidates(lib, "migrate")
+    rank_candidates(lib, "migrate", PlannerConfig(k1=0.9))
+    assert (hash(lib), repr(lib)) == before
+    assert lib == twin and twin == lib
+    assert hash(lib) == hash(twin)
 
 
 # ---------------------------------------------------------------------------
