@@ -597,22 +597,25 @@ def cmd_inject(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    cgpd_cfg = _cgpd_config(args)
+    if args.strict and cgpd_cfg is None:
+        raise ConfigInvalid("--strict needs --cgpd")
     lib, _ = load_library(args.lib)
     trace = load_trace(args.trace) if args.trace else EMPTY_TRACE
     g = build_hseg(lib.skills, adapters=lib.adapters)
     report = library_health(lib, g, trace, window=args.window)
     payload = report.as_dict()
-    cgpd_cfg = _cgpd_config(args)
+    converged = True
     if cgpd_cfg is not None:
         result = propagate(g, report.local_risks(), cgpd_cfg)
         payload["risk"] = {sid: result.risk[sid] for sid in sorted(result.risk)}
         payload["risk_iterations"] = result.iterations_used
-        payload["risk_converged"] = result.converged
+        payload["risk_converged"] = converged = result.converged
         payload["triggered"] = sorted(trigger_set(g, result.risk, lib, cgpd_cfg.tau))
     if args.dump_graph:
         Path(args.dump_graph).write_text(_json_text(g.export()), encoding="utf-8")
     _emit(payload, args.out)
-    return 0
+    return 1 if args.strict and not converged else 0
 
 
 def cmd_maintain(args) -> int:
@@ -719,6 +722,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-graph", default=None, help="write the typed graph as JSON")
     p.add_argument("--out", default=None, help="also write the report here")
     _add_cgpd_flags(p)
+    p.add_argument("--strict", action="store_true",
+                   help="with --cgpd, exit 1 when risk does not converge")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("maintain", help="plan and apply maintenance actions")

@@ -216,10 +216,11 @@ def build_hseg(
 ) -> Hseg:
     """Construct the graph for a collection of contracts.
 
-    Pairwise over distinct interface signatures rather than skills, and only
-    over the signature pairs that share a token, so the cost is
-    O(N + signature pairs sharing a token) instead of O(N^2) on libraries
-    full of clones.
+    Pairwise over distinct interface signatures rather than skills, and
+    only over candidate signature pairs: under "subset" the precondition
+    signatures holding an artifact signature's rarest token, under
+    "overlap" those sharing any of its tokens.  The cost is O(N + candidate
+    pairs) instead of O(N^2) on libraries full of clones.
     """
     if dep_mode not in ("subset", "overlap"):
         raise ValueError(f"dep_mode must be subset or overlap, got {dep_mode!r}")
@@ -257,9 +258,11 @@ def build_hseg(
     g._iface_groups = {k: tuple(v) for k, v in iface_groups.items()}
     g._goal_groups = {k: tuple(v) for k, v in goal_groups.items()}
 
-    # the dep relation: the postings of a_sig's tokens hold all its candidates;
-    # each pair adds group sizes to both signatures' dep/comp counts, and
-    # walking _a_groups in order fixes the order of every parent list
+    # the dep relation, from token -> precondition signature postings.  A
+    # subset pair holds every token of a_sig, so the posting of its rarest
+    # token lists all candidates; an overlap pair is any pair sharing a token.
+    # Each pair adds group sizes to both signatures' dep/comp counts, and
+    # walking _a_groups in order fixes the order of every parent list.
     postings: dict[str, list[frozenset]] = {}
     for p_sig in g._p_groups:
         for token in p_sig:
@@ -267,15 +270,19 @@ def build_hseg(
     parent_sigs: dict[frozenset, list] = {p_sig: [] for p_sig in g._p_groups}
     in_counts = {p_sig: [0, 0] for p_sig in g._p_groups}
     for a_sig, srcs in g._a_groups.items():
+        if dep_mode == "overlap":
+            deps = {p for token in a_sig for p in postings.get(token, ())}
+        else:
+            rarest = min((postings.get(token, ()) for token in a_sig), key=len, default=())
+            deps = [p_sig for p_sig in rarest if a_sig <= p_sig]
         dep_n = ok_n = 0
-        for p_sig in {p for token in a_sig for p in postings.get(token, ())}:
-            if g._dep_sig(a_sig, p_sig):
-                parent_sigs[p_sig].append(a_sig)
-                ok = g._comp_sig(a_sig, p_sig)
-                dep_n += len(g._p_groups[p_sig])
-                ok_n += ok * len(g._p_groups[p_sig])
-                in_counts[p_sig][0] += len(srcs)
-                in_counts[p_sig][1] += ok * len(srcs)
+        for p_sig in deps:
+            parent_sigs[p_sig].append(a_sig)
+            ok = g._comp_sig(a_sig, p_sig)
+            dep_n += len(g._p_groups[p_sig])
+            ok_n += ok * len(g._p_groups[p_sig])
+            in_counts[p_sig][0] += len(srcs)
+            in_counts[p_sig][1] += ok * len(srcs)
         g._out_counts[a_sig] = (dep_n, ok_n)
     g._parent_sigs = {k: tuple(v) for k, v in parent_sigs.items()}
     g._in_counts = {k: tuple(v) for k, v in in_counts.items()}

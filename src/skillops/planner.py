@@ -283,6 +283,17 @@ def _library_index(lib: Library, cfg: PlannerConfig) -> Bm25Index:
     return index
 
 
+def _library_by_id(lib: Library) -> dict[str, SkillContract]:
+    """The library's id -> contract map, built once per Library object and
+    memoized like _library_index.  Read-only: Library.by_id() returns a
+    fresh dict for callers that edit theirs."""
+    by_id = getattr(lib, "_by_id_map", None)
+    if by_id is None:
+        by_id = lib.by_id()
+        object.__setattr__(lib, "_by_id_map", by_id)
+    return by_id
+
+
 def _build_index(skills: tuple[SkillContract, ...], cfg: PlannerConfig) -> Bm25Index:
     return Bm25Index({s.id: skill_document(s) for s in skills}, k1=cfg.k1, b=cfg.b)
 
@@ -333,7 +344,7 @@ def match_skills(
     """Candidate set: top keep_top ranked skills whose score clears
     theta_score and whose preconditions hold in the task's state facts."""
     ranked = rank_candidates(lib, task.goal_text, cfg)
-    by_id = lib.by_id()
+    by_id = _library_by_id(lib)
     kept = [
         (sid, score)
         for sid, score in ranked
@@ -462,7 +473,7 @@ def make_adapter_shim(src: SkillContract, dst: SkillContract) -> AdapterShim:
 def insert_validators_adapters(plan: Plan, g: Hseg, lib: Library) -> Plan:
     """Insert a validator step after every non-terminal unvalidated step and
     an adapter step inside every dep-without-comp transition."""
-    by_id = lib.by_id()
+    by_id = _library_by_id(lib)
     walked = [s for s in plan.steps if s.inserted is None]
     out: list[PlanStep] = []
     for pos, step in enumerate(walked):

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skillops.cgpd import (
     CgpdConfig,
     MissingRiskEntry,
+    PropagationResult,
     propagate,
     trigger_set,
 )
@@ -205,3 +207,119 @@ def test_trigger_set_flags_unvalidated_risky_skills():
                        lib, tau=0.5) == frozenset()
     with pytest.raises(MissingRiskEntry):
         trigger_set(g, {"risky-bare": 0.9}, lib)
+
+
+# ---------------------------------------------------------------------------
+# the signature-level sweep against the per-skill sweep it replaced
+
+def reference_propagate(g, r_loc, cfg=CgpdConfig(), initial=None):
+    """Per-skill synchronous sweep: each skill walks its precondition
+    signature's parent groups, using a group's runner-up where the skill
+    itself is the group's (first) maximum.  propagate must match it bit for
+    bit."""
+    cfg.validate()
+    ids = sorted(g.nodes)
+    r = {s: (initial or r_loc)[s] for s in ids}
+    if not ids:
+        return PropagationResult(risk={}, iterations_used=0, converged=True)
+    alpha = cfg.alpha
+    threshold = cfg.eps * min(1.0, (1.0 - alpha) / alpha) if alpha > 0 else cfg.eps
+    iterations = 0
+    converged = False
+    for iterations in range(1, cfg.max_iters + 1):
+        stats = {}
+        for a_sig, members in g._a_groups.items():
+            best_id, best, second = None, float("-inf"), float("-inf")
+            for m in members:
+                v = r[m]
+                if v > best:
+                    best_id, second, best = m, best, v
+                elif v > second:
+                    second = v
+            stats[a_sig] = (best_id, best, second)
+        delta = 0.0
+        nxt = {}
+        for s in ids:
+            incoming = None
+            for a_sig in g._parent_sigs[g.precondition_sets[s]]:
+                best_id, best, second = stats[a_sig]
+                if best_id == s:
+                    if len(g._a_groups[a_sig]) == 1:
+                        continue
+                    v = second
+                else:
+                    v = best
+                if incoming is None or v > incoming:
+                    incoming = v
+            if incoming is None:
+                incoming = r_loc[s]
+            value = (1.0 - alpha) * r_loc[s] + alpha * incoming
+            change = abs(value - r[s])
+            if change > delta:
+                delta = change
+            nxt[s] = value
+        r = nxt
+        if delta < threshold:
+            converged = True
+            break
+    return PropagationResult(risk=r, iterations_used=iterations, converged=converged)
+
+
+_RISKS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # few values force ties
+_SIG = st.frozensets(st.sampled_from(["t1", "t2", "t3", "t4"]), max_size=3)
+
+
+@st.composite
+def risk_problems(draw):
+    """A library with repeated artifact signatures (multi-member groups next
+    to singletons), self-feeding skills (artifacts inside their own
+    preconditions) and parentless ones (no preconditions), plus risks."""
+    sks = []
+    for i in range(draw(st.integers(min_value=1, max_value=14))):
+        pre = draw(_SIG)
+        if pre and draw(st.booleans()):
+            art = draw(st.frozensets(st.sampled_from(sorted(pre)), min_size=1))
+        else:
+            art = draw(_SIG)
+        sks.append(skill(f"s{i:02d}", pre=pre, art=art))
+    ids = [s.id for s in sks]
+    r_loc = {sid: draw(_RISKS) for sid in ids}
+    initial = draw(st.none() | st.fixed_dictionaries({sid: _RISKS for sid in ids}))
+    return sks, r_loc, initial
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    risk_problems(),
+    st.sampled_from(["subset", "overlap"]),
+    st.sampled_from([0.0, 0.3, 0.5, 0.9, 0.99]),
+    st.sampled_from([1, 2, 5, 64]),
+)
+def test_propagate_equals_per_skill_reference_exactly(problem, dep_mode, alpha, max_iters):
+    sks, r_loc, initial = problem
+    g = build_hseg(sks, dep_mode=dep_mode)
+    cfg = CgpdConfig(alpha=alpha, max_iters=max_iters)
+    got = propagate(g, r_loc, cfg, initial=initial)
+    want = reference_propagate(g, r_loc, cfg, initial=initial)
+    assert list(got.risk) == list(want.risk)
+    for sid, value in want.risk.items():
+        assert got.risk[sid] == value
+    assert got.iterations_used == want.iterations_used
+    assert got.converged == want.converged
+
+
+def test_self_fed_skill_is_left_out_of_its_own_group():
+    # x1 and x2 share artifacts {a} that feed their own preconditions {a};
+    # lone feeds only itself, so nothing else feeds it
+    sks = [
+        skill("x1", pre=("a",), art=("a",)),
+        skill("x2", pre=("a",), art=("a",)),
+        skill("lone", pre=("b",), art=("b",)),
+        skill("sink", pre=("a", "b")),
+    ]
+    g = build_hseg(sks)
+    r_loc = {"x1": 1.0, "x2": 0.0, "lone": 0.5, "sink": 0.0}
+    cfg = CgpdConfig(alpha=0.5, max_iters=1)
+    res = propagate(g, r_loc, cfg)
+    assert res.risk == {"x1": 0.5, "x2": 0.5, "lone": 0.5, "sink": 0.5}
+    assert res.risk == reference_propagate(g, r_loc, cfg).risk

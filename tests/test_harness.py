@@ -596,6 +596,25 @@ def test_cli_diagnose_reports_whether_cgpd_converged(tmp_path, capsys):
     assert "risk_converged" not in report
 
 
+def test_cli_diagnose_strict_exits_one_when_cgpd_does_not_converge(tmp_path, capsys):
+    libdir = str(tmp_path / "lib")
+    lib, prov = build_library(60, 0.5, seed=8)
+    save_library(lib, libdir, prov)
+    slow = ["diagnose", "--lib", libdir, "--cgpd", "--alpha", "0.99", "--max-iters", "64"]
+    assert main(slow) == 0
+    lenient = capsys.readouterr().out
+    assert main(slow + ["--strict"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == lenient  # stdout is the same report
+    assert json.loads(captured.out)["risk_converged"] is False
+    assert main(["diagnose", "--lib", libdir, "--cgpd", "--strict"]) == 0
+    assert json.loads(capsys.readouterr().out)["risk_converged"] is True
+    assert main(["diagnose", "--lib", libdir, "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--strict needs --cgpd" in captured.err
+
+
 def test_python_dash_m_skillops_runs_the_cli():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)

@@ -183,18 +183,23 @@ def test_export_shape_and_determinism():
 
 
 _tags = st.sets(st.sampled_from(["t1", "t2", "t3", "t4", "t5"]), max_size=3)
+# "t9" is held by artifacts only: its precondition posting list is empty
+_art_tags = st.sets(st.sampled_from(["t1", "t2", "t3", "t4", "t5", "t9"]), max_size=3)
 
 
 @st.composite
 def libraries(draw):
+    """Drawn skills plus two that every library holds: one with no
+    artifacts and one whose artifacts include the unheld token t9."""
     n = draw(st.integers(min_value=1, max_value=12))
+    arts = [draw(_art_tags) for _ in range(n)] + [set(), draw(_tags) | {"t9"}]
     out = []
-    for i in range(n):
+    for i, art in enumerate(arts):
         out.append(
             skill(
                 f"s{i:02d}",
                 pre=draw(_tags),
-                art=draw(_tags),
+                art=art,
                 goal=draw(st.sampled_from(["g1", "g2", "g3"])),
                 body=draw(st.sampled_from(["alpha", "beta", "gamma"])),
             )
@@ -264,6 +269,9 @@ def test_parents_and_clusters_match_oracle(lib):
         for s in lib:
             expected = frozenset(a for (a, b, k) in edges if k == "dep" and b == s.id)
             assert g.parents(s.id) == expected
+        assert g.dep_not_comp_pairs() == sorted(
+            (a, b) for a, b, k in edges if k == "dep" and (a, b, "comp") not in edges
+        )
     # red clusters partition the nodes and members are pairwise red-linked
     clusters = g.red_clusters()
     seen = [sid for cl in clusters for sid in cl]

@@ -380,6 +380,53 @@ def test_index_memo_leaves_library_eq_hash_repr_alone():
     assert hash(lib) == hash(twin)
 
 
+def chain_library():
+    sks = (
+        skill("fetch", art=("raw",), body="fetch the raw event logs", checklist=()),
+        skill("clean", pre=("raw",), art=("table",), body="clean raw event logs"),
+        skill("noise", body="bake sourdough bread"),
+    )
+    return Library(skills=sks), build_hseg(sks)
+
+
+CHAIN_TASK = TaskSpec(id="t", goal_text="clean the raw event logs",
+                      state_facts=frozenset({"raw"}))
+
+
+def test_build_plan_builds_the_id_map_once(monkeypatch):
+    lib, g = chain_library()
+    calls = []
+    real = Library.by_id
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Library, "by_id", counting)
+    first = build_plan(lib, g, CHAIN_TASK)
+    assert [s.skill for s in first.steps if s.inserted is None] == ["fetch", "clean"]
+    for _ in range(3):
+        assert build_plan(lib, g, CHAIN_TASK) == first
+    assert len(calls) == 1 and calls[0] is lib
+    # replace() builds a new Library, which builds its own map
+    other = dataclasses.replace(lib)
+    assert build_plan(other, g, CHAIN_TASK) == first
+    assert len(calls) == 2 and calls[1] is other
+    assert planner._library_by_id(other) is not planner._library_by_id(lib)
+
+
+def test_edited_by_id_result_does_not_reach_the_planner():
+    lib, g = chain_library()
+    first = build_plan(lib, g, CHAIN_TASK)
+    edited = lib.by_id()
+    assert edited is not lib.by_id()  # each call returns a fresh dict
+    edited.pop("clean")
+    edited["fetch"] = skill("fetch", checklist=("verified",))
+    assert build_plan(lib, g, CHAIN_TASK) == first
+    assert ("fetch", "validator") in [(s.skill, s.inserted) for s in first.steps]
+    assert planner._library_by_id(lib) == {s.id: s for s in lib.skills}
+
+
 # ---------------------------------------------------------------------------
 # stitching
 
