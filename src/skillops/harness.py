@@ -205,9 +205,13 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise ManifestError(f"unsupported format_version: {version!r}")
+    sections = {key: manifest.get(key, []) for key in ("skills", "adapters")}
+    for key, entries in sections.items():
+        if not isinstance(entries, list):
+            raise ManifestError(f"manifest {key!r} must be a list, got {entries!r}")
     skills = []
     provenance: dict[str, str] = {}
-    for entry in manifest.get("skills", ()):
+    for entry in sections["skills"]:
         contract = _read_entry(root, entry, ("id", "path"))
         if contract.id != entry["id"]:
             raise ManifestError(
@@ -217,7 +221,7 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
         skills.append(contract)
         provenance[contract.id] = entry.get("provenance", "clean")
     adapters = []
-    for entry in manifest.get("adapters", ()):
+    for entry in sections["adapters"]:
         contract = _read_entry(root, entry, ("src", "dst", "path"))
         adapters.append(AdapterShim(src=entry["src"], dst=entry["dst"], contract=contract))
     return Library(skills=tuple(skills), adapters=tuple(adapters)), provenance
@@ -365,11 +369,11 @@ def build_retrieval_scenario(
     Returns (library, queries) with queries as (query_id, query_text,
     relevant_ids).  Before maintenance the decoy family crowds the whole
     top five; after the family merges into one skill the relevant skill
-    fits inside it.
+    fits inside it.  The scenario is fully determined by n_queries; seed is
+    accepted so every scenario builder shares one signature.
     """
     if n_queries < 1:
         raise ConfigInvalid("need at least one query")
-    rng = Xorshift64Star(derive_seed(seed, 31337))
     skills = []
     queries = []
     for i in range(n_queries):
@@ -404,7 +408,6 @@ def build_retrieval_scenario(
                 )
             )
         queries.append((f"q{i:02d}", query, frozenset({real.id})))
-    rng.u64()  # reserve the stream for future scenario variants
     return Library(skills=tuple(skills)), tuple(queries)
 
 

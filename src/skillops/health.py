@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from skillops.contract import EmptyLibrary, Library, SkillContract
+from skillops.contract import ConfigInvalid, EmptyLibrary, Library, SkillContract
 from skillops.hseg import Hseg
 from skillops.planner import ExecutionTrace, TraceEntry
 
@@ -86,6 +86,13 @@ def local_risk(hv: HealthVector) -> float:
     return math.fsum(((1.0 - hv.U), hv.R, (1.0 - hv.C), hv.F, hv.G)) / 5.0
 
 
+def _check_window(window: int) -> None:
+    # a slice entries[-window:] with window <= 0 would keep the oldest
+    # calls (or all of them) instead of the most recent window
+    if window < 1:
+        raise ConfigInvalid(f"window must be positive, got {window}")
+
+
 def _usage_rates(entries, window: int) -> tuple[float, float]:
     if not entries:
         return 0.5, 0.0
@@ -111,6 +118,7 @@ def health_vector(
     trace: ExecutionTrace = ExecutionTrace(),
     window: int = DEFAULT_WINDOW,
 ) -> HealthVector:
+    _check_window(window)
     entries = tuple(e for e in trace.entries if e.skill == s.id)
     return _vector(s, g, entries, window)
 
@@ -144,6 +152,7 @@ def library_health(
 ) -> LibraryHealthReport:
     """Diagnose every skill with one pass over the trace."""
     weights.validate()
+    _check_window(window)
     skills = lib.skills if isinstance(lib, Library) else tuple(lib)
     if not skills:
         raise EmptyLibrary("cannot diagnose an empty library")

@@ -4,18 +4,21 @@ One maintenance pass diagnoses the library, then plans and applies typed
 actions in five fixed stages:
 
   merge          collapse skills whose bodies hash identically
-  repair         copy missing script/reference names from a sibling
+  repair         copy missing script/reference names from an interface sibling
   retire         drop low-utility skills that have a surviving duplicate
   add_validator  give unvalidated skills a checklist
   add_adapter    register shims for dep edges below the comp threshold
 
 Each stage plans against the library produced by the previous stages and
 is applied once, in a single pass, while planning; the library the last
-stage leaves is the output.  Replaying the action list one action at a
-time with apply_action on the input library reproduces the output exactly,
-which the test suite checks.  Red clusters whose members disagree on body
-are never merged; they are reported as conflicts instead, which keeps the
-size arithmetic exact: size_after = size_before - absorbed - retired.
+stage leaves is the output.  One typed graph, built from the input, serves
+every stage, because no action changes a skill's interface, goal or body,
+and after the merge stage no two skills share a body.  Replaying the action
+list one action at a time with apply_action on the input library reproduces
+the output exactly, which the test suite checks.  Red clusters whose
+members disagree on body are never merged; they are reported as conflicts
+instead, which keeps the size arithmetic exact:
+size_after = size_before - absorbed - retired.
 
 Everything here is pure computation over the contracts and the trace; no
 external model is consulted, and the same inputs always produce the same
@@ -349,18 +352,14 @@ def apply_action(lib: Library, action: MaintenanceAction) -> Library:
 # ---------------------------------------------------------------------------
 # planning
 
-def _hash_groups(lib: Library) -> dict[str, list[str]]:
-    groups: dict[str, list[str]] = {}
-    for s in lib.skills:
-        groups.setdefault(body_hash(s), []).append(s.id)
-    return groups
-
-
 def _plan_merges(
     lib: Library, health: LibraryHealthReport
 ) -> list[MaintenanceAction]:
+    groups: dict[str, list[str]] = {}
+    for s in lib.skills:
+        groups.setdefault(body_hash(s), []).append(s.id)
     actions = []
-    for members in _hash_groups(lib).values():
+    for members in groups.values():
         if len(members) < 2:
             continue
         keep = sorted(members, key=lambda sid: (-health.per_skill[sid].U, sid))[0]
@@ -377,31 +376,21 @@ def _plan_merges(
     return actions
 
 
-def _sibling_index(skills) -> tuple[dict, dict, dict]:
-    """(id -> body hash, hash -> skills, interface -> skills), computed once
-    so sibling lookups stay linear on clone-heavy libraries."""
-    hashes = {s.id: body_hash(s) for s in skills}
-    by_hash: dict[str, list[SkillContract]] = {}
-    by_iface: dict[tuple, list[SkillContract]] = {}
-    for s in skills:
-        by_hash.setdefault(hashes[s.id], []).append(s)
-        by_iface.setdefault(_iface(s), []).append(s)
-    return hashes, by_hash, by_iface
+def _iface_groups(lib: Library) -> dict[tuple, list[SkillContract]]:
+    groups: dict[tuple, list[SkillContract]] = {}
+    for s in lib.skills:
+        groups.setdefault(_iface(s), []).append(s)
+    return groups
 
 
-def _repair_source(target: SkillContract, index) -> tuple[str | None, int]:
-    """Pick the sibling to copy artifact names from: body siblings first,
-    then interface siblings, ascending id, requiring at least one name the
-    target is missing."""
-    hashes, by_hash, by_iface = index
-    body_sibs = [s for s in by_hash[hashes[target.id]] if s.id != target.id]
-    body_ids = {s.id for s in body_sibs}
-    iface_sibs = [
-        s
-        for s in by_iface.get(_iface(target), [])
-        if s.id != target.id and s.id not in body_ids
-    ]
-    for s in sorted(body_sibs, key=lambda s: s.id) + sorted(iface_sibs, key=lambda s: s.id):
+def _repair_source(
+    target: SkillContract, siblings: list[SkillContract]
+) -> tuple[str | None, int]:
+    """Pick the interface sibling to copy artifact names from: ascending id,
+    requiring at least one name the target is missing."""
+    for s in sorted(siblings, key=lambda s: s.id):
+        if s.id == target.id:
+            continue
         missing = len(set(s.artifact_dirs.scripts) - set(target.artifact_dirs.scripts))
         missing += len(
             set(s.artifact_dirs.references) - set(target.artifact_dirs.references)
@@ -418,14 +407,14 @@ def _plan_repairs(
     cfg: MaintenanceConfig,
 ) -> list[MaintenanceAction]:
     actions = []
-    index = _sibling_index(work.skills)
+    by_iface = _iface_groups(work)
     for s in sorted(work.skills, key=lambda s: s.id):
         hv = health.per_skill.get(s.id)
         if hv is None:
             continue
         if not (hv.F > cfg.theta_f or risk[s.id] > cfg.theta_risk):
             continue
-        sibling, missing = _repair_source(s, index)
+        sibling, missing = _repair_source(s, by_iface[_iface(s)])
         if sibling is None:
             actions.append(
                 MaintenanceAction(kind="repair", target=s.id, reason="no-sibling")
@@ -444,7 +433,6 @@ def _plan_repairs(
 
 def _plan_retires(
     work: Library,
-    g: Hseg,
     health: LibraryHealthReport,
     cfg: MaintenanceConfig,
 ) -> list[MaintenanceAction]:
@@ -453,16 +441,14 @@ def _plan_retires(
         return hv.U if hv is not None else 0.5
 
     actions = []
-    for cluster in g.red_clusters():
-        if len(cluster) < 2:
-            continue
-        top = sorted(cluster, key=lambda sid: (-utility(sid), sid))[0]
-        for sid in cluster:
-            if sid != top and utility(sid) < cfg.theta_u:
+    for group in _iface_groups(work).values():
+        top = min((s.id for s in group), key=lambda sid: (-utility(sid), sid))
+        for s in group:
+            if s.id != top and utility(s.id) < cfg.theta_u:
                 actions.append(
                     MaintenanceAction(
                         kind="retire",
-                        target=sid,
+                        target=s.id,
                         reason=f"low-utility duplicate of {top}",
                     )
                 )
@@ -471,14 +457,13 @@ def _plan_retires(
 
 
 def _plan_validators(work: Library) -> list[MaintenanceAction]:
-    hashes, by_hash, by_iface = _sibling_index(work.skills)
+    by_iface = _iface_groups(work)
     actions = []
     for s in sorted(work.skills, key=lambda s: s.id):
         if s.checklist:
             continue
-        candidates = by_hash[hashes[s.id]] + by_iface.get(_iface(s), [])
         donor = min(
-            (d.id for d in candidates if d.id != s.id and d.checklist),
+            (d.id for d in by_iface[_iface(s)] if d.id != s.id and d.checklist),
             default=None,
         )
         reason = "inherit sibling checklist" if donor else "attach canonical checklist"
@@ -493,10 +478,13 @@ def _plan_validators(work: Library) -> list[MaintenanceAction]:
     return actions
 
 
-def _plan_adapters(g: Hseg) -> list[MaintenanceAction]:
+def _plan_adapters(g: Hseg, work: Library) -> list[MaintenanceAction]:
+    """Shims for the dep-only pairs of g whose endpoints both survive in work
+    and that no registered adapter bridges yet."""
+    alive = set(work.ids())
     actions = []
     for src, dst in g.dep_not_comp_pairs():
-        if g.is_bridged(src, dst):
+        if src not in alive or dst not in alive or g.is_bridged(src, dst):
             continue
         actions.append(
             MaintenanceAction(
@@ -511,12 +499,21 @@ def _plan_adapters(g: Hseg) -> list[MaintenanceAction]:
 
 def _plan(
     lib: Library, trace: ExecutionTrace, cfg: MaintenanceConfig
-) -> tuple[MaintenancePlan, Library, Hseg | None]:
+) -> tuple[MaintenancePlan, Library, Hseg]:
     """Diagnose the library, plan every stage and apply it to a shadow copy.
 
     Returns the plan, the shadow library the actions produce, and the graph
-    of that library if planning built one (the gate held, or the add_adapter
-    stage applied nothing), else None.
+    of the input library, the only graph planning builds.  It serves every
+    stage because of two invariants:
+
+    - No action changes a skill's interface, goal or body (merge keeps the
+      kept skill's body, repair touches only artifact_dirs, add_validator
+      only the checklist).  So dep, comp and bridging between two survivors
+      read the same in this graph as in a fresh one, and add_adapter plans
+      from its dep-only pairs restricted to the survivors.
+    - After the merge stage no two skills share a body, so a sibling for
+      repair, retire or add_validator can only share the interface; a
+      plain interface grouping of the shadow library finds them.
     """
     cfg.validate()
     g = build_hseg(lib.skills, cfg.comp_threshold, cfg.dep_mode, lib.adapters)
@@ -557,18 +554,9 @@ def _plan(
 
     run_stage(_plan_merges(work, health))
     run_stage(_plan_repairs(work, health, risk, cfg))
-    run_stage(
-        _plan_retires(
-            work,
-            build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters),
-            health,
-            cfg,
-        )
-    )
+    run_stage(_plan_retires(work, health, cfg))
     run_stage(_plan_validators(work))
-    before_adapters = work
-    g = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
-    run_stage(_plan_adapters(g))
+    run_stage(_plan_adapters(g, work))
 
     plan = MaintenancePlan(
         actions=tuple(actions),
@@ -577,7 +565,7 @@ def _plan(
         risk=risk,
         cgpd_triggered=triggered,
     )
-    return plan, work, g if work is before_adapters else None
+    return plan, work, g
 
 
 def plan_actions(
@@ -621,7 +609,7 @@ def run_maintenance(
     and the report says so; otherwise every planned action is applied in
     order and the report carries the audit log plus health before and after.
     """
-    plan, work, g_after = _plan(lib, trace, cfg)
+    plan, work, g = _plan(lib, trace, cfg)
     counts = {kind: 0 for kind in ACTION_KINDS}
     if plan.gated:
         report = MaintenanceReport(
@@ -642,9 +630,9 @@ def run_maintenance(
     for a in plan.actions:
         counts[a.kind] += 1
         log.append(_describe(a))
-    if g_after is None:
-        g_after = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
-    health_after = library_health(work, g_after, trace, cfg.weights, cfg.window)
+    if work is not lib:
+        g = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
+    health_after = library_health(work, g, trace, cfg.weights, cfg.window)
     report = MaintenanceReport(
         size_before=len(lib),
         size_after=len(work),

@@ -147,7 +147,7 @@ def test_save_replaces_only_library_directories(tmp_path):
     assert (other / "keep.txt").exists()
 
 
-def test_load_rejects_bad_manifest(tmp_path):
+def test_load_rejects_bad_manifest(tmp_path, capsys):
     with pytest.raises(ManifestError):
         load_library(tmp_path)  # no manifest at all
     lib, prov = build_library(3, 0.0, seed=2)
@@ -161,6 +161,14 @@ def test_load_rejects_bad_manifest(tmp_path):
     (target / "manifest.json").write_text("[]")  # not an object at all
     with pytest.raises(ManifestError):
         load_library(target)
+    for section in ("skills", "adapters"):  # a section that is not a list
+        (target / "manifest.json").write_text(
+            json.dumps({"format_version": 1, section: 5})
+        )
+        with pytest.raises(ManifestError, match=section):
+            load_library(target)
+        assert main(["diagnose", "--lib", str(target)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_load_rejects_id_mismatch(tmp_path):
@@ -563,6 +571,10 @@ def test_cli_errors_exit_two(tmp_path, capsys):
     save_library(lib, libdir, prov)
     code = main(["diagnose", "--lib", libdir, "--trace", str(bad_trace)])
     assert code == 2
+    capsys.readouterr()
+    for window in ("0", "-3"):  # a window that would keep the oldest calls
+        assert main(["diagnose", "--lib", libdir, "--window", window]) == 2
+        assert "window" in capsys.readouterr().err
 
     monkey_env = {"SKILLOPS_SEED": "not-a-number"}
     import os

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillops.contract import EmptyLibrary, Library, make_contract
+from skillops.contract import ConfigInvalid, EmptyLibrary, Library, make_contract
 from skillops.health import (
     DEFAULT_WINDOW,
     UNIFORM_WEIGHTS,
@@ -103,6 +103,13 @@ def test_window_drops_old_entries():
     assert hv.F == 0.0
     hv_small = health_vector(sks[0], g, ExecutionTrace(tuple(entries)), window=4)
     assert hv_small.U == 1.0
+    # entries[-window:] with window <= 0 would keep the oldest calls instead
+    for window in (0, -3):
+        with pytest.raises(ConfigInvalid, match="window"):
+            library_health(Library(skills=tuple(sks)), g, ExecutionTrace(tuple(entries)),
+                           window=window)
+        with pytest.raises(ConfigInvalid, match="window"):
+            health_vector(sks[0], g, ExecutionTrace(tuple(entries)), window=window)
 
 
 def test_incompatible_dep_edge_lowers_c():

@@ -1,16 +1,22 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skillops.cgpd import CgpdConfig
+from skillops import maint
+from skillops.cgpd import CgpdConfig, propagate
 from skillops.contract import (
+    AdapterShim,
     ArtifactDirs,
     ConfigInvalid,
     Library,
     UnknownSkillId,
+    body_hash,
     library_fingerprint,
     make_contract,
 )
 from skillops.debtgen import build_library
 from skillops.harness import exercise_library
+from skillops.health import library_health
+from skillops.hseg import build_hseg
 from skillops.maint import (
     IllegalMerge,
     IllegalRepair,
@@ -18,6 +24,7 @@ from skillops.maint import (
     MaintenanceConfig,
     RetireRequiresDuplicate,
     _apply_actions,
+    _plan_merges,
     apply_action,
     plan_actions,
     run_maintenance,
@@ -529,3 +536,225 @@ def test_replaying_the_action_list_reproduces_the_output(case):
     assert library_fingerprint(replayed(lib, report.actions)) == library_fingerprint(new_lib)
     if case == "five-stage":
         assert report.action_counts["add_adapter"] == 1
+
+
+# ---------------------------------------------------------------------------
+# one graph per pass: the planner against the stage loop that rebuilt the
+# graph before retire and before add_adapter and also looked for body siblings
+
+def _iface_of(s):
+    return (s.preconditions, s.artifact_types)
+
+
+def _reference_repair_source(target, skills):
+    def by_id(group):
+        return sorted(group, key=lambda s: s.id)
+
+    others = [s for s in skills if s.id != target.id]
+    body = by_id(s for s in others if body_hash(s) == body_hash(target))
+    body_ids = {s.id for s in body}
+    iface = by_id(
+        s for s in others if s.id not in body_ids and _iface_of(s) == _iface_of(target)
+    )
+    for s in body + iface:
+        missing = len(set(s.artifact_dirs.scripts) - set(target.artifact_dirs.scripts))
+        missing += len(
+            set(s.artifact_dirs.references) - set(target.artifact_dirs.references)
+        )
+        if missing:
+            return s.id, missing
+    return None, 0
+
+
+def reference_plan(lib, trace, cfg):
+    def graph(work):
+        return build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
+
+    g = graph(lib)
+    health = library_health(lib, g, trace, cfg.weights, cfg.window)
+    risk = health.local_risks()
+    if cfg.cgpd is not None:
+        risk = propagate(g, risk, cfg.cgpd).risk
+    if not cfg.force and health.debt < cfg.debt_gate:
+        return ()
+
+    actions = []
+    work = lib
+
+    def run_stage(staged):
+        nonlocal work
+        work = _apply_actions(work, staged)
+        actions.extend(staged)
+
+    run_stage(_plan_merges(work, health))
+
+    staged = []
+    for s in sorted(work.skills, key=lambda s: s.id):
+        hv = health.per_skill.get(s.id)
+        if hv is None or not (hv.F > cfg.theta_f or risk[s.id] > cfg.theta_risk):
+            continue
+        sibling, missing = _reference_repair_source(s, work.skills)
+        reason = f"restore {missing} artifact names" if sibling else "no-sibling"
+        staged.append(MaintenanceAction("repair", s.id, source_sibling=sibling, reason=reason))
+    run_stage(staged)
+
+    def utility(sid):
+        hv = health.per_skill.get(sid)
+        return hv.U if hv is not None else 0.5
+
+    staged = []
+    for cluster in graph(work).red_clusters():
+        if len(cluster) < 2:
+            continue
+        top = sorted(cluster, key=lambda sid: (-utility(sid), sid))[0]
+        staged.extend(
+            MaintenanceAction("retire", sid, reason=f"low-utility duplicate of {top}")
+            for sid in cluster
+            if sid != top and utility(sid) < cfg.theta_u
+        )
+    run_stage(sorted(staged, key=lambda a: a.target))
+
+    staged = []
+    for s in sorted(work.skills, key=lambda s: s.id):
+        if s.checklist:
+            continue
+        donor = min(
+            (d.id for d in work.skills if d.id != s.id and d.checklist
+             and (body_hash(d) == body_hash(s) or _iface_of(d) == _iface_of(s))),
+            default=None,
+        )
+        reason = "inherit sibling checklist" if donor else "attach canonical checklist"
+        staged.append(MaintenanceAction("add_validator", s.id, source_sibling=donor,
+                                        reason=reason))
+    run_stage(staged)
+
+    g = graph(work)
+    run_stage([
+        MaintenanceAction("add_adapter", src, dst=dst,
+                          reason="dep edge below the compatibility threshold")
+        for src, dst in g.dep_not_comp_pairs()
+        if not g.is_bridged(src, dst)
+    ])
+    return tuple(actions)
+
+
+_tokens = st.frozensets(st.sampled_from(["t1", "t2", "t3", "t4"]), max_size=3)
+_names = st.sampled_from([(), ("a.sh",), ("b.sh",), ("a.sh", "b.sh")])
+
+
+@st.composite
+def maintenance_inputs(draw):
+    """A small library full of shared bodies and interfaces, with a trace,
+    random registered shims (some naming a skill outside the library) and a
+    config; half the time the library is the output of a first pass, so it
+    already carries planned adapters."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    # a few shared interfaces, so most skills have interface siblings
+    ifaces = draw(st.lists(st.tuples(_tokens, _tokens), min_size=1, max_size=4))
+    skills = []
+    for i in range(n):
+        pre, art = draw(st.sampled_from(ifaces))
+        skills.append(make_contract(
+            id=f"s{i:02d}",
+            goal=draw(st.sampled_from(["g1", "g2"])),
+            preconditions=pre,
+            body=draw(st.sampled_from(["alpha", "beta", "gamma"])),
+            artifact_types=art,
+            checklist=draw(st.sampled_from([(), ("check",), ("verify",)])),
+            artifact_dirs=ArtifactDirs(
+                scripts=draw(_names), references=draw(st.sampled_from([(), ("r.md",)]))
+            ),
+        ))
+    ids = [s.id for s in skills]
+    shims = draw(st.lists(
+        st.tuples(st.sampled_from(ids + ["ghost"]), st.sampled_from(ids + ["ghost"]), _tokens),
+        max_size=4,
+    ))
+    adapters = tuple(
+        AdapterShim(src=a, dst=b, contract=skill(f"adapt--{a}--{b}", art=t))
+        for a, b, t in shims
+    )
+    calls = draw(st.lists(st.tuples(st.sampled_from(ids), st.booleans()), max_size=40))
+    trace = ExecutionTrace(tuple(
+        TraceEntry("t", sid, step, "success" if ok else "failure", None if ok else "err")
+        for step, (sid, ok) in enumerate(calls)
+    ))
+    cfg = MaintenanceConfig(
+        comp_threshold=draw(st.sampled_from([0.0, 0.3, 0.6])),
+        dep_mode=draw(st.sampled_from(["subset", "overlap"])),
+        cgpd=draw(st.sampled_from([None, CgpdConfig()])),
+        force=draw(st.booleans()),
+    )
+    lib = Library(skills=tuple(skills), adapters=adapters)
+    if draw(st.booleans()):
+        lib, _ = run_maintenance(lib, trace, cfg)
+    return lib, trace, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(maintenance_inputs())
+def test_one_graph_plan_matches_the_rebuilding_reference(inputs):
+    lib, trace, cfg = inputs
+    assert plan_actions(lib, trace, cfg).actions == reference_plan(lib, trace, cfg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=20, max_value=120),
+    st.sampled_from([0.3, 0.6]),
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from([0.0, 0.3, 0.6]),
+    st.sampled_from(["subset", "overlap"]),
+    st.booleans(),
+)
+def test_one_graph_plan_matches_the_reference_on_generated_libraries(
+    n, noise, seed, threshold, dep_mode, use_cgpd
+):
+    lib, _ = build_library(n, noise, seed)
+    trace = exercise_library(lib)
+    cfg = MaintenanceConfig(comp_threshold=threshold, dep_mode=dep_mode,
+                            cgpd=CgpdConfig() if use_cgpd else None)
+    assert plan_actions(lib, trace, cfg).actions == reference_plan(lib, trace, cfg)
+    second, _ = run_maintenance(lib, trace, cfg)
+    assert plan_actions(second, trace, cfg).actions == reference_plan(second, trace, cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maintenance_inputs())
+def test_bodies_are_unique_after_the_merge_stage(inputs):
+    lib, trace, cfg = inputs
+    merges = [a for a in plan_actions(lib, trace, cfg).actions if a.kind == "merge"]
+    if not cfg.force and not merges:
+        return  # the gate may have held; nothing was planned
+    merged = _apply_actions(lib, merges)
+    hashes = [body_hash(s) for s in merged.skills]
+    assert len(set(hashes)) == len(hashes)
+
+
+def test_a_pass_builds_at_most_two_graphs(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_hseg(*args, **kwargs)
+
+    monkeypatch.setattr(maint, "build_hseg", counting)
+    lib, trace = five_stage_library()
+    once, report = run_maintenance(lib, trace)
+    assert report.action_counts["add_adapter"] == 1 and len(calls) == 2
+
+    calls.clear()
+    plan_actions(lib, trace)
+    assert len(calls) == 1
+
+    calls.clear()
+    clean = Library(skills=tuple(clean_chain()))
+    out, _ = run_maintenance(clean)
+    assert out is clean and len(calls) == 1  # the input's graph is reused
+
+    calls.clear()
+    cfg = MaintenanceConfig(dep_mode="overlap", comp_threshold=0.6)
+    noisy, _ = build_library(200, 0.6, 7)
+    for _ in range(2):
+        noisy, _ = run_maintenance(noisy, exercise_library(noisy), cfg)
+    assert len(calls) <= 4
