@@ -183,14 +183,18 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
 
 def _read_entry(root: Path, entry, keys: tuple[str, ...]):
     """Parse the skill file a manifest entry names.  The entry must carry
-    `keys`, and its path must not be absolute or climb out with `..`."""
+    `keys`, and its path must not be absolute or climb out with `..`.
+
+    The file is read as bytes: parse_skill_file folds CR and CRLF line ends
+    itself, so text mode's newline translation would only add cost."""
     if not isinstance(entry, dict) or any(k not in entry for k in keys):
         raise ManifestError(f"manifest entry {entry!r} needs keys {list(keys)}")
     rel = entry["path"]
     if (not isinstance(rel, str) or os.path.isabs(rel)
             or os.path.normpath(rel).split(os.sep)[0] == os.pardir):
         raise ManifestError(f"manifest path {rel!r} leaves the library {root}")
-    return parse_skill_file((root / rel).read_text(encoding="utf-8"))
+    with open(os.path.join(root, rel), "rb") as f:
+        return parse_skill_file(f.read().decode("utf-8"))
 
 
 def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
@@ -246,24 +250,27 @@ def save_trace(trace: ExecutionTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> ExecutionTrace:
+    """Read a JSONL trace.  A line raises MalformedTraceLine when it is not
+    a JSON object, lacks a key, names an unknown outcome, has a step that is
+    not an integer (JSON true and false included) or an error_code that is
+    neither a string nor null."""
     entries = []
     for line_no, obj in _json_objects(path, MalformedTraceLine):
-        missing = {"task_id", "skill_id", "step", "outcome"} - set(obj)
-        if missing:
-            raise MalformedTraceLine(line_no, f"missing keys: {sorted(missing)}")
-        if obj["outcome"] not in OUTCOMES:
-            raise MalformedTraceLine(line_no, f"unknown outcome {obj['outcome']!r}")
-        if not isinstance(obj["step"], int):
-            raise MalformedTraceLine(line_no, "step must be an integer")
-        entries.append(
-            TraceEntry(
-                task_id=str(obj["task_id"]),
-                skill=str(obj["skill_id"]),
-                step=obj["step"],
-                outcome=obj["outcome"],
-                error_code=obj.get("error_code"),
+        try:
+            task_id, skill, step, outcome = (
+                obj["task_id"], obj["skill_id"], obj["step"], obj["outcome"]
             )
-        )
+        except KeyError:
+            missing = sorted({"task_id", "skill_id", "step", "outcome"} - obj.keys())
+            raise MalformedTraceLine(line_no, f"missing keys: {missing}") from None
+        if outcome not in OUTCOMES:
+            raise MalformedTraceLine(line_no, f"unknown outcome {outcome!r}")
+        if type(step) is not int:  # isinstance would let a bool through
+            raise MalformedTraceLine(line_no, "step must be an integer")
+        error_code = obj.get("error_code")
+        if error_code is not None and not isinstance(error_code, str):
+            raise MalformedTraceLine(line_no, "error_code must be a string or null")
+        entries.append(TraceEntry(str(task_id), str(skill), step, outcome, error_code))
     trace = ExecutionTrace(entries=tuple(entries))
     trace.validate()
     return trace
@@ -764,7 +771,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="end-to-end scenario evaluation")
     p.add_argument("--scenario", choices=SCENARIOS, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="library and query seed; retrieval-20 is fixed and ignores it")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pipeline)

@@ -1,10 +1,16 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skillops.contract import (
+    _ID_RE,
+    _KNOWN_KEYS,
+    _SECTION_RE,
+    _TAG_RE,
+    _is_token,
     ArtifactDirs,
     ContractInvariantError,
     DuplicateSection,
@@ -13,6 +19,7 @@ from skillops.contract import (
     MalformedFrontMatter,
     MissingOperationSection,
     SkillContract,
+    SkillParseError,
     UnknownSection,
     body_hash,
     make_contract,
@@ -20,6 +27,7 @@ from skillops.contract import (
     parse_skill_file,
     serialize_skill_file,
 )
+from skillops.debtgen import build_library
 
 MINIMAL = """---
 id: a
@@ -237,6 +245,7 @@ def contracts(draw):
 def test_round_trip_property(contract):
     text = serialize_skill_file(contract)
     assert parse_skill_file(text) == contract
+    assert reference_parse(text) == contract
     assert serialize_skill_file(parse_skill_file(text)) == text
 
 
@@ -246,3 +255,355 @@ def test_normalize_idempotent_property(raw):
     assert normalize_body(once) == once
     assert "\n\n" not in once
     assert not once.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parser against the parser it replaced
+
+def reference_normalize_body(text: str) -> str:
+    """normalize_body as it was before the parser rewrite."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    joined = "\n".join(line.rstrip() for line in text.split("\n"))
+    joined = re.sub(r"\n{2,}", "\n", joined)
+    return joined.removesuffix("\n")
+
+
+@given(st.text(alphabet=st.sampled_from("ab# -\n\r\t \x0b\x0c\x1c\x85\u00a0\u2028\u3000"),
+               max_size=40))
+def test_normalize_body_matches_reference(raw):
+    assert normalize_body(raw) == reference_normalize_body(raw)
+
+
+def _reference_parse_list(raw: str, key: str) -> tuple[str, ...]:
+    raw = raw.strip()
+    if not (raw.startswith("[") and raw.endswith("]")):
+        raise MalformedFrontMatter(f"{key}: expected a [a, b] list, got {raw!r}")
+    inner = raw[1:-1].strip()
+    if not inner:
+        return ()
+    return tuple(part.strip() for part in inner.split(","))
+
+
+def reference_validate(c: SkillContract) -> None:
+    """SkillContract.validate() as it was before the parser rewrite."""
+    def is_token(value):
+        return bool(value) and not any(ch.isspace() for ch in value)
+
+    if not _ID_RE.match(c.id):
+        raise ContractInvariantError(f"bad skill id: {c.id!r}")
+    if not is_token(c.goal):
+        raise ContractInvariantError(f"goal must be a single token: {c.goal!r}")
+    for tag in c.preconditions | c.artifact_types:
+        if not _TAG_RE.match(tag):
+            raise ContractInvariantError(f"bad type tag: {tag!r}")
+    for tag in c.tags | c.failure_modes:
+        if not is_token(tag):
+            raise ContractInvariantError(f"bad token: {tag!r}")
+    if c.body != reference_normalize_body(c.body):
+        raise ContractInvariantError(f"body of {c.id} is not normalized")
+    if not c.body:
+        raise ContractInvariantError(f"body of {c.id} is empty")
+    for line in c.body.split("\n"):
+        if _SECTION_RE.match(line) or line.strip() == "---":
+            raise ContractInvariantError(
+                f"body of {c.id} contains a structural marker line: {line!r}"
+            )
+    for item in c.checklist:
+        if not item.strip() or "\n" in item:
+            raise ContractInvariantError(f"bad checklist item: {item!r}")
+    for key, value in c.extras:
+        if not is_token(key) or "\n" in value:
+            raise ContractInvariantError(f"bad extra entry: {key!r}")
+    for dirname in ("scripts", "references", "assets"):
+        for name in c.artifact_dirs.get(dirname):
+            if not name or "/" in name or any(ch.isspace() for ch in name):
+                raise ContractInvariantError(f"bad artifact file name: {name!r}")
+
+
+def reference_parse(text: str) -> SkillContract:
+    """The line-by-line parser parse_skill_file replaced: fence search,
+    front matter, sections, then every list and the old validate() on the
+    built contract.  parse_skill_file must give an equal contract, or raise
+    the same error class with the same message."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines or lines[0].strip() != "---":
+        raise MalformedFrontMatter("file must open with a --- fence")
+    try:
+        close = next(i for i in range(1, len(lines)) if lines[i].strip() == "---")
+    except StopIteration:
+        raise MalformedFrontMatter("front matter fence is never closed") from None
+
+    fields: dict[str, str] = {}
+    for lineno, raw in enumerate(lines[1:close], start=2):
+        if not raw.strip():
+            continue
+        if ":" not in raw:
+            raise MalformedFrontMatter(f"line {lineno}: expected 'key: value'")
+        key, _, value = raw.partition(":")
+        key = key.strip()
+        if not key:
+            raise MalformedFrontMatter(f"line {lineno}: empty key")
+        if key in fields:
+            raise MalformedFrontMatter(f"duplicate front matter key: {key}")
+        fields[key] = value.strip()
+
+    for required in ("id", "goal", "preconditions", "artifact.type"):
+        if required not in fields:
+            raise MalformedFrontMatter(f"missing required key: {required}")
+
+    sections: dict[str, list[str]] = {}
+    current: list[str] | None = None
+    for raw in lines[close + 1 :]:
+        header = _SECTION_RE.match(raw)
+        if header:
+            name = header.group(1)
+            if name not in ("Operation", "Checklist", "Failure Modes"):
+                raise UnknownSection(name)
+            if name in sections:
+                raise DuplicateSection(name)
+            current = sections.setdefault(name, [])
+        elif current is not None:
+            current.append(raw)
+        elif raw.strip():
+            raise MalformedFrontMatter(f"stray content before first section: {raw!r}")
+
+    if "Operation" not in sections:
+        raise MissingOperationSection("## Operation section is required")
+    body = reference_normalize_body("\n".join(sections["Operation"]))
+
+    checklist = []
+    for raw in sections.get("Checklist", ()):
+        item = raw.strip()
+        if not item:
+            continue
+        item = item.removeprefix("- ").strip()
+        item = item.removeprefix("[ ]").removeprefix("[x]").strip()
+        if item:
+            checklist.append(item)
+
+    failure_modes = set(_reference_parse_list(fields["failure_modes"], "failure_modes")
+                        if "failure_modes" in fields else ())
+    for raw in sections.get("Failure Modes", ()):
+        item = raw.strip().removeprefix("- ").strip()
+        if item:
+            failure_modes.add(item)
+
+    def dir_names(key: str) -> tuple[str, ...]:
+        if key not in fields:
+            return ()
+        return tuple(sorted(_reference_parse_list(fields[key], key)))
+
+    extras = tuple(sorted(
+        (k, v) for k, v in fields.items() if k not in _KNOWN_KEYS
+    ))
+
+    contract = SkillContract(
+        id=fields["id"],
+        goal=fields["goal"],
+        preconditions=frozenset(_reference_parse_list(fields["preconditions"], "preconditions")),
+        body=body,
+        artifact_types=frozenset(_reference_parse_list(fields["artifact.type"], "artifact.type")),
+        checklist=tuple(checklist),
+        failure_modes=frozenset(failure_modes),
+        tags=frozenset(_reference_parse_list(fields["tags"], "tags") if "tags" in fields else ()),
+        artifact_dirs=ArtifactDirs(
+            scripts=dir_names("artifacts.scripts"),
+            references=dir_names("artifacts.references"),
+            assets=dir_names("artifacts.assets"),
+        ),
+        extras=extras,
+    )
+    try:
+        reference_validate(contract)
+    except ContractInvariantError as exc:
+        raise MalformedFrontMatter(str(exc)) from exc
+    return contract
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except SkillParseError as exc:
+        return type(exc), str(exc)
+
+
+def assert_parsers_agree(text):
+    assert _outcome(parse_skill_file, text) == _outcome(reference_parse, text)
+
+
+# Lines that hit the parser's branches when dropped anywhere in a file:
+# fences, headers, blank and whitespace runs, malformed and duplicate keys,
+# unbracketed lists, and non-ASCII whitespace inside values.
+_ODD_LINES = (
+    "", " ", "\t", "---", " --- ", "---\t", "--", "## Operation", "## Checklist",
+    "## Failure Modes", "## Notes", "##  ", "## ", "##Operation", "## Operation  ",
+    "- [ ] an item", "- [x] done", "- [ ]", "- a-mode", "- ", "plain line", "novalue",
+    ": value", " : v", "x-extra: kept", "x extra: spaced key", "id: dup", "id: Bad",
+    "goal: two words", "goal: a\u00a0b", "goal: a\u2003b", "goal:", "tags: [a, b]",
+    "tags: a, b", "tags: [a\u00a0b, c]", "tags: [a,, b]", "tags: []", "tags: [ ]",
+    "preconditions: [A]", "preconditions: html", "preconditions: [x, y.z]",
+    "artifact.type: [", "artifact.type: json]", "failure_modes: [t\u2003o]",
+    "failure_modes: [ok, also-ok]", "artifacts.scripts: [a\u00a0b.py]",
+    "artifacts.scripts: [dir/x.py]", "artifacts.assets: [, x]",
+    "artifacts.references: [r.md]", "validator.kind: checklist", "\u00a0", "\u2003---",
+)
+
+
+def _set_line(lines, i, text):
+    return lines[:i] + [text] + lines[i + 1:]
+
+
+# Values that break a list's syntax or one of validate()'s invariants.
+_ODD_VALUES = (
+    "", "[]", "[ ]", "[A]", "html", "[a b]", "[a\u00a0b]", "[a,\u2003b]", "[x, , y]",
+    "[dir/x]", "[", "]", "[ok, Bad]", "a\u2003b", "two words", "Bad_ID", "[ok]", "ok",
+)
+_BODY_LINES = ("---", " --- ", "## Notes", "## Checklist", "## Operation", "## X y",
+               "", "  ", "\t", "- [ ] item", "body text  ")
+
+
+def _mutate(draw, lines):
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("insert", "replace", "delete", "duplicate", "edit",
+                                     "value", "value", "key", "body", "body")))
+        i = draw(st.integers(0, len(lines)))
+        j = min(i, len(lines) - 1)
+        if kind == "value":  # keep some front matter keys, swap their values
+            keyed = [k for k, line in enumerate(lines) if ": " in line]
+            for k in draw(st.lists(st.sampled_from(keyed), max_size=4)) if keyed else ():
+                key = lines[k].partition(": ")[0]
+                lines = _set_line(lines, k, f"{key}: {draw(st.sampled_from(_ODD_VALUES))}")
+        elif kind == "key":  # add a key beside the first front matter line
+            key = draw(st.sampled_from(("x y", "x-ok", "tags", "artifacts.assets", "x\u00a0y")))
+            lines = lines[:1] + [f"{key}: {draw(st.sampled_from(_ODD_VALUES))}"] + lines[1:]
+        elif kind == "body":  # a line just after some section header
+            headers = [k for k, line in enumerate(lines) if line.startswith("## ")]
+            if headers:
+                k = draw(st.sampled_from(headers)) + 1
+                lines = lines[:k] + [draw(st.sampled_from(_BODY_LINES))] + lines[k:]
+        elif kind == "insert":
+            lines = lines[:i] + [draw(st.sampled_from(_ODD_LINES))] * draw(st.integers(1, 3)) + lines[i:]
+        elif kind == "replace":
+            lines = _set_line(lines, j, draw(st.sampled_from(_ODD_LINES)))
+        elif kind == "delete" and len(lines) > 1:
+            lines = lines[:j] + lines[j + 1:]
+        elif kind == "duplicate":
+            lines = lines[:j] + [lines[j]] + lines[j:]
+        else:  # pad, or drop a bracket or separator from, one line
+            old = lines[j]
+            new = draw(st.sampled_from((
+                " " + old + " ", old.replace("[", ""), old.replace("]", ""),
+                old.replace(", ", ",\u00a0"), old.replace("-", "\u2003"),
+                old.replace(": ", ":"), old.replace(":", ""),
+            )))
+            lines = _set_line(lines, j, new)
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r", "mixed")))
+    if ending == "mixed":
+        return "".join(line + draw(st.sampled_from(("\n", "\r\n", "\r"))) for line in lines)
+    return ending.join(lines)
+
+
+@st.composite
+def mutated_files(draw):
+    """Several mutants of one serialized contract, each possibly with no
+    edit but its line ends (drawing the contract is the slow part)."""
+    lines = serialize_skill_file(draw(contracts())).split("\n")
+    return [_mutate(draw, lines) for _ in range(draw(st.integers(1, 8)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_files())
+def test_parser_matches_reference_on_mutated_files(texts):
+    for text in texts:
+        assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "---", "---\n---", " --- \nid: a\n---", "---\nkey\nstill open",
+    MINIMAL.replace("id: a\n", "id: a\nnovalue\n").replace("---\n## Operation", "## Operation"),
+    MINIMAL.replace("goal: parse-html\n", "goal: parse-html\n: v\n"),
+    MINIMAL.replace("goal: parse-html\n", "goal: parse-html\nid: b\nnovalue\n"),
+    MINIMAL.replace("goal: parse-html\n", ""),
+    MINIMAL.replace("preconditions: [html]", "preconditions: html")
+    .replace("artifact.type: [json]", "artifact.type: json") + "## Notes\n",
+    MINIMAL.replace("preconditions: [html]", "preconditions: html")
+    .replace("artifact.type: [json]", "artifact.type: json\nfailure_modes: x"),
+    MINIMAL.replace("[html]", "[HTML, BAD TAG]").replace("[json]", "[j son]"),
+    MINIMAL.replace("parse-html", "parse html").replace("id: a", "id: A"),
+    MINIMAL.replace("[html]", "[html]\ntags: [a b]\nx y: z\nartifacts.scripts: [a/b]"),
+    MINIMAL + "---\n", MINIMAL + " ---  \n## Checklist\n", MINIMAL + "\n\n\n",
+    MINIMAL.replace("parse\n", "\n\n  \nparse  \n\n\nmore\t\n\n"),
+    MINIMAL.replace("parse\n", "\n\n"), MINIMAL.replace("## Operation\n", "stray\n## Operation\n"),
+    MINIMAL + "## Failure Modes\n- a\u00a0b\n", MINIMAL + "## Checklist\n- [ ]\n- [x]\n",
+    MINIMAL.replace("[json]", "[json]\nartifacts.assets: [z.png, a b.png, , c/d]"),
+    # one list or invariant fault at a time, then two lists at once
+    MINIMAL.replace("[json]", "json"), MINIMAL.replace("[html]", "html]"),
+    MINIMAL.replace("[html]", "html").replace("[json]", "[json"),
+    MINIMAL.replace("[json]", "json\ntags: a\nartifacts.scripts: [\nartifacts.references: r]"),
+    MINIMAL.replace("[json]", "[json]\ntags: a\nartifacts.scripts: [\nartifacts.references: r]"),
+    MINIMAL.replace("[json]", "[json]\nartifacts.assets: a\nartifacts.references: r]"),
+    MINIMAL.replace("[json]", "[json]\nx y: z"), MINIMAL.replace("[json]", "[json]\nx\u00a0y: z"),
+    MINIMAL.replace("[json]", "[json]\nartifacts.scripts: [dir/run.py]"),
+    MINIMAL.replace("[json]", "[json]\nartifacts.references: [a\u2003b.md]"),
+    MINIMAL.replace("[json]", "[json]\ntags: [ok, t\u00a0u]"),
+    MINIMAL.replace("[json]", "[json]\nfailure_modes: [ok, ]"),
+    MINIMAL.replace("[json]", "[json, Upper]"), MINIMAL.replace("goal: parse-html", "goal: "),
+])
+def test_parser_matches_reference_on_hand_picked_faults(text):
+    assert_parsers_agree(text)
+
+
+def test_parser_matches_reference_on_a_generated_library():
+    lib, _ = build_library(120, 0.5, seed=11)
+    for skill in lib.skills:
+        text = serialize_skill_file(skill)
+        assert parse_skill_file(text) == reference_parse(text) == skill
+        crlf = text.replace("\n", "\r\n")
+        assert parse_skill_file(crlf) == reference_parse(crlf) == skill
+
+
+@given(st.text(alphabet=st.sampled_from("ab \t\n\r\x0b\x0c\x1c\x85\u00a0\u1680\u2003\u2028\u3000\ufeff\u200b-/"),
+               max_size=8))
+def test_is_token_is_nonempty_and_whitespace_free(value):
+    assert _is_token(value) == (bool(value) and not any(ch.isspace() for ch in value))
+
+
+_odd_text = st.text(alphabet=st.sampled_from("aZ0-_./# \t\n\r\u00a0\u2003"), max_size=10)
+_VALID = make_contract(
+    id="ok-id", goal="g", preconditions=frozenset({"t"}), body="do it",
+    artifact_types=frozenset({"u"}), checklist=("item",), failure_modes=frozenset({"f"}),
+    tags=frozenset({"tag"}), artifact_dirs=ArtifactDirs(scripts=("a.py",)), extras=(("x-k", "v"),),
+)
+_ODD_FIELDS = {
+    "id": _odd_text,
+    "goal": _odd_text,
+    "preconditions": st.frozensets(_odd_text, max_size=2),
+    "artifact_types": st.frozensets(_odd_text, max_size=2),
+    "body": st.lists(st.sampled_from(("do it", "## X", "##", "## x y", "---", "  ---", "-- -",
+                                      "#", "", "## ", "a\r")), max_size=4).map("\n".join),
+    "checklist": st.lists(_odd_text, max_size=2).map(tuple),
+    "failure_modes": st.frozensets(_odd_text, max_size=2),
+    "tags": st.frozensets(_odd_text, max_size=2),
+    "artifact_dirs": st.builds(ArtifactDirs, scripts=st.lists(_odd_text, max_size=2).map(tuple),
+                               assets=st.lists(_odd_text, max_size=2).map(tuple)),
+    "extras": st.lists(st.tuples(_odd_text, _odd_text), max_size=2).map(tuple),
+}
+
+
+@st.composite
+def odd_contracts(draw):
+    """A valid contract with one to three fields swapped for odd values."""
+    names = draw(st.lists(st.sampled_from(sorted(_ODD_FIELDS)), min_size=1, max_size=3,
+                          unique=True))
+    return replace(_VALID, **{name: draw(_ODD_FIELDS[name]) for name in names})
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_contracts())
+def test_validate_matches_reference(contract):
+    def outcome(check):
+        try:
+            check()
+        except ContractInvariantError as exc:
+            return str(exc)
+    assert outcome(contract.validate) == outcome(lambda: reference_validate(contract))
