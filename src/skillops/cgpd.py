@@ -26,6 +26,7 @@ are recomputed with themselves left out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -57,8 +58,8 @@ class CgpdConfig:
     def validate(self) -> None:
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigInvalid(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.eps <= 0.0:
-            raise ConfigInvalid(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:  # NaN fails both comparisons
+            raise ConfigInvalid(f"eps must be positive and finite, got {self.eps}")
         if self.max_iters < 1:
             raise ConfigInvalid(f"max_iters must be at least 1, got {self.max_iters}")
         if not 0.0 <= self.tau <= 1.0:

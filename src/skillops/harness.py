@@ -186,7 +186,8 @@ def _read_entry(root: Path, entry, keys: tuple[str, ...]):
     `keys`, and its path must not be absolute or climb out with `..`.
 
     The file is read as bytes: parse_skill_file folds CR and CRLF line ends
-    itself, so text mode's newline translation would only add cost."""
+    itself, so text mode's newline translation would only add cost.  A
+    leading UTF-8 byte-order mark, which some editors write, is dropped."""
     if not isinstance(entry, dict) or any(k not in entry for k in keys):
         raise ManifestError(f"manifest entry {entry!r} needs keys {list(keys)}")
     rel = entry["path"]
@@ -194,7 +195,7 @@ def _read_entry(root: Path, entry, keys: tuple[str, ...]):
             or os.path.normpath(rel).split(os.sep)[0] == os.pardir):
         raise ManifestError(f"manifest path {rel!r} leaves the library {root}")
     with open(os.path.join(root, rel), "rb") as f:
-        return parse_skill_file(f.read().decode("utf-8"))
+        return parse_skill_file(f.read().decode("utf-8-sig"))
 
 
 def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
@@ -251,9 +252,10 @@ def save_trace(trace: ExecutionTrace, path: str | Path) -> None:
 
 def load_trace(path: str | Path) -> ExecutionTrace:
     """Read a JSONL trace.  A line raises MalformedTraceLine when it is not
-    a JSON object, lacks a key, names an unknown outcome, has a step that is
-    not an integer (JSON true and false included) or an error_code that is
-    neither a string nor null."""
+    a JSON object, lacks a key, has a task_id or skill_id that is not a
+    string, names an unknown outcome, has a step that is not an integer
+    (JSON true and false included) or an error_code that is neither a
+    string nor null."""
     entries = []
     for line_no, obj in _json_objects(path, MalformedTraceLine):
         try:
@@ -263,6 +265,8 @@ def load_trace(path: str | Path) -> ExecutionTrace:
         except KeyError:
             missing = sorted({"task_id", "skill_id", "step", "outcome"} - obj.keys())
             raise MalformedTraceLine(line_no, f"missing keys: {missing}") from None
+        if not (isinstance(task_id, str) and isinstance(skill, str)):
+            raise MalformedTraceLine(line_no, "task_id and skill_id must be strings")
         if outcome not in OUTCOMES:
             raise MalformedTraceLine(line_no, f"unknown outcome {outcome!r}")
         if type(step) is not int:  # isinstance would let a bool through
@@ -270,7 +274,7 @@ def load_trace(path: str | Path) -> ExecutionTrace:
         error_code = obj.get("error_code")
         if error_code is not None and not isinstance(error_code, str):
             raise MalformedTraceLine(line_no, "error_code must be a string or null")
-        entries.append(TraceEntry(str(task_id), str(skill), step, outcome, error_code))
+        entries.append(TraceEntry(task_id, skill, step, outcome, error_code))
     trace = ExecutionTrace(entries=tuple(entries))
     trace.validate()
     return trace
@@ -693,11 +697,13 @@ def cmd_eval_retrieval(args) -> int:
     for line_no, obj in _json_objects(args.queries, MalformedQueryLine):
         if "query" not in obj or "relevant" not in obj:
             raise MalformedQueryLine(line_no, "need query and relevant keys")
+        if not isinstance(obj["query"], str):
+            raise MalformedQueryLine(line_no, "query must be a string")
         relevant = obj["relevant"]
         if not isinstance(relevant, list) or not all(isinstance(r, str) for r in relevant):
             raise MalformedQueryLine(line_no, "relevant must be a list of skill ids")
         queries.append(
-            (str(obj.get("id", line_no)), str(obj["query"]), frozenset(relevant))
+            (str(obj.get("id", line_no)), obj["query"], frozenset(relevant))
         )
     payload = _eval_condition(lib, tuple(queries), args.k)
     _emit(payload, args.out)

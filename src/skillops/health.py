@@ -58,11 +58,12 @@ class HealthWeights:
     w_g: float = 0.2
 
     def validate(self) -> None:
-        total = math.fsum((self.w_u, self.w_r, self.w_c, self.w_f, self.w_g))
+        weights = (self.w_u, self.w_r, self.w_c, self.w_f, self.w_g)
+        if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails this too
+            raise ValueError(f"health weights must lie in [0, 1], got {weights}")
+        total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"health weights must sum to 1, got {total!r}")
-        if min(self.w_u, self.w_r, self.w_c, self.w_f, self.w_g) < 0:
-            raise ValueError("health weights must be nonnegative")
 
 
 UNIFORM_WEIGHTS = HealthWeights()
@@ -153,7 +154,7 @@ def library_health(
     """Diagnose every skill with one pass over the trace."""
     weights.validate()
     _check_window(window)
-    skills = lib.skills if isinstance(lib, Library) else tuple(lib)
+    skills = lib.skills
     if not skills:
         raise EmptyLibrary("cannot diagnose an empty library")
     buckets: dict[str, list[TraceEntry]] = {s.id: [] for s in skills}

@@ -293,10 +293,13 @@ def build_hseg(
         if rec.src not in g.nodes or rec.dst not in g.nodes:
             continue
         a, p = g.artifact_sets[rec.src], g.precondition_sets[rec.dst]
-        if not rec.artifact_types <= p:
+        pair = (rec.src, rec.dst)
+        if not rec.artifact_types <= p or pair in bridged_pairs:
             continue
-        bridged_pairs.add((rec.src, rec.dst))
-        if g._dep_sig(a, p) and not g._comp_sig(a, p):
+        bridged_pairs.add(pair)
+        # a dep edge counts once however many shims bridge it, and the
+        # incident counts leave self pairs out
+        if rec.src != rec.dst and g._dep_sig(a, p) and not g._comp_sig(a, p):
             bridged[rec.src] = bridged.get(rec.src, 0) + 1
             bridged[rec.dst] = bridged.get(rec.dst, 0) + 1
     g._bridged_counts.update(bridged)

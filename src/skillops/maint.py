@@ -120,7 +120,6 @@ class MaintenanceConfig:
     theta_f: float = 0.5
     theta_u: float = 0.5
     theta_risk: float = 0.5
-    theta_valid: float = 0.5
     comp_threshold: float = 0.3
     dep_mode: str = "subset"
     cgpd: CgpdConfig | None = None
@@ -129,7 +128,7 @@ class MaintenanceConfig:
 
     def validate(self) -> None:
         for name in ("debt_gate", "theta_r", "theta_f", "theta_u",
-                     "theta_risk", "theta_valid", "comp_threshold"):
+                     "theta_risk", "comp_threshold"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigInvalid(f"{name} must be in [0, 1], got {v}")
@@ -409,10 +408,7 @@ def _plan_repairs(
     actions = []
     by_iface = _iface_groups(work)
     for s in sorted(work.skills, key=lambda s: s.id):
-        hv = health.per_skill.get(s.id)
-        if hv is None:
-            continue
-        if not (hv.F > cfg.theta_f or risk[s.id] > cfg.theta_risk):
+        if not (health.per_skill[s.id].F > cfg.theta_f or risk[s.id] > cfg.theta_risk):
             continue
         sibling, missing = _repair_source(s, by_iface[_iface(s)])
         if sibling is None:
@@ -437,8 +433,7 @@ def _plan_retires(
     cfg: MaintenanceConfig,
 ) -> list[MaintenanceAction]:
     def utility(sid: str) -> float:
-        hv = health.per_skill.get(sid)
-        return hv.U if hv is not None else 0.5
+        return health.per_skill[sid].U
 
     actions = []
     for group in _iface_groups(work).values():
@@ -499,12 +494,13 @@ def _plan_adapters(g: Hseg, work: Library) -> list[MaintenanceAction]:
 
 def _plan(
     lib: Library, trace: ExecutionTrace, cfg: MaintenanceConfig
-) -> tuple[MaintenancePlan, Library, Hseg]:
+) -> tuple[MaintenancePlan, Library]:
     """Diagnose the library, plan every stage and apply it to a shadow copy.
 
-    Returns the plan, the shadow library the actions produce, and the graph
-    of the input library, the only graph planning builds.  It serves every
-    stage because of two invariants:
+    Returns the plan and the shadow library the actions produce, which is
+    the input object itself when no action changes anything.  Planning
+    builds one graph, of the input library.  It serves every stage because
+    of two invariants:
 
     - No action changes a skill's interface, goal or body (merge keeps the
       kept skill's body, repair touches only artifact_dirs, add_validator
@@ -533,17 +529,7 @@ def _plan(
         if crowding > cfg.theta_r and len({g.body_hashes[sid] for sid in cluster}) > 1:
             red_conflicts.append(cluster)
 
-    if not cfg.force and health.debt < cfg.debt_gate:
-        plan = MaintenancePlan(
-            actions=(),
-            red_conflicts=tuple(red_conflicts),
-            health_before=health,
-            risk=risk,
-            cgpd_triggered=triggered,
-            gated=True,
-        )
-        return plan, lib, g
-
+    gated = not cfg.force and health.debt < cfg.debt_gate
     actions: list[MaintenanceAction] = []
     work = lib
 
@@ -552,11 +538,12 @@ def _plan(
         work = _apply_actions(work, staged)
         actions.extend(staged)
 
-    run_stage(_plan_merges(work, health))
-    run_stage(_plan_repairs(work, health, risk, cfg))
-    run_stage(_plan_retires(work, health, cfg))
-    run_stage(_plan_validators(work))
-    run_stage(_plan_adapters(g, work))
+    if not gated:
+        run_stage(_plan_merges(work, health))
+        run_stage(_plan_repairs(work, health, risk, cfg))
+        run_stage(_plan_retires(work, health, cfg))
+        run_stage(_plan_validators(work))
+        run_stage(_plan_adapters(g, work))
 
     plan = MaintenancePlan(
         actions=tuple(actions),
@@ -564,8 +551,9 @@ def _plan(
         health_before=health,
         risk=risk,
         cgpd_triggered=triggered,
+        gated=gated,
     )
-    return plan, work, g
+    return plan, work
 
 
 def plan_actions(
@@ -582,6 +570,8 @@ def plan_actions(
 
 
 def _describe(a: MaintenanceAction) -> str:
+    """One log line for a planned action; only the five stage kinds are ever
+    planned."""
     if a.kind == "merge":
         return f"merge: kept {a.target}, absorbed {', '.join(a.drops)}"
     if a.kind == "repair":
@@ -593,9 +583,7 @@ def _describe(a: MaintenanceAction) -> str:
     if a.kind == "add_validator":
         donor = a.source_sibling or "canonical"
         return f"add_validator: {a.target} (checklist: {donor})"
-    if a.kind == "add_adapter":
-        return f"add_adapter: {a.target} -> {a.dst}"
-    return f"{a.kind}: {a.target}"
+    return f"add_adapter: {a.target} -> {a.dst}"
 
 
 def run_maintenance(
@@ -603,45 +591,34 @@ def run_maintenance(
     trace: ExecutionTrace = EMPTY_TRACE,
     cfg: MaintenanceConfig = MaintenanceConfig(),
 ) -> tuple[Library, MaintenanceReport]:
-    """One full maintenance pass: plan, apply, re-diagnose.
+    """One full maintenance pass: plan, apply, and re-diagnose only a changed
+    library.
 
-    With force off and debt below the gate the library is returned untouched
-    and the report says so; otherwise every planned action is applied in
-    order and the report carries the audit log plus health before and after.
+    With force off and debt below the gate nothing is planned and the report
+    says so; otherwise every planned action is applied in order and the
+    report carries the audit log plus health before and after.  When the
+    pass leaves the library object untouched (a gated pass, or one whose
+    actions all no-op, such as a second pass) H_after is H_before: the same
+    diagnosis of the same library and graph gives the same number.
     """
-    plan, work, g = _plan(lib, trace, cfg)
+    plan, work = _plan(lib, trace, cfg)
     counts = {kind: 0 for kind in ACTION_KINDS}
-    if plan.gated:
-        report = MaintenanceReport(
-            size_before=len(lib),
-            size_after=len(lib),
-            action_counts=counts,
-            actions=(),
-            log=(),
-            H_before=plan.health_before.H,
-            H_after=plan.health_before.H,
-            red_conflicts=plan.red_conflicts,
-            cgpd_triggered=plan.cgpd_triggered,
-            gated=True,
-        )
-        return lib, report
-
-    log = []
     for a in plan.actions:
         counts[a.kind] += 1
-        log.append(_describe(a))
+    H_after = plan.health_before.H
     if work is not lib:
         g = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
-    health_after = library_health(work, g, trace, cfg.weights, cfg.window)
+        H_after = library_health(work, g, trace, cfg.weights, cfg.window).H
     report = MaintenanceReport(
         size_before=len(lib),
         size_after=len(work),
         action_counts=counts,
         actions=plan.actions,
-        log=tuple(log),
+        log=tuple(_describe(a) for a in plan.actions),
         H_before=plan.health_before.H,
-        H_after=health_after.H,
+        H_after=H_after,
         red_conflicts=plan.red_conflicts,
         cgpd_triggered=plan.cgpd_triggered,
+        gated=plan.gated,
     )
     return work, report

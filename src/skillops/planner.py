@@ -97,7 +97,6 @@ class PlannerConfig:
     theta_score: float = 0.0
     beam_width: int = 8
     horizon: int = 20
-    max_repairs: int = 2
     k1: float = 1.2
     b: float = 0.75
 
@@ -108,8 +107,6 @@ class PlannerConfig:
             raise ConfigInvalid("bm25_k must be at least keep_top")
         if min(self.keep_top, self.beam_width, self.horizon) < 1:
             raise ConfigInvalid("keep_top, beam_width and horizon must be positive")
-        if self.max_repairs < 0:
-            raise ConfigInvalid("max_repairs must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -188,8 +188,9 @@ def test_missing_entry_and_bad_config():
         propagate(g, {"s0": 0.5, "s1": 0.0, "s2": 1.5})
     with pytest.raises(ConfigInvalid):
         CgpdConfig(alpha=1.0).validate()
-    with pytest.raises(ConfigInvalid):
-        CgpdConfig(eps=0.0).validate()
+    for eps in (0.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(ConfigInvalid, match="eps must be positive and finite"):
+            CgpdConfig(eps=eps).validate()
 
 
 def test_trigger_set_flags_unvalidated_risky_skills():

@@ -1,6 +1,7 @@
 """Disk formats, metrics, the simulated executor, scenario pipelines and the
 CLI entry point."""
 
+import codecs
 import json
 import os
 import subprocess
@@ -233,6 +234,17 @@ def test_load_reads_skill_files_with_cr_line_ends(tmp_path, ending):
     assert library_fingerprint(loaded) == library_fingerprint(lib)
 
 
+def test_load_reads_a_skill_file_with_a_byte_order_mark(tmp_path):
+    lib = Library(skills=(_skill("a", ["x"], ["y"]), _skill("b", ["y"], ["z"])))
+    target = tmp_path / "lib"
+    save_library(lib, target)
+    path = target / "skills" / "a" / "SKILL.md"
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    loaded, _ = load_library(target)
+    assert loaded == lib
+    assert library_fingerprint(loaded) == library_fingerprint(lib)
+
+
 def test_load_keeps_extras_and_a_failure_modes_section(tmp_path):
     skill = _skill("a", ["x"], ["y"], failure_modes=frozenset({"timeout"}),
                    extras=(("x-origin", "legacy batch 7"), ("x-owner", "ops")))
@@ -312,6 +324,18 @@ def test_trace_roundtrip(tmp_path):
             '{"task_id": "t", "skill_id": "a", "step": 1, "outcome": "failure",'
             ' "error_code": 7}',
             "error_code must be a string or null",
+        ),
+        (
+            '{"task_id": "t", "skill_id": null, "step": 1, "outcome": "success"}',
+            "task_id and skill_id must be strings",
+        ),
+        (
+            '{"task_id": ["x"], "skill_id": "a", "step": 1, "outcome": "success"}',
+            "task_id and skill_id must be strings",
+        ),
+        (
+            '{"task_id": "t", "skill_id": 7, "step": 1, "outcome": "success"}',
+            "task_id and skill_id must be strings",
         ),
     ],
 )
@@ -607,6 +631,8 @@ def test_cli_eval_retrieval(tmp_path, capsys):
         ('{"query": "x"}', "need query and relevant keys"),
         ('{"query": "x", "relevant": 5}', "relevant must be a list"),
         ('{"query": "x", "relevant": [["a"]]}', "relevant must be a list"),
+        ('{"query": null, "relevant": []}', "query must be a string"),
+        ('{"query": ["x"], "relevant": []}', "query must be a string"),
     ],
 )
 def test_cli_eval_retrieval_malformed_query_lines_exit_two(tmp_path, capsys, line, fragment):
@@ -663,6 +689,9 @@ def test_cli_errors_exit_two(tmp_path, capsys):
     for window in ("0", "-3"):  # a window that would keep the oldest calls
         assert main(["diagnose", "--lib", libdir, "--window", window]) == 2
         assert "window" in capsys.readouterr().err
+    for eps in ("nan", "inf", "0"):
+        assert main(["diagnose", "--lib", libdir, "--cgpd", "--eps", eps]) == 2
+        assert "eps must be positive and finite" in capsys.readouterr().err
 
     monkey_env = {"SKILLOPS_SEED": "not-a-number"}
     import os

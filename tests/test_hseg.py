@@ -171,6 +171,17 @@ def test_adapter_bridging_counts():
     assert g.incident_dep_counts("i") == (1, 1)
     assert g.incident_dep_counts("k") == (1, 1)
 
+    # a second shim for one pair and a self shim bridge no further dep edge;
+    # counting them would push C above 1 and the local risk below 0
+    loop = skill("k2", pre=("json", "a", "b", "c"), art=("json",))
+    twin = AdapterShim(src="i", dst="k2", contract=skill("t1", art=("json", "a")))
+    again = AdapterShim(src="i", dst="k2", contract=skill("t2", art=("json", "b")))
+    self_shim = AdapterShim(src="k2", dst="k2", contract=skill("t3", art=("json",)))
+    g = build_hseg([i, loop], adapters=(twin, again, self_shim))
+    assert g.is_bridged("i", "k2") and g.is_bridged("k2", "k2")
+    assert g.incident_dep_counts("i") == (1, 1)
+    assert g.incident_dep_counts("k2") == (1, 1)
+
 
 def test_export_shape_and_determinism():
     sks = [skill("a", art=("x",)), skill("b", pre=("x",), art=("x",))]
@@ -247,16 +258,29 @@ GRAPH_CONFIGS = [(m, t) for m in ("subset", "overlap") for t in (0.0, 0.3, 0.5)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(libraries())
-def test_incident_counts_match_oracle(lib):
+@given(libraries(), st.data())
+def test_incident_counts_match_oracle(lib, data):
+    # random shims, including self shims and several shims for one pair
+    ids = [s.id for s in lib]
+    shims = data.draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids), _tags), max_size=6,
+    ))
+    adapters = tuple(
+        AdapterShim(src=a, dst=b, contract=skill(f"adapt--{a}--{b}", art=t))
+        for a, b, t in shims
+    )
+    pre = {s.id: s.preconditions for s in lib}
+    bridged = {(a, b) for a, b, t in shims if t <= pre[b]}
     for dep_mode, threshold in GRAPH_CONFIGS:
-        g = build_hseg(lib, comp_threshold=threshold, dep_mode=dep_mode)
+        g = build_hseg(lib, threshold, dep_mode, adapters)
         edges = brute_force_edges(lib, threshold, dep_mode)
         for s in lib:
             dep_edges = [
                 (a, b) for (a, b, k) in edges if k == "dep" and s.id in (a, b)
             ]
-            ok = sum(1 for (a, b) in dep_edges if (a, b, "comp") in edges)
+            ok = sum(
+                1 for (a, b) in dep_edges if (a, b, "comp") in edges or (a, b) in bridged
+            )
             assert g.incident_dep_counts(s.id) == (len(dep_edges), ok)
 
 

@@ -731,6 +731,54 @@ def test_bodies_are_unique_after_the_merge_stage(inputs):
     assert len(set(hashes)) == len(hashes)
 
 
+@settings(max_examples=100, deadline=None)
+@given(maintenance_inputs())
+def test_reported_health_after_matches_a_fresh_diagnosis(inputs):
+    lib, trace, cfg = inputs
+    new_lib, report = run_maintenance(lib, trace, cfg)
+    g = build_hseg(new_lib.skills, cfg.comp_threshold, cfg.dep_mode, new_lib.adapters)
+    assert report.H_after == library_health(new_lib, g, trace, cfg.weights, cfg.window).H
+    if new_lib is lib:
+        assert report.H_after == report.H_before
+
+
+def test_a_pass_diagnoses_again_only_a_changed_library(monkeypatch):
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(maint, "build_hseg", counted("build_hseg", build_hseg))
+    monkeypatch.setattr(maint, "library_health", counted("library_health", library_health))
+
+    def counted_pass(lib, trace, cfg=MaintenanceConfig()):
+        calls.update(build_hseg=0, library_health=0)
+        new_lib, report = run_maintenance(lib, trace, cfg)
+        return new_lib, report, (calls["build_hseg"], calls["library_health"])
+
+    lib, _ = build_library(500, 0.6, 42)
+    trace = exercise_library(lib)
+    once, report, n = counted_pass(lib, trace)
+    assert once is not lib and n == (2, 2)
+    twice, report, n = counted_pass(once, trace)
+    assert twice is once and n == (1, 1) and report.H_after == report.H_before
+
+    clean = Library(skills=tuple(clean_chain()))
+    healthy = trace_of({"fetch": (5, 0), "clean": (5, 0), "report": (5, 0)})
+    out, report, n = counted_pass(clean, healthy, MaintenanceConfig(force=False))
+    assert report.gated and out is clean and n == (1, 1)
+    assert report.H_after == report.H_before
+
+    # every planned action no-ops: a failing skill with no sibling to repair from
+    solo = Library(skills=(skill("solo", pre=("x",), art=("y",)),))
+    out, report, n = counted_pass(solo, trace_of({"solo": (0, 10)}))
+    assert report.log == ("repair: solo skipped (no-sibling)",)
+    assert out is solo and n == (1, 1) and report.H_after == report.H_before
+
+
 def test_a_pass_builds_at_most_two_graphs(monkeypatch):
     calls = []
 
