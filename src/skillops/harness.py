@@ -183,16 +183,16 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
 
 def _read_entry(root: Path, entry, keys: tuple[str, ...]):
     """Parse the skill file a manifest entry names.  The entry must carry
-    `keys`, and its path must not be absolute or climb out with `..`.
+    `keys` as strings, and its path must not be absolute or climb out with
+    `..`.
 
     The file is read as bytes: parse_skill_file folds CR and CRLF line ends
     itself, so text mode's newline translation would only add cost.  A
     leading UTF-8 byte-order mark, which some editors write, is dropped."""
-    if not isinstance(entry, dict) or any(k not in entry for k in keys):
-        raise ManifestError(f"manifest entry {entry!r} needs keys {list(keys)}")
+    if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in keys):
+        raise ManifestError(f"manifest entry {entry!r} needs string keys {list(keys)}")
     rel = entry["path"]
-    if (not isinstance(rel, str) or os.path.isabs(rel)
-            or os.path.normpath(rel).split(os.sep)[0] == os.pardir):
+    if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
         raise ManifestError(f"manifest path {rel!r} leaves the library {root}")
     with open(os.path.join(root, rel), "rb") as f:
         return parse_skill_file(f.read().decode("utf-8-sig"))
@@ -223,8 +223,11 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
                 f"{entry['path']}: file declares id {contract.id!r},"
                 f" manifest says {entry['id']!r}"
             )
+        origin = entry.get("provenance", "clean")
+        if not isinstance(origin, str):
+            raise ManifestError(f"{entry['path']}: provenance must be a string")
         skills.append(contract)
-        provenance[contract.id] = entry.get("provenance", "clean")
+        provenance[contract.id] = origin
     adapters = []
     for entry in sections["adapters"]:
         contract = _read_entry(root, entry, ("src", "dst", "path"))
@@ -372,16 +375,15 @@ def exercise_library(lib: Library, calls: int = 4) -> ExecutionTrace:
 # scripted scenarios
 
 def build_retrieval_scenario(
-    n_queries: int = 20, seed: int = 0
-) -> tuple[Library, tuple[tuple[str, str, frozenset], ...]]:
+    n_queries: int = 20,
+) -> tuple[Library, tuple[tuple[str, frozenset], ...]]:
     """A library where every query has one genuinely relevant skill and a
     family of seven keyword-stuffed decoys sharing a single body.
 
-    Returns (library, queries) with queries as (query_id, query_text,
-    relevant_ids).  Before maintenance the decoy family crowds the whole
-    top five; after the family merges into one skill the relevant skill
-    fits inside it.  The scenario is fully determined by n_queries; seed is
-    accepted so every scenario builder shares one signature.
+    Returns (library, queries) with queries as (query_text, relevant_ids).
+    Before maintenance the decoy family crowds the whole top five; after the
+    family merges into one skill the relevant skill fits inside it.  The
+    scenario is fully determined by n_queries.
     """
     if n_queries < 1:
         raise ConfigInvalid("need at least one query")
@@ -418,17 +420,12 @@ def build_retrieval_scenario(
                     tags=frozenset({tokens[3]}),
                 )
             )
-        queries.append((f"q{i:02d}", query, frozenset({real.id})))
+        queries.append((query, frozenset({real.id})))
     return Library(skills=tuple(skills)), tuple(queries)
 
 
-def _rank_ids(lib: Library, query: str, k: int) -> list[str]:
-    ranked = rank_candidates(lib, query, PlannerConfig())
-    return [sid for sid, _ in ranked[:k]]
-
-
 def _eval_condition(lib: Library, queries, k: int) -> dict:
-    """Retrieval metrics over the top k ids of each query.
+    """Retrieval metrics over the top k ids of each (text, relevant) query.
 
     precision_at_k divides by k, so it is capped at 1/k once maintenance
     merges a relevance class down to one survivor.  hit_rate_at_k (a
@@ -439,8 +436,8 @@ def _eval_condition(lib: Library, queries, k: int) -> dict:
     present = set(lib.ids())
     per_query, reciprocal_ranks, recalls = [], [], []
     hits = 0
-    for _, query, relevant in queries:
-        top = _rank_ids(lib, query, k)
+    for query, relevant in queries:
+        top = [sid for sid, _ in rank_candidates(lib, query)[:k]]
         per_query.append(precision_at_k(relevant, top, k))
         ranks = [rank for rank, sid in enumerate(top, start=1) if sid in relevant]
         if ranks:
@@ -485,8 +482,8 @@ class EvalReport:
 
 
 def _library_queries(lib: Library, provenance: dict[str, str], seed: int, count: int):
-    """Queries sampled from clean skills; relevant = the skill's whole
-    body-hash class, so merged survivors still count."""
+    """(text, relevant) queries sampled from clean skills; relevant = the
+    skill's whole body-hash class, so merged survivors still count."""
     from skillops.contract import body_hash
 
     clean_ids = sorted(sid for sid, p in provenance.items() if p == "clean")
@@ -503,7 +500,7 @@ def _library_queries(lib: Library, provenance: dict[str, str], seed: int, count:
             [s.goal.replace("-", " "), *sorted(s.tags)[:2], s.body.split("\n")[0]]
         )
         relevant = frozenset(classes[body_hash(s)])
-        queries.append((f"q-{sid}", text, relevant))
+        queries.append((text, relevant))
     return tuple(queries)
 
 
@@ -524,7 +521,7 @@ def run_pipeline(scenario: str, seed: int = 0, k: int = 5) -> EvalReport:
         queries = _library_queries(lib, provenance, seed, 25)
         trace = exercise_library(lib)
     elif scenario == "retrieval-20":
-        lib, queries = build_retrieval_scenario(20, seed)
+        lib, queries = build_retrieval_scenario(20)
         trace = EMPTY_TRACE
     else:
         raise ConfigInvalid(
@@ -633,6 +630,10 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_maintain(args) -> int:
+    # save_library replaces the output directory and writes placeholder
+    # artifact files, so saving over the input would destroy its artifacts
+    if args.out and Path(args.out).resolve() == Path(args.lib).resolve():
+        raise ConfigInvalid("--out must not be the --lib directory")
     lib, provenance = load_library(args.lib)
     trace = load_trace(args.trace) if args.trace else EMPTY_TRACE
     cfg = MaintenanceConfig(force=not args.no_force, cgpd=_cgpd_config(args))
@@ -678,12 +679,12 @@ def _read_action_list(path: str) -> list[str]:
 def cmd_grade(args) -> int:
     predicted = (
         _read_action_list(args.plan)
-        if args.plan
+        if args.plan is not None
         else [x for x in args.actions.split(",") if x]
     )
     gold = (
         _read_action_list(args.gold)
-        if args.gold
+        if args.gold is not None
         else [x for x in args.gold_list.split(",") if x]
     )
     ok = grade_plan(predicted, gold)
@@ -702,9 +703,7 @@ def cmd_eval_retrieval(args) -> int:
         relevant = obj["relevant"]
         if not isinstance(relevant, list) or not all(isinstance(r, str) for r in relevant):
             raise MalformedQueryLine(line_no, "relevant must be a list of skill ids")
-        queries.append(
-            (str(obj.get("id", line_no)), obj["query"], frozenset(relevant))
-        )
+        queries.append((obj["query"], frozenset(relevant)))
     payload = _eval_condition(lib, tuple(queries), args.k)
     _emit(payload, args.out)
     return 0
@@ -761,10 +760,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("grade", help="strict-order plan grading")
-    p.add_argument("--plan", default=None, help="JSON file with an actions list")
-    p.add_argument("--actions", default="", help="comma-separated predicted actions")
-    p.add_argument("--gold", default=None, help="JSON file with the gold actions")
-    p.add_argument("--gold-list", default="", help="comma-separated gold actions")
+    side = p.add_mutually_exclusive_group(required=True)
+    side.add_argument("--plan", help="JSON file with an actions list")
+    side.add_argument("--actions", help="comma-separated predicted actions")
+    side = p.add_mutually_exclusive_group(required=True)
+    side.add_argument("--gold", help="JSON file with the gold actions")
+    side.add_argument("--gold-list", help="comma-separated gold actions")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_grade)
 

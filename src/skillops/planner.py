@@ -276,7 +276,8 @@ def _library_index(lib: Library, cfg: PlannerConfig) -> Bm25Index:
     key = (cfg.k1, cfg.b)
     index = memo.get(key)
     if index is None:
-        index = memo[key] = _build_index(lib.skills, cfg)
+        docs = {s.id: skill_document(s) for s in lib.skills}
+        index = memo[key] = Bm25Index(docs, k1=cfg.k1, b=cfg.b)
     return index
 
 
@@ -291,43 +292,31 @@ def _library_by_id(lib: Library) -> dict[str, SkillContract]:
     return by_id
 
 
-def _build_index(skills: tuple[SkillContract, ...], cfg: PlannerConfig) -> Bm25Index:
-    return Bm25Index({s.id: skill_document(s) for s in skills}, k1=cfg.k1, b=cfg.b)
-
-
 def hybrid_score(lam: float, bm25_norm: float, sem: float) -> float:
     return lam * bm25_norm + (1.0 - lam) * sem
 
 
 def rank_candidates(
-    skills, query: str, cfg: PlannerConfig = PlannerConfig()
+    lib: Library, query: str, cfg: PlannerConfig = PlannerConfig()
 ) -> tuple[tuple[str, float], ...]:
     """Hybrid ranking: BM25 shortlist of bm25_k, min-max normalized per
     query, rescored with the hashed-vector similarity.  Descending score,
     ties ascending id.
 
-    `skills` is a Library, whose index is built once and reused by every
-    later query, or any iterable of skills, indexed for this query alone.
+    The library's index is built on its first ranked query and reused by
+    every later one (see _library_index).
     """
     cfg.validate()
-    if isinstance(skills, Library):
-        lib = skills
-        skills = lib.skills
-    else:
-        lib = None
-        # a repeated id keeps its first position and its last skill
-        skills = tuple({s.id: s for s in skills}.values())
-    if not skills:
+    if not lib.skills:
         raise EmptyLibrary("cannot rank over an empty library")
-    index = _library_index(lib, cfg) if lib is not None else _build_index(skills, cfg)
-    shortlist = index.top(query, cfg.bm25_k)
+    shortlist = _library_index(lib, cfg).top(query, cfg.bm25_k)
     lo = min(score for _, score in shortlist)
     hi = max(score for _, score in shortlist)
     span = hi - lo
     query_vec = _hash_vector(tokenize(query))
     rescored = []
     for pos, raw in shortlist:
-        s = skills[pos]
+        s = lib.skills[pos]
         bm25_norm = (raw - lo) / span if span > 0 else 0.0
         sem = _cosine(query_vec, _hash_vector(tokenize(skill_document(s))))
         rescored.append((s.id, hybrid_score(cfg.lam, bm25_norm, sem)))
@@ -369,10 +358,13 @@ def stitch(
     """Find the score-sum-maximizing path through the candidate set.
 
     Transitions require both dep and comp edges; no skill repeats; path
-    length is capped by the horizon.  With beam_width >= |candidates| every
-    simple path is enumerated, which makes the result exact; otherwise only
-    the best beam_width partial paths survive each depth.  A single best
-    candidate is a valid plan when nothing can follow it.
+    length is capped by the horizon.  Paths grow one step per depth.  With
+    beam_width >= |candidates| nothing is pruned or merged, so every simple
+    path is considered and the result is exact.  Otherwise each depth keeps
+    the best path per (last skill, visited set), then the best beam_width of
+    those.  _better is a strict total order on distinct paths, so the best
+    path found does not depend on the order paths are visited.  A single
+    best candidate is a valid plan when nothing can follow it.
     """
     cfg.validate()
     candidates = tuple(candidates)
@@ -390,48 +382,32 @@ def stitch(
             and g.edge_exists("comp", sid, other)
         )
     max_len = min(cfg.horizon, len(ids))
+    exhaustive = cfg.beam_width >= len(ids)
     best: tuple[float, tuple[str, ...]] | None = None
-
-    def consider(score: float, path: tuple[str, ...]) -> None:
-        nonlocal best
-        if best is None or _better((score, path), best):
-            best = (score, path)
-
-    if cfg.beam_width >= len(ids):
-        # exhaustive: the beam can hold every candidate, so never prune
-        def walk(path: tuple[str, ...], visited: frozenset, score: float) -> None:
-            consider(score, path)
-            if len(path) >= max_len:
-                return
-            for nxt in succ[path[-1]]:
-                if nxt not in visited:
-                    walk(path + (nxt,), visited | {nxt}, score + scores[nxt])
-
-        for sid in ids:
-            walk((sid,), frozenset({sid}), scores[sid])
-    else:
-        frontier = [(scores[sid], (sid,)) for sid in ids]
-        frontier.sort(key=lambda e: (-e[0], len(e[1]), e[1]))
-        frontier = frontier[: cfg.beam_width]
+    frontier = [(scores[sid], (sid,)) for sid in ids]
+    depth = 1
+    while frontier:
+        if not exhaustive:
+            frontier.sort(key=lambda e: (-e[0], len(e[1]), e[1]))
+            del frontier[cfg.beam_width:]
+        for entry in frontier:
+            if best is None or _better(entry, best):
+                best = entry
+        if depth >= max_len:
+            break
+        grown: dict = {}
         for score, path in frontier:
-            consider(score, path)
-        depth = 1
-        while frontier and depth < max_len:
-            grown: dict[tuple[str, frozenset], tuple[float, tuple[str, ...]]] = {}
-            for score, path in frontier:
-                visited = frozenset(path)
-                for nxt in succ[path[-1]]:
-                    if nxt in visited:
-                        continue
-                    entry = (score + scores[nxt], path + (nxt,))
-                    key = (nxt, visited | {nxt})
-                    if key not in grown or _better(entry, grown[key]):
-                        grown[key] = entry
-            frontier = sorted(grown.values(), key=lambda e: (-e[0], len(e[1]), e[1]))
-            frontier = frontier[: cfg.beam_width]
-            for score, path in frontier:
-                consider(score, path)
-            depth += 1
+            visited = frozenset(path)
+            for nxt in succ[path[-1]]:
+                if nxt in visited:
+                    continue
+                entry = (score + scores[nxt], path + (nxt,))
+                # exhaustive: each path is its own key, so nothing merges
+                key = entry[1] if exhaustive else (nxt, visited | {nxt})
+                if key not in grown or _better(entry, grown[key]):
+                    grown[key] = entry
+        frontier = list(grown.values())
+        depth += 1
 
     assert best is not None
     return Plan(

@@ -186,15 +186,34 @@ def test_load_rejects_id_mismatch(tmp_path):
         load_library(target)
 
 
-@pytest.mark.parametrize("section,key", [("skills", "path"), ("skills", "id"),
-                                         ("adapters", "path"), ("adapters", "src")])
-def test_load_rejects_manifest_entry_without_key(tmp_path, capsys, section, key):
+MISSING = object()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    pytest.param("skills", "path", MISSING, id="skills-path"),
+    pytest.param("skills", "id", MISSING, id="skills-id"),
+    pytest.param("adapters", "path", MISSING, id="adapters-path"),
+    pytest.param("adapters", "src", MISSING, id="adapters-src"),
+    pytest.param("skills", "path", 5, id="skills-path-int"),
+    pytest.param("skills", "id", ["emit"], id="skills-id-list"),
+    pytest.param("skills", "provenance", ["clean"], id="skills-provenance-list"),
+    pytest.param("skills", "provenance", None, id="skills-provenance-null"),
+    pytest.param("adapters", "src", ["emit"], id="adapters-src-list"),
+    pytest.param("adapters", "dst", {"need": 1}, id="adapters-dst-object"),
+    pytest.param("adapters", "dst", 7, id="adapters-dst-int"),
+])
+def test_load_rejects_manifest_entry_without_key(tmp_path, capsys, section, key, value):
+    """A required key that is missing or not a string, or a provenance that
+    is not a string, fails with ManifestError and exit 2, not a crash."""
     emit, need = _skill("emit", [], ["x"]), _skill("need", ["x", "y"], [])
     target = tmp_path / "lib"
     save_library(Library(skills=(emit, need), adapters=(make_adapter_shim(emit, need),)),
                  target)
     manifest = json.loads((target / "manifest.json").read_text())
-    del manifest[section][0][key]
+    if value is MISSING:
+        del manifest[section][0][key]
+    else:
+        manifest[section][0][key] = value
     (target / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match=key):
         load_library(target)
@@ -418,7 +437,7 @@ def test_exercise_library_traces_every_skill():
 # scenarios
 
 def test_retrieval_scenario_decoys_crowd_out_the_answer():
-    lib, queries = build_retrieval_scenario(6, seed=0)
+    lib, queries = build_retrieval_scenario(6)
     assert len(lib) == 6 * 8
     from skillops.harness import _eval_condition
 
@@ -553,6 +572,26 @@ def test_cli_inject_diagnose_maintain(tmp_path, capsys):
     assert mreport["external_model_calls"] == 0
 
 
+@pytest.mark.parametrize("spelling", ["same", "dot-segment", "symlink"])
+def test_cli_maintain_refuses_to_save_over_its_input(tmp_path, capsys, spelling):
+    libdir = tmp_path / "lib"
+    tool = _skill("tool", ["x"], ["y"], artifact_dirs=ArtifactDirs(scripts=("run.sh",)))
+    save_library(Library(skills=(tool,)), libdir)
+    script = libdir / "skills" / "tool" / "scripts" / "run.sh"
+    script.write_bytes(b"#!/bin/sh\necho real work\n")  # the user's real script
+    before = {p: p.read_bytes() for p in libdir.rglob("*") if p.is_file()}
+    out = {"same": libdir, "dot-segment": libdir / "skills" / "..",
+           "symlink": tmp_path / "alias"}[spelling]
+    if spelling == "symlink":
+        out.symlink_to(libdir)
+    code = main(["maintain", "--lib", str(libdir), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--out must not be the --lib directory" in captured.err
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in libdir.rglob("*") if p.is_file()} == before
+
+
 def test_cli_plan_and_grade(tmp_path, capsys):
     a = _skill("step-one", ["raw"], ["clean"], body="Normalize the raw batch input.")
     b = _skill(
@@ -592,6 +631,23 @@ def test_cli_plan_and_grade(tmp_path, capsys):
     )
     assert code == 1 and verdict["exact_match"] is False
 
+    code, verdict = _run(capsys, ["grade", "--actions", "", "--gold-list", ""])
+    assert code == 0 and verdict == {"exact_match": True, "predicted": [], "gold": []}
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--actions", "a"],
+    ["--gold-list", "a"],
+    ["--plan", "p.json", "--actions", "a", "--gold-list", "a"],
+    ["--actions", "a", "--gold", "g.json", "--gold-list", "a"],
+])
+def test_cli_grade_needs_exactly_one_input_per_side(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["grade", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
 
 def test_cli_plan_infeasible_exits_one(tmp_path, capsys):
     a = _skill("only", ["never-true"], ["out"])
@@ -603,14 +659,14 @@ def test_cli_plan_infeasible_exits_one(tmp_path, capsys):
 
 
 def test_cli_eval_retrieval(tmp_path, capsys):
-    lib, queries = build_retrieval_scenario(4, seed=0)
+    lib, queries = build_retrieval_scenario(4)
     libdir = str(tmp_path / "lib")
     save_library(lib, libdir)
     qfile = tmp_path / "queries.jsonl"
     qfile.write_text(
         "\n".join(
-            json.dumps({"id": qid, "query": text, "relevant": sorted(rel)})
-            for qid, text, rel in queries
+            json.dumps({"id": f"q{i}", "query": text, "relevant": sorted(rel)})
+            for i, (text, rel) in enumerate(queries)
         )
         + "\n"
     )
@@ -636,7 +692,7 @@ def test_cli_eval_retrieval(tmp_path, capsys):
     ],
 )
 def test_cli_eval_retrieval_malformed_query_lines_exit_two(tmp_path, capsys, line, fragment):
-    lib, _ = build_retrieval_scenario(2, seed=0)
+    lib, _ = build_retrieval_scenario(2)
     libdir = str(tmp_path / "lib")
     save_library(lib, libdir)
     qfile = tmp_path / "queries.jsonl"

@@ -124,7 +124,7 @@ def test_rank_unique_token_first():
         for i in range(5)
     ]
     sks.append(skill("zeb", body="common words plus the zebra token"))
-    ranked = rank_candidates(sks, "zebra")
+    ranked = rank_candidates(Library(skills=tuple(sks)), "zebra")
     assert ranked[0][0] == "zeb"
     assert ranked[0][1] >= 0.5  # bm25_norm hits 1.0 for the only match
     for sid, score in ranked[1:]:
@@ -137,7 +137,7 @@ def test_rank_all_equal_bm25_falls_back_to_semantic():
         skill("a", goal="same-goal", body="identical body text"),
         skill("b", goal="same-goal", body="identical body text"),
     ]
-    ranked = rank_candidates(sks, "identical body")
+    ranked = rank_candidates(Library(skills=tuple(sks)), "identical body")
     assert [sid for sid, _ in ranked] == ["a", "b"]  # tie -> ascending id
     assert ranked[0][1] == ranked[1][1]
     sem = semantic_similarity("identical body", skill_document(sks[0]))
@@ -146,7 +146,7 @@ def test_rank_all_equal_bm25_falls_back_to_semantic():
 
 def test_rank_empty_library_rejected():
     with pytest.raises(EmptyLibrary):
-        rank_candidates([], "anything")
+        rank_candidates(Library(skills=()), "anything")
 
 
 def test_match_filters_preconditions_and_caps_at_keep_top():
@@ -285,9 +285,8 @@ def test_bm25_scores_equal_dense_formula(docs, query, k1b):
 def test_rank_candidates_equals_dense_reference(bodies, query, k1b, bm25_k):
     sks = ranked_skills(bodies)
     cfg = PlannerConfig(k1=k1b[0], b=k1b[1], bm25_k=bm25_k, keep_top=1)
-    assert rank_candidates(sks, query, cfg) == reference_rank(sks, query, cfg)
-    lib = Library(skills=tuple(reversed(sks)))
-    assert rank_candidates(lib, query, cfg) == reference_rank(lib.skills, query, cfg)
+    for lib in (Library(skills=tuple(sks)), Library(skills=tuple(reversed(sks)))):
+        assert rank_candidates(lib, query, cfg) == reference_rank(lib.skills, query, cfg)
 
 
 def test_rank_zero_fill_takes_unscored_docs_by_ascending_id():
@@ -299,13 +298,6 @@ def test_rank_zero_fill_takes_unscored_docs_by_ascending_id():
     ranked = rank_candidates(Library(skills=tuple(sks)), "zebra", cfg)
     assert ranked == reference_rank(sks, "zebra", cfg)
     assert [sid for sid, _ in ranked] == ["hit", "z01", "z02", "z03", "z04"]
-
-
-def test_rank_iterable_with_repeated_id_keeps_first_position_last_skill():
-    first = skill("a", body="alpha beta")
-    last = skill("a", body="gamma only")
-    sks = [first, skill("b", body="beta"), last]
-    assert rank_candidates(sks, "gamma") == reference_rank(sks, "gamma", PlannerConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +330,6 @@ def test_library_ranks_through_one_index(count_builds):
     assert rank_candidates(lib, "migrate schema") == first
     match_skills(lib, TaskSpec(id="t", goal_text="database step 3"))
     assert len(count_builds) == 1
-    assert first == rank_candidates(lib.skills, "migrate schema")
-    assert len(count_builds) == 2  # a plain iterable is indexed per call
 
 
 def test_each_k1_b_gets_its_own_index(count_builds):
@@ -540,6 +530,93 @@ def test_stitch_matches_exhaustive_enumeration():
         want_score, want_path = oracle_best_path(candidates, transitions, horizon)
         assert [s.skill for s in plan.steps] == list(want_path)
         assert plan.total_score == pytest.approx(want_score, abs=1e-12)
+
+
+def reference_stitch(candidates, g, cfg=PlannerConfig()):
+    """The two-algorithm stitch: a recursive walk over every simple path when
+    the beam covers the candidate set, else a level-by-level beam that keeps
+    the best path per (last skill, visited set).  The one-loop stitch must
+    return the same plan on every input."""
+    cfg.validate()
+    candidates = tuple(candidates)
+    if not candidates:
+        raise NoFeasiblePlan("empty candidate set")
+    scores = dict(candidates)
+    ids = [sid for sid, _ in candidates]
+    succ = {
+        sid: tuple(
+            other
+            for other in ids
+            if other != sid
+            and g.edge_exists("dep", sid, other)
+            and g.edge_exists("comp", sid, other)
+        )
+        for sid in ids
+    }
+    max_len = min(cfg.horizon, len(ids))
+    best = None
+
+    def consider(score, path):
+        nonlocal best
+        if best is None or planner._better((score, path), best):
+            best = (score, path)
+
+    if cfg.beam_width >= len(ids):
+        def walk(path, visited, score):
+            consider(score, path)
+            if len(path) >= max_len:
+                return
+            for nxt in succ[path[-1]]:
+                if nxt not in visited:
+                    walk(path + (nxt,), visited | {nxt}, score + scores[nxt])
+
+        for sid in ids:
+            walk((sid,), frozenset({sid}), scores[sid])
+    else:
+        frontier = [(scores[sid], (sid,)) for sid in ids]
+        frontier.sort(key=lambda e: (-e[0], len(e[1]), e[1]))
+        frontier = frontier[: cfg.beam_width]
+        for score, path in frontier:
+            consider(score, path)
+        depth = 1
+        while frontier and depth < max_len:
+            grown = {}
+            for score, path in frontier:
+                visited = frozenset(path)
+                for nxt in succ[path[-1]]:
+                    if nxt in visited:
+                        continue
+                    entry = (score + scores[nxt], path + (nxt,))
+                    key = (nxt, visited | {nxt})
+                    if key not in grown or planner._better(entry, grown[key]):
+                        grown[key] = entry
+            frontier = sorted(grown.values(), key=lambda e: (-e[0], len(e[1]), e[1]))
+            frontier = frontier[: cfg.beam_width]
+            for score, path in frontier:
+                consider(score, path)
+            depth += 1
+
+    return Plan(steps=tuple(PlanStep(skill=sid) for sid in best[1]), total_score=best[0])
+
+
+def test_stitch_equals_reference_stitch_on_random_matrix():
+    # every beam width from pruning-everything to exhaustive; tie-heavy
+    # score sets make the tie-breaks, not the scores, pick the plan
+    rng = random.Random(2024)
+    for _ in range(250):
+        n = rng.randint(1, 7)
+        ids = [f"s{i}" for i in range(n)]
+        rng.shuffle(ids)
+        if rng.random() < 0.6:
+            candidates = [(sid, rng.choice((0.25, 0.5, 1.0))) for sid in ids]
+        else:
+            candidates = [(sid, rng.random()) for sid in ids]
+        density = rng.choice((0.2, 0.5, 1.0))
+        transitions = {(a, b) for a in ids for b in ids if a != b and rng.random() < density}
+        g = StubGraph(dep=transitions, comp=transitions, nodes=ids)
+        for beam_width in range(1, n + 2):
+            cfg = PlannerConfig(beam_width=beam_width, horizon=rng.randint(1, n + 1))
+            assert stitch(candidates, g, cfg) == reference_stitch(candidates, g, cfg)
 
 
 def test_narrow_beam_still_emits_valid_plans():
