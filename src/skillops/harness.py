@@ -434,10 +434,12 @@ def _eval_condition(lib: Library, queries, k: int) -> dict:
     in the library that the top k holds) are not.
     """
     present = set(lib.ids())
+    # the shortlist bounds the ranking, so it must hold at least k ids
+    cfg = PlannerConfig(bm25_k=max(k, PlannerConfig().bm25_k))
     per_query, reciprocal_ranks, recalls = [], [], []
     hits = 0
     for query, relevant in queries:
-        top = [sid for sid, _ in rank_candidates(lib, query)[:k]]
+        top = [sid for sid, _ in rank_candidates(lib, query, cfg)[:k]]
         per_query.append(precision_at_k(relevant, top, k))
         ranks = [rank for rank, sid in enumerate(top, start=1) if sid in relevant]
         if ranks:

@@ -5,8 +5,10 @@ and body, min-max normalized per query, blended with the cosine similarity
 of hashed term-frequency vectors.  Both scorers are plain arithmetic over
 token counts, so ranking a query twice gives identical results.  A Library
 gets one BM25 index per (k1, b), built on its first ranked query and kept
-on the Library object; the index stores each (term, doc) weight once in
-per-term postings, and a query sums the postings of its tokens.
+on the Library object; the index stores each (term, doc) weight and term
+frequency once in per-term postings, and a query sums the postings of its
+tokens.  The cosine of a shortlisted skill reads its term frequencies and
+hashed-vector norm from the same index, so a query tokenizes only itself.
 
 Plans are stitched with a bounded-width search over the candidate set where
 consecutive steps must hold both dep and comp edges.  When the beam bound
@@ -23,6 +25,7 @@ import heapq
 import math
 import re
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -103,6 +106,14 @@ class PlannerConfig:
     def validate(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigInvalid(f"lam must be in [0, 1], got {self.lam}")
+        # a negative or NaN k1, or b outside [0, 1], turns BM25 weights
+        # negative or NaN and silently leaves ranking to the semantic half
+        if not (math.isfinite(self.k1) and self.k1 >= 0.0):
+            raise ConfigInvalid(f"k1 must be finite and >= 0, got {self.k1}")
+        if not 0.0 <= self.b <= 1.0:
+            raise ConfigInvalid(f"b must be in [0, 1], got {self.b}")
+        if not math.isfinite(self.theta_score):
+            raise ConfigInvalid(f"theta_score must be finite, got {self.theta_score}")
         if self.bm25_k < self.keep_top:
             raise ConfigInvalid("bm25_k must be at least keep_top")
         if min(self.keep_top, self.beam_width, self.horizon) < 1:
@@ -203,63 +214,97 @@ def semantic_similarity(query: str, doc: str) -> float:
 
 
 class Bm25Index:
-    """Okapi BM25 with the usual nonnegative idf variant, over token postings.
+    """Okapi BM25 with the usual nonnegative idf variant, over token postings,
+    plus what the hashed-vector cosine needs of each doc.
 
-    Each (term, doc) weight idf * freq * (k1 + 1) / (freq + denom_norm) is
-    computed once, when the index is built, and stored under its term as two
-    parallel arrays: doc positions (insertion order of `docs`) and weights.
-    A query adds up the postings of its tokens in query order, repeats
-    included, so every doc's float sum is the one a per-doc loop over the
-    query tokens would give.
+    Each term's postings are three parallel arrays: doc positions (ascending,
+    in the insertion order of `docs`), the (term, doc) weight idf * freq *
+    (k1 + 1) / (freq + denom_norm), computed once when the index is built,
+    and the raw term frequency.  A query adds up the weights of its tokens
+    in query order, repeats included, so every doc's float sum is the one a
+    per-doc loop over the query tokens would give.
+
+    For the cosine the index keeps each doc's hashed-vector norm, taken over
+    its bucket counts (two of its terms in one bucket add to one count), and
+    a map from each hash bucket to the postings of the index terms in it.
+    A doc's count in a bucket is the sum of those terms' frequencies in the
+    doc, so its cosine with a query is an integer dot product read from the
+    postings: no doc is tokenized or hashed again after the build.
     """
 
     def __init__(self, docs: dict[str, str], k1: float = 1.2, b: float = 0.75):
         self.k1, self.b = k1, b
         self.ids = tuple(docs)
-        self.postings: dict[str, tuple[array, array]] = {}
+        # term -> (positions, frequencies, hash bucket), in first-seen order
+        counts: dict[str, tuple[array, array, int]] = {}
         lengths = array("i")
+        self.norms = array("d")
         for pos, text in enumerate(docs.values()):
             toks = tokenize(text)
             lengths.append(len(toks))
+            bucket_counts: dict[int, int] = {}
             for term, freq in Counter(toks).items():
-                entry = self.postings.get(term)
+                entry = counts.get(term)
                 if entry is None:
-                    entry = self.postings[term] = (array("i"), array("d"))
+                    bucket = _fnv1a(term) % HASH_BUCKETS
+                    entry = counts[term] = (array("i"), array("i"), bucket)
                 entry[0].append(pos)
-                entry[1].append(freq)  # the weight replaces it below
+                entry[1].append(freq)
+                bucket_counts[entry[2]] = bucket_counts.get(entry[2], 0) + freq
+            self.norms.append(math.sqrt(sum(c * c for c in bucket_counts.values())))
         n_docs = len(lengths)
         avg_len = sum(lengths) / n_docs if n_docs else 0.0
         denom_norm = [
             k1 * (1 - b + b * length / avg_len) if avg_len else k1 for length in lengths
         ]
-        for positions, weights in self.postings.values():
+        self.postings: dict[str, tuple[array, array, array]] = {}
+        self._buckets: dict[int, tuple[tuple[array, array, array], ...]] = {}
+        for term, (positions, freqs, bucket) in counts.items():
             n = len(positions)
             idf = math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5))
-            for j, pos in enumerate(positions):
-                freq = weights[j]
-                weights[j] = idf * freq * (k1 + 1) / (freq + denom_norm[pos])
+            weights = array("d", [
+                idf * freq * (k1 + 1) / (freq + denom_norm[pos])
+                for pos, freq in zip(positions, freqs)
+            ])
+            entry = self.postings[term] = (positions, weights, freqs)
+            self._buckets[bucket] = self._buckets.get(bucket, ()) + (entry,)
         # positions in ascending id order: the tie order of a ranking
         self._by_id = array("i", sorted(range(n_docs), key=self.ids.__getitem__))
 
-    def _accumulate(self, query: str) -> list[float]:
+    def _accumulate(self, tokens: list[str]) -> list[float]:
         """Every doc's score by position, 0.0 where no query token occurs."""
         acc = [0.0] * len(self.ids)
-        for term in tokenize(query):
+        for term in tokens:
             entry = self.postings.get(term)
             if entry is not None:
-                for pos, weight in zip(*entry):
+                for pos, weight in zip(entry[0], entry[1]):
                     acc[pos] += weight
         return acc
 
     def scores(self, query: str) -> dict[str, float]:
-        return dict(zip(self.ids, self._accumulate(query)))
+        return dict(zip(self.ids, self._accumulate(tokenize(query))))
 
-    def top(self, query: str, k: int) -> list[tuple[int, float]]:
-        """The first k (doc position, score) pairs by descending score, ties
-        by ascending id."""
-        acc = self._accumulate(query)
+    def top(self, tokens: list[str], k: int) -> list[tuple[int, float]]:
+        """The first k (doc position, score) pairs for a tokenized query, by
+        descending score, ties by ascending id."""
+        acc = self._accumulate(tokens)
         best = heapq.nlargest(k, self._by_id, key=acc.__getitem__)
         return [(pos, acc[pos]) for pos in best]
+
+    def _cosine_at(self, pos: int, query_vec: Counter, query_norm: float) -> float:
+        """_cosine(query_vec, hashed vector of doc pos), where query_norm is
+        query_vec's norm: the same integer dot product and the same sqrt,
+        multiply, divide and clip."""
+        norm = query_norm * self.norms[pos]
+        if norm == 0.0:
+            return 0.0
+        dot = 0
+        for bucket, count in query_vec.items():
+            for positions, _, freqs in self._buckets.get(bucket, ()):
+                i = bisect_left(positions, pos)
+                if i < len(positions) and positions[i] == pos:
+                    dot += count * freqs[i]
+        return min(1.0, max(0.0, dot / norm))
 
 
 def _library_index(lib: Library, cfg: PlannerConfig) -> Bm25Index:
@@ -304,22 +349,26 @@ def rank_candidates(
     ties ascending id.
 
     The library's index is built on its first ranked query and reused by
-    every later one (see _library_index).
+    every later one (see _library_index).  The query is tokenized once; the
+    shortlisted skills' term frequencies and norms come from the index, so
+    no skill is tokenized or hashed per query.
     """
     cfg.validate()
     if not lib.skills:
         raise EmptyLibrary("cannot rank over an empty library")
-    shortlist = _library_index(lib, cfg).top(query, cfg.bm25_k)
+    index = _library_index(lib, cfg)
+    tokens = tokenize(query)
+    shortlist = index.top(tokens, cfg.bm25_k)
     lo = min(score for _, score in shortlist)
     hi = max(score for _, score in shortlist)
     span = hi - lo
-    query_vec = _hash_vector(tokenize(query))
+    query_vec = _hash_vector(tokens)
+    query_norm = math.sqrt(sum(c * c for c in query_vec.values()))
     rescored = []
     for pos, raw in shortlist:
-        s = lib.skills[pos]
         bm25_norm = (raw - lo) / span if span > 0 else 0.0
-        sem = _cosine(query_vec, _hash_vector(tokenize(skill_document(s))))
-        rescored.append((s.id, hybrid_score(cfg.lam, bm25_norm, sem)))
+        sem = index._cosine_at(pos, query_vec, query_norm)
+        rescored.append((index.ids[pos], hybrid_score(cfg.lam, bm25_norm, sem)))
     rescored.sort(key=lambda pair: (-pair[1], pair[0]))
     return tuple(rescored)
 

@@ -452,6 +452,26 @@ def test_retrieval_scenario_decoys_crowd_out_the_answer():
     assert after["hits"] == 6
 
 
+@pytest.mark.parametrize("k, retrieved", [(5, 10), (10, 10), (20, 20)])
+def test_eval_shortlist_holds_at_least_k_ids(monkeypatch, k, retrieved):
+    # 160 skills: a shortlist of the default 10 would cap a k of 20 at 10 ids
+    from skillops import harness
+    from skillops.harness import _eval_condition
+
+    lib, queries = build_retrieval_scenario(20)
+    lengths = []
+    real = harness.rank_candidates
+
+    def recording(*args):
+        ranked = real(*args)
+        lengths.append(len(ranked))
+        return ranked
+
+    monkeypatch.setattr(harness, "rank_candidates", recording)
+    _eval_condition(lib, queries, k)
+    assert lengths == [retrieved] * len(queries)
+
+
 def test_pipeline_retrieval_scenario_improves_strictly():
     report = run_pipeline("retrieval-20", seed=0)
     raw = report.conditions["raw"]

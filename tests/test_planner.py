@@ -198,6 +198,24 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         PlannerConfig(beam_width=0).validate()
     PlannerConfig().validate()
+    # BM25 weights at their bounds
+    for cfg in (PlannerConfig(k1=0.0), PlannerConfig(b=0.0), PlannerConfig(b=1.0),
+                PlannerConfig(theta_score=-1.0)):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k1", math.nan), ("k1", -1.0), ("k1", math.inf),
+    ("b", math.nan), ("b", -0.1), ("b", 5.0), ("b", math.inf),
+    ("theta_score", math.nan), ("theta_score", math.inf), ("theta_score", -math.inf),
+])
+def test_config_rejects_weights_that_break_bm25(field, value):
+    cfg = PlannerConfig(**{field: value})
+    with pytest.raises(ConfigInvalid, match=field):
+        cfg.validate()
+    lib = Library(skills=(skill("a", body="alpha"),))
+    with pytest.raises(ConfigInvalid, match=field):
+        rank_candidates(lib, "alpha", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +264,10 @@ def reference_rank(skills, query, cfg):
     return tuple(rescored)
 
 
-WORDS = ("alpha", "beta", "gamma", "delta", "omega")
+# "dhy" and "fza" share FNV-1a bucket 30792, so a document holding both
+# has one hashed-vector component for the two of them
+COLLIDING = ("dhy", "fza")
+WORDS = ("alpha", "beta", "gamma", "delta", "omega") + COLLIDING
 texts = st.lists(st.sampled_from(WORDS + ("--", "!")), max_size=8).map(" ".join)
 queries = st.lists(st.sampled_from(WORDS + ("absent", "nowhere")), max_size=10).map(" ".join)
 params = st.sampled_from([(1.2, 0.75), (0.5, 0.0), (2.0, 1.0)])
@@ -282,11 +303,23 @@ def test_bm25_scores_equal_dense_formula(docs, query, k1b):
 @example([f"gamma w{i}" for i in range(12)] + ["alpha"], "alpha", (1.2, 0.75), 10)
 @example(["alpha", "beta", "alpha gamma"], "alpha", (1.2, 0.75), 10)
 @example(["", "--", "!"], "alpha beta", (1.2, 0.75), 10)
+@example(["dhy fza alpha", "alpha dhy", "fza fza beta"], "dhy alpha", (1.2, 0.75), 10)
+@example(["dhy dhy fza", "alpha", "fza gamma"], "alpha fza", (1.2, 0.75), 2)
+@example(["alpha fza fza dhy", "alpha beta"], "fza alpha fza", (2.0, 1.0), 10)
 def test_rank_candidates_equals_dense_reference(bodies, query, k1b, bm25_k):
     sks = ranked_skills(bodies)
     cfg = PlannerConfig(k1=k1b[0], b=k1b[1], bm25_k=bm25_k, keep_top=1)
     for lib in (Library(skills=tuple(sks)), Library(skills=tuple(reversed(sks)))):
         assert rank_candidates(lib, query, cfg) == reference_rank(lib.skills, query, cfg)
+
+
+def test_colliding_tokens_share_one_bucket():
+    buckets = {planner._fnv1a(t) % planner.HASH_BUCKETS for t in COLLIDING}
+    assert buckets == {30792}
+    # the norm is over bucket counts: sqrt(3 ** 2), not sqrt(1 ** 2 + 2 ** 2)
+    index = Bm25Index({"x": "dhy fza fza", "y": "alpha"})
+    assert list(index.norms) == [3.0, 1.0]
+    assert semantic_similarity("dhy", "dhy fza fza") == 1.0
 
 
 def test_rank_zero_fill_takes_unscored_docs_by_ascending_id():
@@ -330,6 +363,35 @@ def test_library_ranks_through_one_index(count_builds):
     assert rank_candidates(lib, "migrate schema") == first
     match_skills(lib, TaskSpec(id="t", goal_text="database step 3"))
     assert len(count_builds) == 1
+
+
+def test_ranking_rebuilds_no_skill_document(monkeypatch):
+    lib = memo_library()
+    first = rank_candidates(lib, "migrate schema")
+
+    def refuse(*args):
+        raise AssertionError("a skill was re-read after the index was built")
+
+    tokenized, hashed = [], []
+    real_tokenize, real_hash_vector = planner.tokenize, planner._hash_vector
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return real_tokenize(text)
+
+    def counting_hash_vector(tokens):
+        hashed.append(list(tokens))
+        return real_hash_vector(tokens)
+
+    monkeypatch.setattr(planner, "skill_document", refuse)
+    monkeypatch.setattr(planner, "tokenize", counting_tokenize)
+    monkeypatch.setattr(planner, "_hash_vector", counting_hash_vector)
+    queries = ("migrate schema", "database step 3", "", "absent words", "migrate schema")
+    for n, query in enumerate(queries, start=1):
+        ranked = rank_candidates(lib, query)
+        assert tokenized == list(queries[:n])
+        assert hashed == [real_tokenize(q) for q in queries[:n]]
+    assert ranked == first
 
 
 def test_each_k1_b_gets_its_own_index(count_builds):
