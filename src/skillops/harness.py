@@ -431,17 +431,20 @@ def _eval_condition(lib: Library, queries, k: int) -> dict:
     merges a relevance class down to one survivor.  hit_rate_at_k (a
     relevant id in the top k), mrr_at_k (reciprocal rank of the first
     one, 0 when none) and recall_at_k (the share of the relevant ids still
-    in the library that the top k holds) are not.
+    in the library that the top k holds) are not.  `queries` lists each
+    query's text, its top k ids and whether one of them is relevant, so a
+    miss can be traced to its query.
     """
     present = set(lib.ids())
     # the shortlist bounds the ranking, so it must hold at least k ids
     cfg = PlannerConfig(bm25_k=max(k, PlannerConfig().bm25_k))
-    per_query, reciprocal_ranks, recalls = [], [], []
+    per_query, reciprocal_ranks, recalls, entries = [], [], [], []
     hits = 0
     for query, relevant in queries:
         top = [sid for sid, _ in rank_candidates(lib, query, cfg)[:k]]
         per_query.append(precision_at_k(relevant, top, k))
         ranks = [rank for rank, sid in enumerate(top, start=1) if sid in relevant]
+        entries.append({"query": query, "top_k": top, "hit": bool(ranks)})
         if ranks:
             hits += 1
         reciprocal_ranks.append(1.0 / ranks[0] if ranks else 0.0)
@@ -458,6 +461,7 @@ def _eval_condition(lib: Library, queries, k: int) -> dict:
         "hit_rate_at_k": hits / n if n else 0.0,
         "mrr_at_k": sum(reciprocal_ranks) / n if n else 0.0,
         "recall_at_k": sum(recalls) / n if n else 0.0,
+        "queries": entries,
     }
 
 

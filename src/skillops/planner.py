@@ -7,7 +7,13 @@ token counts, so ranking a query twice gives identical results.  A Library
 gets one BM25 index per (k1, b), built on its first ranked query and kept
 on the Library object; the index stores each (term, doc) weight and term
 frequency once in per-term postings, and a query sums the postings of its
-tokens.  The cosine of a shortlisted skill reads its term frequencies and
+tokens.  A term held by every skill (a common term) has an idf near zero
+and rarely decides the shortlist, so the shortlist is taken over the skills
+that hold one of the query's rare terms, and is kept only when its last
+score is strictly above a bound that no skill holding common terms alone
+can reach, rounding included; otherwise every skill is scored.  Either way
+the shortlist and its scores are bit-identical to a scan of every skill.
+The cosine of a shortlisted skill reads its term frequencies and
 hashed-vector norm from the same index, so a query tokenizes only itself.
 
 Plans are stitched with a bounded-width search over the candidate set where
@@ -224,6 +230,11 @@ class Bm25Index:
     in query order, repeats included, so every doc's float sum is the one a
     per-doc loop over the query tokens would give.
 
+    A term whose postings cover every doc is common: its positions are
+    0..n-1, so its weight and frequency for doc pos sit at index pos.  The
+    index keeps each common term's largest weight, from which top() bounds
+    the score of any doc that holds no rare query term.
+
     For the cosine the index keeps each doc's hashed-vector norm, taken over
     its bucket counts (two of its terms in one bucket add to one count), and
     a map from each hash bucket to the postings of the index terms in it.
@@ -259,6 +270,8 @@ class Bm25Index:
         ]
         self.postings: dict[str, tuple[array, array, array]] = {}
         self._buckets: dict[int, tuple[tuple[array, array, array], ...]] = {}
+        # common term (its postings cover every doc) -> its largest weight
+        self._common_max: dict[str, float] = {}
         for term, (positions, freqs, bucket) in counts.items():
             n = len(positions)
             idf = math.log(1.0 + (n_docs - n + 0.5) / (n + 0.5))
@@ -268,26 +281,78 @@ class Bm25Index:
             ])
             entry = self.postings[term] = (positions, weights, freqs)
             self._buckets[bucket] = self._buckets.get(bucket, ()) + (entry,)
+            if n == n_docs:
+                self._common_max[term] = max(weights)
         # positions in ascending id order: the tie order of a ranking
         self._by_id = array("i", sorted(range(n_docs), key=self.ids.__getitem__))
+        # position -> its place in _by_id, to visit candidates in id order
+        self._id_rank = array("i", [0]) * n_docs
+        for rank, pos in enumerate(self._by_id):
+            self._id_rank[pos] = rank
 
-    def _accumulate(self, tokens: list[str]) -> list[float]:
-        """Every doc's score by position, 0.0 where no query token occurs."""
+    def _accumulate(self, tokens: list[str], docs) -> list[float]:
+        """Scores by position for the docs in `docs`, 0.0 where no query
+        token occurs.  `docs` must hold every posting of the query's rare
+        tokens: all positions, or the union of those postings.  A common
+        term's positions are 0..n-1, so its weight for doc pos is
+        weights[pos]; each doc in `docs` gets the same additions in the same
+        token order whichever `docs` it is scored over."""
         acc = [0.0] * len(self.ids)
+        common = self._common_max
         for term in tokens:
             entry = self.postings.get(term)
-            if entry is not None:
-                for pos, weight in zip(entry[0], entry[1]):
+            if entry is None:
+                continue
+            weights = entry[1]
+            if term in common:
+                for pos in docs:
+                    acc[pos] += weights[pos]
+            else:
+                for pos, weight in zip(entry[0], weights):
                     acc[pos] += weight
         return acc
 
     def scores(self, query: str) -> dict[str, float]:
-        return dict(zip(self.ids, self._accumulate(tokenize(query))))
+        acc = self._accumulate(tokenize(query), range(len(self.ids)))
+        return dict(zip(self.ids, acc))
 
     def top(self, tokens: list[str], k: int) -> list[tuple[int, float]]:
         """The first k (doc position, score) pairs for a tokenized query, by
-        descending score, ties by ascending id."""
-        acc = self._accumulate(tokens)
+        descending score, ties by ascending id.
+
+        When the query holds both common and rare terms, only the docs that
+        hold a rare term (the candidates) are scored, in ascending id order,
+        so nlargest keeps the tie rule.  Every other doc holds common terms
+        only, so its float sum is at most `bound`: the sum of those tokens'
+        largest weights, repeats included.  The bound is widened by a
+        relative slack of 2 * (len(tokens) + 4) units of roundoff, which
+        covers the rounding of fsum, of at most len(tokens) additions
+        (each grows a nonnegative sum by a factor of at most 1 + 2**-53)
+        and of the product itself.  If the k-th best candidate score is
+        strictly above the bound, no other doc can reach or tie it, and the
+        candidates' top k is the top k of all docs.  Otherwise (too few
+        candidates, a k-th score at or below the bound, or a query without
+        both kinds of term) every doc is scored."""
+        postings, common = self.postings, self._common_max
+        rare = {t for t in tokens if t in postings and t not in common}
+        common_maxima = [common[t] for t in tokens if t in common]
+        if rare and common_maxima:
+            cands = sorted(
+                {pos for t in rare for pos in postings[t][0]},
+                key=self._id_rank.__getitem__,
+            )
+            if len(cands) >= k:
+                acc = self._accumulate(tokens, cands)
+                best = heapq.nlargest(k, cands, key=acc.__getitem__)
+                slack = 1.0 + (len(tokens) + 4) * 2.0 ** -52
+                bound = math.fsum(common_maxima) * slack
+                if best and acc[best[-1]] > bound:
+                    return [(pos, acc[pos]) for pos in best]
+        return self._top_of_all(tokens, k)
+
+    def _top_of_all(self, tokens: list[str], k: int) -> list[tuple[int, float]]:
+        """top() by scoring every doc."""
+        acc = self._accumulate(tokens, range(len(self.ids)))
         best = heapq.nlargest(k, self._by_id, key=acc.__getitem__)
         return [(pos, acc[pos]) for pos in best]
 
@@ -299,8 +364,12 @@ class Bm25Index:
         if norm == 0.0:
             return 0.0
         dot = 0
+        n_docs = len(self.ids)
         for bucket, count in query_vec.items():
             for positions, _, freqs in self._buckets.get(bucket, ()):
+                if len(positions) == n_docs:  # common term: positions 0..n-1
+                    dot += count * freqs[pos]
+                    continue
                 i = bisect_left(positions, pos)
                 if i < len(positions) and positions[i] == pos:
                     dot += count * freqs[i]

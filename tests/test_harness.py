@@ -524,6 +524,21 @@ def test_retrieval_metrics_on_retrieval_20():
     assert maintained["recall_at_k"] == 1.0
 
 
+def test_eval_lists_each_query_with_its_top_k():
+    report = run_pipeline("retrieval-20", seed=0)
+    _, queries = build_retrieval_scenario(20)
+    for cond in report.conditions.values():
+        entries = cond["queries"]
+        assert [e["query"] for e in entries] == [text for text, _ in queries]
+        assert all(len(e["top_k"]) == report.k for e in entries)
+        assert sum(e["hit"] for e in entries) == cond["hits"]
+    # before maintenance the decoys crowd every top k; after it the real
+    # skill of query NN, real-NN, is among them
+    assert not any(e["hit"] for e in report.conditions["raw"]["queries"])
+    for i, entry in enumerate(report.conditions["maintained"]["queries"]):
+        assert entry["hit"] and f"real-{i:02d}" in entry["top_k"]
+
+
 def test_recall_counts_only_relevant_ids_the_library_holds(tmp_path, capsys):
     lib = Library(skills=(
         _skill("load-a", [], ["out"], body="Load the batch into the store."),

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import itertools
 import math
 import random
@@ -10,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from skillops import planner
 
 from skillops.contract import ConfigInvalid, EmptyLibrary, Library, make_contract
+from skillops.debtgen import build_library
+from skillops.harness import _library_queries
 from skillops.hseg import build_hseg
 from skillops.planner import (
     CANONICAL_CHECKLIST_ITEM,
@@ -331,6 +334,107 @@ def test_rank_zero_fill_takes_unscored_docs_by_ascending_id():
     ranked = rank_candidates(Library(skills=tuple(sks)), "zebra", cfg)
     assert ranked == reference_rank(sks, "zebra", cfg)
     assert [sid for sid, _ in ranked] == ["hit", "z01", "z02", "z03", "z04"]
+
+
+# ---------------------------------------------------------------------------
+# exact top k over the docs that can reach it
+
+# "the" and "and" occur in every document below, so they are common terms;
+# every other word is rare.  Each case is (docs, query, k).
+THREE = {"b": "the alpha and", "a": "the beta and", "c": "the the and"}
+ONLY_COMMON = (THREE, "the and the", 2)
+NO_COMMON = (THREE, "alpha beta gamma", 2)
+FEWER_THAN_K = (THREE, "the alpha", 2)
+# alpha is held only by a long doc, so its weight is small, and the short
+# doc full of "the" outscores it without holding a rare term
+LOW_THETA = (
+    {"a": "the alpha and" + " delta" * 40, "b": "the the the and", "c": "the and beta"},
+    "the the the the alpha",
+    1,
+)
+TIED_AT_THETA = (
+    {"d": "the beta and", "b": "the alpha and", "c": "the alpha and",
+     "a": "the alpha and", "e": "the and"},
+    "the alpha",
+    2,
+)
+
+COMMON = ("the", "and")
+RARE = ("alpha", "beta", "gamma", "delta", "omega") + COLLIDING
+common_docs = st.tuples(
+    st.integers(1, 3), st.integers(1, 2),
+    st.lists(st.sampled_from(RARE + ("--",)), max_size=5),
+).map(lambda t: " ".join(["the"] * t[0] + t[2] + ["and"] * t[1]))
+# common and rare tokens in any order, so both kinds usually meet in a query
+common_queries = st.tuples(
+    st.lists(st.sampled_from(COMMON), min_size=1, max_size=4),
+    st.lists(st.sampled_from(RARE + ("absent",)), min_size=1, max_size=6),
+).flatmap(lambda t: st.permutations(t[0] + t[1])).map(" ".join)
+
+
+def dense_top(docs, query, k1b, k):
+    """nlargest over every doc's dense score, ties by ascending id."""
+    raw = reference_bm25_scores(docs, query, *k1b)
+    best = heapq.nlargest(k, sorted(raw), key=raw.__getitem__)
+    return [(sid, raw[sid]) for sid in best]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.from_regex(r"[a-z]{1,3}", fullmatch=True), common_docs,
+                       min_size=2, max_size=14),
+       common_queries, st.integers(1, 5), params)
+@example(*ONLY_COMMON, (1.2, 0.75))
+@example(*NO_COMMON, (1.2, 0.75))
+@example(*FEWER_THAN_K, (1.2, 0.75))
+@example(*LOW_THETA, (1.2, 0.75))
+@example(*TIED_AT_THETA, (1.2, 0.75))
+def test_pruned_top_equals_full_scan(docs, query, k, k1b):
+    index = Bm25Index(docs, k1=k1b[0], b=k1b[1])
+    got = [(index.ids[pos], score) for pos, score in index.top(tokenize(query), k)]
+    assert got == dense_top(docs, query, k1b, k)
+
+
+@pytest.mark.parametrize("case, scans_all", [
+    (ONLY_COMMON, True),
+    (NO_COMMON, True),
+    (FEWER_THAN_K, True),
+    (LOW_THETA, True),
+    (TIED_AT_THETA, False),
+])
+def test_top_scans_all_docs_only_when_it_must(monkeypatch, case, scans_all):
+    docs, query, k = case
+    index = Bm25Index(docs)
+    assert set(index._common_max) == set(COMMON)
+    full = []
+    real = Bm25Index._top_of_all
+
+    def counting(self, *args):
+        full.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(Bm25Index, "_top_of_all", counting)
+    got = [(index.ids[pos], score) for pos, score in index.top(tokenize(query), k)]
+    assert got == dense_top(docs, query, (1.2, 0.75), k)
+    assert bool(full) == scans_all
+    if case is LOW_THETA:
+        assert got[0][0] == "b"  # the doc without a rare term wins
+    if case is TIED_AT_THETA:
+        assert [sid for sid, _ in got] == ["a", "b"]
+
+
+def test_library_queries_take_the_pruned_path(monkeypatch):
+    lib, provenance = build_library(1000, 0.6, 42)
+    cfg = PlannerConfig()
+    queries = _library_queries(lib, provenance, 42, 20)
+    assert len(queries) == 20
+    rank_candidates(lib, queries[0][0], cfg)  # builds the index
+
+    def refuse(self, *args):
+        raise AssertionError("a library query scored every doc")
+
+    monkeypatch.setattr(Bm25Index, "_top_of_all", refuse)
+    for text, _ in queries:
+        assert rank_candidates(lib, text, cfg) == reference_rank(lib.skills, text, cfg)
 
 
 # ---------------------------------------------------------------------------
