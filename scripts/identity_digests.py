@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Print one ``case sha256`` line per output of a fixed byte-identity matrix.
+
+Run it against two checkouts and diff the output; a change that is meant to
+keep every output byte-identical must print the same lines::
+
+    python3 scripts/identity_digests.py --src /path/to/parent/src > before.txt
+    python3 scripts/identity_digests.py > after.txt
+    diff before.txt after.txt
+
+The matrix covers:
+
+  pipeline      ``run_pipeline`` JSON for every scenario at seeds 0 and 42,
+                without ``timing_s``
+  trace         the ``save_trace`` bytes of ``exercise_library``
+  maintain      ``library_fingerprint`` of the output plus the report JSON,
+                over trace on/off x dep mode x comp threshold {0, 0.3, 0.6}
+                x CGPD on/off x force on/off
+  diagnose      the ``library_health`` JSON at windows 100 and 3, on the
+                probe trace and on a mixed trace (pseudo-random outcomes,
+                interleaved skills, ids outside the library), the CGPD
+                risks, iterations and convergence, and ``Hseg.export()``
+
+each on ``build_library`` at (200, 0.0, 0), (500, 0.6, 42) and
+(1000, 0.3, 7).  Output does not depend on ``PYTHONHASHSEED``.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from itertools import product
+from pathlib import Path
+
+LIBRARIES = ((200, 0.0, 0), (500, 0.6, 42), (1000, 0.3, 7))
+THRESHOLDS = (0.0, 0.3, 0.6)
+DEP_MODES = ("subset", "overlap")
+PIPELINE_SEEDS = (0, 42)
+
+
+def _digest(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
+
+
+def _mixed_trace(lib, seed: int):
+    """Eight entries per skill on average, in random skill order, with
+    random outcomes and one id in ten outside the library."""
+    from skillops.debtgen import Xorshift64Star, derive_seed
+    from skillops.planner import ExecutionTrace, TraceEntry
+
+    rng = Xorshift64Star(derive_seed(seed, 4242))
+    ids = sorted(lib.ids())
+    entries = []
+    for step in range(8 * len(ids)):
+        sid = rng.choice(ids) if rng.randrange(10) else f"ghost-{rng.randrange(5)}"
+        ok = rng.randrange(3) > 0
+        entries.append(TraceEntry("mixed", sid, step, "success" if ok else "failure",
+                                  None if ok else "boom"))
+    return ExecutionTrace(entries=tuple(entries))
+
+
+def cases():
+    """Yield (case name, sha256) for every case, in a fixed order."""
+    from skillops.cgpd import CgpdConfig, propagate
+    from skillops.contract import library_fingerprint
+    from skillops.debtgen import build_library
+    from skillops.harness import SCENARIOS, exercise_library, run_pipeline, save_trace
+    from skillops.health import library_health
+    from skillops.hseg import build_hseg
+    from skillops.maint import MaintenanceConfig, run_maintenance
+    from skillops.planner import EMPTY_TRACE
+
+    for scenario, seed in product(SCENARIOS, PIPELINE_SEEDS):
+        report = run_pipeline(scenario, seed).as_dict()
+        report.pop("timing_s")
+        yield f"pipeline/{scenario}/seed{seed}", _digest(_json(report))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, noise, seed in LIBRARIES:
+            lib_name = f"lib{n}-{noise}-{seed}"
+            lib, _ = build_library(n, noise, seed)
+            trace = exercise_library(lib)
+            path = Path(tmp) / f"{lib_name}.jsonl"
+            save_trace(trace, path)
+            yield f"trace/{lib_name}", _digest(path.read_bytes())
+
+            g = build_hseg(lib.skills, adapters=lib.adapters)
+            mixed = _mixed_trace(lib, seed)
+            for window, (trace_name, t) in product(
+                (3, 100), (("mixed", mixed), ("probe", trace))
+            ):
+                health = library_health(lib, g, t, window=window)
+                yield (f"diagnose/{lib_name}/health-{trace_name}-w{window}",
+                       _digest(_json(health.as_dict())))
+            health = library_health(lib, g, trace)
+            result = propagate(g, health.local_risks(), CgpdConfig())
+            yield f"diagnose/{lib_name}/cgpd", _digest(_json({
+                "risk": result.risk,
+                "iterations": result.iterations_used,
+                "converged": result.converged,
+            }))
+            yield f"diagnose/{lib_name}/export", _digest(_json(g.export()))
+
+            for traced, dep_mode, threshold, cgpd, force in product(
+                (True, False), DEP_MODES, THRESHOLDS, (True, False), (True, False)
+            ):
+                cfg = MaintenanceConfig(
+                    force=force,
+                    comp_threshold=threshold,
+                    dep_mode=dep_mode,
+                    cgpd=CgpdConfig() if cgpd else None,
+                )
+                out, report = run_maintenance(lib, trace if traced else EMPTY_TRACE, cfg)
+                name = (f"maintain/{lib_name}/{'trace' if traced else 'notrace'}"
+                        f"/{dep_mode}/t{threshold}/{'cgpd' if cgpd else 'nocgpd'}"
+                        f"/{'force' if force else 'noforce'}")
+                yield name, _digest(library_fingerprint(out) + "\n"
+                                    + _json(report.as_dict()))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument(
+        "--src",
+        default=str(Path(__file__).resolve().parent.parent / "src"),
+        help="directory holding the skillops package to import "
+             "(default: this checkout's src/)",
+    )
+    args = ap.parse_args()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import skillops
+
+    if src not in Path(skillops.__file__).resolve().parents:
+        sys.exit(f"imported skillops from {skillops.__file__}, not from {src}")
+    for name, digest in cases():
+        print(name, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()

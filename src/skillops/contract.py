@@ -16,7 +16,7 @@ Cost: ``parse_skill_file`` is one pass over a file's lines, one
 ``partition`` per front matter line, with the section regex run only on
 lines that start with ``## ``.  It parses the 2000 files of
 ``build_library(2000, 0.3, 42)`` in 90-110 ms (45-55 us a file, in-process
-on a 2-vCPU VM), where the line-by-line parser it replaced took 135-175 ms.
+on a 2-vCPU VM).
 """
 
 from __future__ import annotations

@@ -350,22 +350,15 @@ class SimulatedExecutor:
 
 def exercise_library(lib: Library, calls: int = 4) -> ExecutionTrace:
     """Probe every skill a fixed number of times through the simulated
-    executor and return the combined trace."""
+    executor and return the combined trace.  One verdict serves all of a
+    skill's calls: it reads only the contract, and this executor has no
+    scripted overrides, so every attempt ends the same way."""
     ex = SimulatedExecutor(lib)
     entries = []
     for s in sorted(lib.skills, key=lambda s: s.id):
-        task = TaskSpec(id=f"probe-{s.id}", goal_text=s.goal)
-        for i in range(calls):
-            ok, err = ex(task, s.id, (), i, None)
-            entries.append(
-                TraceEntry(
-                    task_id=task.id,
-                    skill=s.id,
-                    step=i,
-                    outcome="success" if ok else "failure",
-                    error_code=None if ok else err,
-                )
-            )
+        ok, err = ex.verdict(s.id)
+        task_id, outcome = f"probe-{s.id}", "success" if ok else "failure"
+        entries.extend(TraceEntry(task_id, s.id, i, outcome, err) for i in range(calls))
     trace = ExecutionTrace(entries=tuple(entries))
     trace.validate()
     return trace

@@ -9,6 +9,9 @@ Each skill gets five signals in [0, 1]:
   F  failure rate over the same window (0.0 when never called)
   G  1 exactly when the skill has no validator checklist
 
+U and F come from one pass over the trace from its newest entry back, which
+counts each skill's successes and calls until its window is full.
+
 Library health H is the weighted per-skill score averaged over the library,
 debt is 1 - H.  Under uniform weights H equals 1 minus the mean local risk.
 Sums use math.fsum so an all-perfect library scores exactly 1.0.
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 from skillops.contract import ConfigInvalid, EmptyLibrary, Library, SkillContract
 from skillops.hseg import Hseg
-from skillops.planner import ExecutionTrace, TraceEntry
+from skillops.planner import ExecutionTrace
 
 __all__ = [
     "HealthVector",
@@ -88,24 +91,27 @@ def local_risk(hv: HealthVector) -> float:
 
 
 def _check_window(window: int) -> None:
-    # a slice entries[-window:] with window <= 0 would keep the oldest
-    # calls (or all of them) instead of the most recent window
+    # a window below 1 would count no calls, so every skill would read as
+    # never called
     if window < 1:
         raise ConfigInvalid(f"window must be positive, got {window}")
 
 
-def _usage_rates(entries, window: int) -> tuple[float, float]:
-    if not entries:
-        return 0.5, 0.0
-    recent = entries[-window:]
-    successes = sum(1 for e in recent if e.outcome == "success")
-    return successes / len(recent), (len(recent) - successes) / len(recent)
+def _window_counts(trace: ExecutionTrace, ids, window: int) -> dict[str, list[int]]:
+    """[successes, calls] over each id's last `window` trace entries, from
+    one pass over the trace from its newest entry back."""
+    counts = {sid: [0, 0] for sid in ids}
+    for e in reversed(trace.entries):
+        c = counts.get(e.skill)
+        if c is not None and c[1] < window:
+            c[1] += 1
+            if e.outcome == "success":
+                c[0] += 1
+    return counts
 
 
-def _vector(
-    s: SkillContract, g: Hseg, entries: tuple[TraceEntry, ...], window: int
-) -> HealthVector:
-    u, f = _usage_rates(entries, window)
+def _vector(s: SkillContract, g: Hseg, successes: int, calls: int) -> HealthVector:
+    u, f = (successes / calls, (calls - successes) / calls) if calls else (0.5, 0.0)
     cluster = len(g.red_cluster_of(s.id))
     r = (cluster - 1) / max(1, len(g.nodes) - 1)
     dep_total, dep_ok = g.incident_dep_counts(s.id)
@@ -120,8 +126,7 @@ def health_vector(
     window: int = DEFAULT_WINDOW,
 ) -> HealthVector:
     _check_window(window)
-    entries = tuple(e for e in trace.entries if e.skill == s.id)
-    return _vector(s, g, entries, window)
+    return _vector(s, g, *_window_counts(trace, (s.id,), window)[s.id])
 
 
 @dataclass(frozen=True)
@@ -157,13 +162,8 @@ def library_health(
     skills = lib.skills
     if not skills:
         raise EmptyLibrary("cannot diagnose an empty library")
-    buckets: dict[str, list[TraceEntry]] = {s.id: [] for s in skills}
-    for entry in trace.entries:
-        if entry.skill in buckets:
-            buckets[entry.skill].append(entry)
-    per_skill = {
-        s.id: _vector(s, g, tuple(buckets[s.id]), window) for s in skills
-    }
+    counts = _window_counts(trace, (s.id for s in skills), window)
+    per_skill = {s.id: _vector(s, g, *counts[s.id]) for s in skills}
     h = math.fsum(skill_score(hv, weights) for hv in per_skill.values()) / len(
         per_skill
     )

@@ -13,7 +13,8 @@ interface-signature groups instead of a materialized edge set and answers
 pair predicates from per-skill signatures.  The dep relation is built once
 between signatures from token postings (a dep pair always shares a token);
 parents, dep/comp counts and dep-only pairs are all read from it.  Edge
-listings for export or brute-force checks are generated on demand.
+listings for export or brute-force checks are generated on demand; above a
+comp threshold of 0 they too visit only signature pairs that share a token.
 """
 
 from __future__ import annotations
@@ -153,8 +154,15 @@ class Hseg:
 
     def iter_edges(self, kinds=EDGE_KINDS):
         if "dep" in kinds or "comp" in kinds:
+            # a dep pair shares a token, and so does a comp pair above
+            # threshold 0; at 0 every pair is comp, so every pair is walked
+            postings = _token_postings(self._p_groups) if self.comp_threshold > 0 else None
             for a_sig, srcs in self._a_groups.items():
-                for p_sig, dsts in self._p_groups.items():
+                p_sigs = self._p_groups if postings is None else dict.fromkeys(
+                    p_sig for token in a_sig for p_sig in postings.get(token, ())
+                )
+                for p_sig in p_sigs:
+                    dsts = self._p_groups[p_sig]
                     dep = self._dep_sig(a_sig, p_sig)
                     comp = self._comp_sig(a_sig, p_sig)
                     if not dep and not comp:
@@ -206,6 +214,15 @@ class Hseg:
                 for r in sorted(self.adapter_records, key=lambda r: (r.src, r.dst))
             ],
         }
+
+
+def _token_postings(p_sigs) -> dict[str, list[frozenset]]:
+    """token -> the precondition signatures holding it, in p_sigs order."""
+    postings: dict[str, list[frozenset]] = {}
+    for p_sig in p_sigs:
+        for token in p_sig:
+            postings.setdefault(token, []).append(p_sig)
+    return postings
 
 
 def build_hseg(
@@ -263,10 +280,7 @@ def build_hseg(
     # token lists all candidates; an overlap pair is any pair sharing a token.
     # Each pair adds group sizes to both signatures' dep/comp counts, and
     # walking _a_groups in order fixes the order of every parent list.
-    postings: dict[str, list[frozenset]] = {}
-    for p_sig in g._p_groups:
-        for token in p_sig:
-            postings.setdefault(token, []).append(p_sig)
+    postings = _token_postings(g._p_groups)
     parent_sigs: dict[frozenset, list] = {p_sig: [] for p_sig in g._p_groups}
     in_counts = {p_sig: [0, 0] for p_sig in g._p_groups}
     for a_sig, srcs in g._a_groups.items():

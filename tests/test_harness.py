@@ -433,6 +433,41 @@ def test_exercise_library_traces_every_skill():
     assert exercise_library(lib, calls=4) == trace
 
 
+def reference_exercise(lib, calls=4):
+    """The replaying probe loop: one TaskSpec per skill and one executor
+    call per attempt."""
+    ex = SimulatedExecutor(lib)
+    entries = []
+    for s in sorted(lib.skills, key=lambda s: s.id):
+        task = TaskSpec(id=f"probe-{s.id}", goal_text=s.goal)
+        for i in range(calls):
+            ok, err = ex(task, s.id, (), i, None)
+            entries.append(
+                TraceEntry(
+                    task_id=task.id,
+                    skill=s.id,
+                    step=i,
+                    outcome="success" if ok else "failure",
+                    error_code=None if ok else err,
+                )
+            )
+    assert ex.invocations == calls * len(lib)
+    return ExecutionTrace(entries=tuple(entries))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("calls", [0, 1, 4])
+def test_exercise_library_equals_the_replaying_loop(seed, calls):
+    lib, prov = build_library(300, 0.6, seed)
+    trace = exercise_library(lib, calls=calls)
+    assert trace == reference_exercise(lib, calls=calls)
+    if calls:
+        codes = {e.error_code for e in trace.entries}
+        assert "empty-artifacts" in codes
+        assert any(c and c.startswith("broken-link:") for c in codes)
+        assert None in codes
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 

@@ -276,3 +276,46 @@ def test_usage_rates_partition(succ, fail):
     else:
         assert hv.U + hv.F == pytest.approx(1.0, abs=1e-12)
         assert hv.U == pytest.approx(succ / (succ + fail), abs=1e-12)
+
+
+def reference_usage_rates(entries, window):
+    """U and F by slicing a skill's last `window` entries."""
+    if not entries:
+        return 0.5, 0.0
+    recent = entries[-window:]
+    successes = sum(1 for e in recent if e.outcome == "success")
+    return successes / len(recent), (len(recent) - successes) / len(recent)
+
+
+_TRACE_IDS = ["a", "b", "c", "d", "ghost", "adapt--a--b"]  # last two not in the library
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["t1", "t2", "t3"]),
+            st.sampled_from(_TRACE_IDS),
+            st.booleans(),
+        ),
+        max_size=60,
+    ),
+    window=st.sampled_from([1, 2, 3, 100]),
+)
+def test_window_counts_equal_the_slice_formula(calls, window):
+    sks = [skill(sid) for sid in _TRACE_IDS[:4]]
+    g = build_hseg(sks)
+    steps = {}
+    entries = []
+    for task, sid, ok in calls:  # tasks interleave, steps rise per task
+        steps[task] = steps.get(task, -1) + 1
+        outcome, code = ("success", None) if ok else ("failure", "boom")
+        entries.append(TraceEntry(task, sid, steps[task], outcome, code))
+    trace = ExecutionTrace(tuple(entries))
+    report = library_health(Library(skills=tuple(sks)), g, trace, window=window)
+    for s in sks:
+        u, f = reference_usage_rates(
+            tuple(e for e in entries if e.skill == s.id), window
+        )
+        for hv in (report.per_skill[s.id], health_vector(s, g, trace, window)):
+            assert (hv.U.hex(), hv.F.hex()) == (u.hex(), f.hex())  # bit for bit

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillops.contract import AdapterShim, DuplicateSkillId, make_contract
+from skillops.debtgen import build_library
 from skillops.hseg import build_hseg, jaccard
 
 
@@ -255,6 +256,22 @@ def test_edges_match_brute_force_oracle(lib, threshold, dep_mode, data):
 
 # every (dep_mode, comp_threshold) pair, checked on each drawn library
 GRAPH_CONFIGS = [(m, t) for m in ("subset", "overlap") for t in (0.0, 0.3, 0.5)]
+
+
+@pytest.fixture(scope="module")
+def generated_library():
+    lib, _ = build_library(300, 0.5, 3)
+    return list(lib.skills)
+
+
+@pytest.mark.parametrize("dep_mode, threshold", GRAPH_CONFIGS)
+def test_generated_library_edges_match_brute_force_oracle(
+    generated_library, dep_mode, threshold
+):
+    # a clone-heavy library: above threshold 0 the listing walks only the
+    # signature pairs that share a token, at 0 every pair
+    g = build_hseg(generated_library, comp_threshold=threshold, dep_mode=dep_mode)
+    assert g.edge_set() == brute_force_edges(generated_library, threshold, dep_mode)
 
 
 @settings(max_examples=60, deadline=None)
