@@ -20,6 +20,11 @@ The matrix covers:
                 probe trace and on a mixed trace (pseudo-random outcomes,
                 interleaved skills, ids outside the library), the CGPD
                 risks, iterations and convergence, and ``Hseg.export()``
+  load          the library and its probe trace written with
+                ``save_library``/``save_trace`` and read back with
+                ``load_library``/``load_trace``: the loaded library's
+                ``library_fingerprint``, and the ``run_maintenance`` output
+                fingerprint plus report JSON built from the loaded inputs
 
 each on ``build_library`` at (200, 0.0, 0), (500, 0.6, 42) and
 (1000, 0.3, 7).  Output does not depend on ``PYTHONHASHSEED``.
@@ -71,7 +76,15 @@ def cases():
     from skillops.cgpd import CgpdConfig, propagate
     from skillops.contract import library_fingerprint
     from skillops.debtgen import build_library
-    from skillops.harness import SCENARIOS, exercise_library, run_pipeline, save_trace
+    from skillops.harness import (
+        SCENARIOS,
+        exercise_library,
+        load_library,
+        load_trace,
+        run_pipeline,
+        save_library,
+        save_trace,
+    )
     from skillops.health import library_health
     from skillops.hseg import build_hseg
     from skillops.maint import MaintenanceConfig, run_maintenance
@@ -90,6 +103,14 @@ def cases():
             path = Path(tmp) / f"{lib_name}.jsonl"
             save_trace(trace, path)
             yield f"trace/{lib_name}", _digest(path.read_bytes())
+
+            save_library(lib, Path(tmp) / lib_name)
+            loaded, _ = load_library(Path(tmp) / lib_name)
+            loaded_trace = load_trace(path)
+            yield f"load/{lib_name}/library", _digest(library_fingerprint(loaded))
+            out, report = run_maintenance(loaded, loaded_trace, MaintenanceConfig())
+            yield f"load/{lib_name}/maintain", _digest(library_fingerprint(out) + "\n"
+                                                       + _json(report.as_dict()))
 
             g = build_hseg(lib.skills, adapters=lib.adapters)
             mixed = _mixed_trace(lib, seed)

@@ -40,9 +40,10 @@ from skillops.contract import (
     ConfigInvalid,
     Library,
     SkillOpsError,
+    _parse_skill_file,
     library_fingerprint,
     make_contract,
-    parse_skill_file,
+    parse_skill_file,  # unused here; skillbench/tracing.py wraps harness.parse_skill_file
     serialize_skill_file,
 )
 from skillops.debtgen import (
@@ -112,17 +113,31 @@ class MalformedQueryLine(_MalformedLine):
     what = "query"
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _json_objects(path: str | Path, error: type[_MalformedLine]):
     """(line number, object) for each non-blank line of a JSON-lines file;
-    a line that is not a JSON object raises `error`."""
-    text = Path(path).read_text(encoding="utf-8")
+    a line that is not a JSON object raises `error`.  A leading UTF-8
+    byte-order mark is dropped.
+
+    A line is decoded with one raw_decode call from index 0.  A line that
+    call does not consume whole (surrounding whitespace, a CR, extra data,
+    a syntax error) goes through json.loads, so every line is accepted or
+    rejected, with the same message, as json.loads would."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise error(line_no, f"invalid JSON ({e.msg})") from None
+            obj, end = _DECODER.raw_decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise error(line_no, f"invalid JSON ({e.msg})") from None
         if not isinstance(obj, dict):
             raise error(line_no, "expected an object")
         yield line_no, obj
@@ -181,10 +196,10 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
     (root / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
-def _read_entry(root: Path, entry, keys: tuple[str, ...]):
-    """Parse the skill file a manifest entry names.  The entry must carry
-    `keys` as strings, and its path must not be absolute or climb out with
-    `..`.
+def _read_entry(root: Path, entry, keys: tuple[str, ...], sets: dict[str, frozenset[str]]):
+    """Parse the skill file a manifest entry names, sharing interface and
+    tag sets through `sets`.  The entry must carry `keys` as strings, and
+    its path must not be absolute or climb out with `..`.
 
     The file is read as bytes: parse_skill_file folds CR and CRLF line ends
     itself, so text mode's newline translation would only add cost.  A
@@ -195,18 +210,25 @@ def _read_entry(root: Path, entry, keys: tuple[str, ...]):
     if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
         raise ManifestError(f"manifest path {rel!r} leaves the library {root}")
     with open(os.path.join(root, rel), "rb") as f:
-        return parse_skill_file(f.read().decode("utf-8-sig"))
+        return _parse_skill_file(f.read().decode("utf-8-sig"), sets)
 
 
 def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
     """Read a library directory back.  Front matter is authoritative for
     contract content; the manifest supplies ordering, provenance and the
-    adapter pairing."""
+    adapter pairing.
+
+    Skills whose preconditions, artifact.type or tags have the same front
+    matter text share one frozenset, built once per call; nothing is cached
+    across calls."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ManifestError(f"{root} has no manifest.json")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
+    except json.JSONDecodeError as e:
+        raise ManifestError(f"{manifest_path}: invalid JSON ({e})") from None
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise ManifestError(f"unsupported format_version: {version!r}")
@@ -216,8 +238,9 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
             raise ManifestError(f"manifest {key!r} must be a list, got {entries!r}")
     skills = []
     provenance: dict[str, str] = {}
+    sets: dict[str, frozenset[str]] = {}
     for entry in sections["skills"]:
-        contract = _read_entry(root, entry, ("id", "path"))
+        contract = _read_entry(root, entry, ("id", "path"), sets)
         if contract.id != entry["id"]:
             raise ManifestError(
                 f"{entry['path']}: file declares id {contract.id!r},"
@@ -230,7 +253,7 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
         provenance[contract.id] = origin
     adapters = []
     for entry in sections["adapters"]:
-        contract = _read_entry(root, entry, ("src", "dst", "path"))
+        contract = _read_entry(root, entry, ("src", "dst", "path"), sets)
         adapters.append(AdapterShim(src=entry["src"], dst=entry["dst"], contract=contract))
     return Library(skills=tuple(skills), adapters=tuple(adapters)), provenance
 
@@ -667,7 +690,7 @@ def cmd_plan(args) -> int:
 
 
 def _read_action_list(path: str) -> list[str]:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if isinstance(obj, dict):
         obj = obj.get("actions")
     if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from skillops.contract import ConfigInvalid, EmptyLibrary, Library, SkillContract
 from skillops.hseg import Hseg
@@ -40,8 +41,10 @@ __all__ = [
 DEFAULT_WINDOW = 100
 
 
-@dataclass(frozen=True)
-class HealthVector:
+class HealthVector(NamedTuple):
+    """A skill's five signals.  A tuple, so building one per skill skips a
+    frozen dataclass's per-field ``object.__setattr__``."""
+
     U: float
     R: float
     C: float
@@ -116,7 +119,7 @@ def _vector(s: SkillContract, g: Hseg, successes: int, calls: int) -> HealthVect
     r = (cluster - 1) / max(1, len(g.nodes) - 1)
     dep_total, dep_ok = g.incident_dep_counts(s.id)
     c = dep_ok / dep_total if dep_total else 1.0
-    return HealthVector(U=u, R=r, C=c, F=f, G=0.0 if s.checklist else 1.0)
+    return HealthVector(u, r, c, f, 0.0 if s.checklist else 1.0)
 
 
 def health_vector(

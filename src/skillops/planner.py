@@ -35,6 +35,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from skillops.contract import (
     AdapterShim,
@@ -139,8 +140,11 @@ class Plan:
     total_score: float
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
+    """One logged invocation.  A tuple, not a frozen dataclass: traces hold
+    one entry per call, and a tuple is built without a per-field
+    ``object.__setattr__``."""
+
     task_id: str
     skill: str
     step: int

@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skillops.contract import (
     ArtifactDirs,
@@ -22,8 +23,10 @@ from skillops.contract import (
 )
 from skillops.debtgen import build_library
 from skillops.harness import (
+    MalformedQueryLine,
     MalformedTraceLine,
     ManifestError,
+    _json_objects,
     SimulatedExecutor,
     build_retrieval_scenario,
     exercise_library,
@@ -264,6 +267,69 @@ def test_load_reads_a_skill_file_with_a_byte_order_mark(tmp_path):
     assert library_fingerprint(loaded) == library_fingerprint(lib)
 
 
+def test_load_shares_equal_set_texts_within_one_call(tmp_path):
+    lib = Library(skills=(
+        _skill("a", ["x", "y"], ["z"], tags=frozenset({"t"})),
+        _skill("b", ["x", "y"], ["y"], tags=frozenset({"t"})),
+        _skill("c", ["y"], ["z"]),
+    ))
+    target = tmp_path / "lib"
+    save_library(lib, target)
+    loaded, _ = load_library(target)
+    a, b, c = loaded.skills
+    assert loaded == lib
+    assert a.preconditions is b.preconditions  # same "[x, y]" text
+    assert a.tags is b.tags
+    assert a.artifact_types is c.artifact_types
+    # "[y]" is read as b's artifact.type and as c's preconditions
+    assert b.artifact_types is c.preconditions
+    # nothing outlives the call: a fresh parse or load builds its own sets
+    text = (target / "skills" / "a" / "SKILL.md").read_text()
+    alone = parse_skill_file(text)
+    assert alone == a and alone.preconditions is not a.preconditions
+    assert parse_skill_file(text).preconditions is not alone.preconditions
+    again, _ = load_library(target)
+    assert again == loaded and again.skills[0].preconditions is not a.preconditions
+
+
+def test_load_reports_list_syntax_after_a_shared_set(tmp_path):
+    # b's preconditions text was read for a; its artifact.type and tags
+    # lists are both broken, and artifact.type is still reported first
+    tags = frozenset({"t"})
+    lib = Library(skills=(_skill("a", ["x"], ["y"], tags=tags),
+                          _skill("b", ["x"], ["y"], tags=tags)))
+    target = tmp_path / "lib"
+    save_library(lib, target)
+    path = target / "skills" / "b" / "SKILL.md"
+    bad = path.read_text().replace("artifact.type: [y]", "artifact.type: y")
+    path.write_text(bad.replace("tags: [t]", "tags: t"))
+    with pytest.raises(MalformedFrontMatter) as err:
+        load_library(target)
+    assert str(err.value) == "artifact.type: expected a [a, b] list, got 'y'"
+
+
+def test_truncated_manifest_names_the_file_and_exits_two(tmp_path, capsys):
+    lib, prov = build_library(3, 0.0, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    path = target / "manifest.json"
+    path.write_text(path.read_text()[:33])
+    with pytest.raises(ManifestError) as err:
+        load_library(target)
+    assert str(err.value).startswith(f"{path}: invalid JSON (")
+    assert main(["diagnose", "--lib", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_load_reads_a_manifest_with_a_byte_order_mark(tmp_path):
+    lib, prov = build_library(3, 0.0, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    path = target / "manifest.json"
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert load_library(target) == (lib, prov)
+
+
 def test_load_keeps_extras_and_a_failure_modes_section(tmp_path):
     skill = _skill("a", ["x"], ["y"], failure_modes=frozenset({"timeout"}),
                    extras=(("x-origin", "legacy batch 7"), ("x-owner", "ops")))
@@ -385,6 +451,90 @@ def test_trace_error_code_may_be_null_and_bad_types_exit_two(tmp_path, capsys):
         path.write_text(line + "\n")
         assert main(["diagnose", "--lib", libdir, "--trace", str(path)]) == 2
         assert "trace line 1:" in capsys.readouterr().err
+
+
+def test_trace_with_a_byte_order_mark_loads(tmp_path):
+    trace = exercise_library(build_library(6, 0.5, seed=3)[0], calls=2)
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert load_trace(path) == trace
+
+
+def reference_json_objects(path, error):
+    """_json_objects as it was before the single-call decode: json.loads on
+    every line (a leading byte-order mark aside)."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise error(line_no, f"invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict):
+            raise error(line_no, "expected an object")
+        yield line_no, obj
+
+
+def _decoded(read, path, error):
+    """The list a JSON-lines reader yields, or (line_no, message, type)."""
+    try:
+        return list(read(path, error))
+    except error as e:
+        return e.line_no, str(e), type(e)
+
+
+def _assert_decodes_like_json_loads(path):
+    for error in (MalformedTraceLine, MalformedQueryLine):
+        assert (_decoded(_json_objects, path, error)
+                == _decoded(reference_json_objects, path, error))
+
+
+@pytest.mark.parametrize("line", [
+    ' {"a": 1}', '{"a": 1} ', '\t{"a": [1, {"b": null}]}\t ', '{"a": 1}\r', ' {} \r',
+])
+def test_json_lines_with_json_whitespace_still_load(tmp_path, line):
+    path = tmp_path / "lines.jsonl"
+    path.write_text('{"first": true}\n' + line + "\n", newline="")
+    assert _decoded(_json_objects, path, MalformedTraceLine) == [
+        (1, {"first": True}), (2, json.loads(line))
+    ]
+    _assert_decodes_like_json_loads(path)
+
+
+@pytest.mark.parametrize("line,message", [
+    ('\f{"a": 1}', "invalid JSON (Expecting value)"),
+    ('\u00a0{"a": 1}', "invalid JSON (Expecting value)"),
+    ('{"a": 1}\f', "invalid JSON (Extra data)"),
+    ('{"a": 1}\u00a0', "invalid JSON (Extra data)"),
+    ("{} {}", "invalid JSON (Extra data)"),
+    ("\ufeff{}", "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    ('{"a": 1', "invalid JSON (Expecting ',' delimiter)"),
+    ("5", "expected an object"),
+    (' "text" ', "expected an object"),
+    ("null", "expected an object"),
+    ("[{}]", "expected an object"),
+])
+def test_json_lines_keep_their_rejections(tmp_path, line, message):
+    path = tmp_path / "lines.jsonl"
+    path.write_text('{"first": true}\n' + line + "\n", newline="")
+    for error in (MalformedTraceLine, MalformedQueryLine):
+        want = (2, f"{error.what} line 2: {message}", error)
+        assert _decoded(_json_objects, path, error) == want
+    _assert_decodes_like_json_loads(path)
+
+
+_JSON_PIECES = ('{', '}', '[', ']', '"a"', '"\\u00e9"', ':', ',', '1', '-0.5e3', 'null',
+                'true', ' ', '\t', '\r', '\f', '\u00a0', '\ufeff', 'x', '\n')
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_JSON_PIECES), max_size=12).map("".join))
+def test_json_lines_decode_like_json_loads(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("lines") / "lines.jsonl"
+    path.write_text('{"first": true}\n' + text + '\n{"last": 1}\n', newline="")
+    _assert_decodes_like_json_loads(path)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +869,14 @@ def test_cli_grade_needs_exactly_one_input_per_side(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_grade_reads_json_files_with_a_byte_order_mark(tmp_path, capsys):
+    plan, gold = tmp_path / "plan.json", tmp_path / "gold.json"
+    plan.write_bytes(codecs.BOM_UTF8 + b'{"actions": ["a", "b"]}')
+    gold.write_bytes(codecs.BOM_UTF8 + b'["a", "b"]')
+    code, verdict = _run(capsys, ["grade", "--plan", str(plan), "--gold", str(gold)])
+    assert (code, verdict["exact_match"], verdict["gold"]) == (0, True, ["a", "b"])
+
+
 def test_cli_plan_infeasible_exits_one(tmp_path, capsys):
     a = _skill("only", ["never-true"], ["out"])
     libdir = str(tmp_path / "lib")
@@ -746,6 +904,20 @@ def test_cli_eval_retrieval(tmp_path, capsys):
     assert code == 0
     assert payload["n"] == 4
     assert payload["precision_at_k"] == 0.0  # decoys win before maintenance
+
+
+def test_cli_eval_retrieval_reads_a_query_file_with_a_byte_order_mark(tmp_path, capsys):
+    lib, queries = build_retrieval_scenario(4)
+    libdir = str(tmp_path / "lib")
+    save_library(lib, libdir)
+    text = "".join(json.dumps({"query": q, "relevant": sorted(rel)}) + "\n"
+                   for q, rel in queries)
+    plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+    plain.write_text(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    code, want = _run(capsys, ["eval-retrieval", "--lib", libdir, "--queries", str(plain)])
+    assert code == 0 and want["n"] == 4
+    assert _run(capsys, ["eval-retrieval", "--lib", libdir, "--queries", str(marked)]) == (0, want)
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,17 @@ def trace_of(counts):
     return ExecutionTrace(entries=tuple(entries))
 
 
+def test_health_vector_is_an_immutable_record():
+    hv = HealthVector(U=0.8, R=0.0, C=1.0, F=0.2, G=1.0)
+    assert hv == HealthVector(0.8, 0.0, 1.0, 0.2, 1.0) == (0.8, 0.0, 1.0, 0.2, 1.0)
+    assert (hv.U, hv.R, hv.C, hv.F, hv.G) == tuple(hv)
+    assert list(hv.as_dict().items()) == [
+        ("U", 0.8), ("R", 0.0), ("C", 1.0), ("F", 0.2), ("G", 1.0)
+    ]
+    with pytest.raises(AttributeError):
+        hv.U = 0.0
+
+
 def test_hand_vector_well_connected_validated_skill():
     # mid has one feeder and one consumer, both dep edges compatible,
     # a checklist, and an 8/10 success record

@@ -997,6 +997,19 @@ def test_trace_validation():
     ).validate()
 
 
+def test_trace_entry_is_an_immutable_record():
+    by_keyword = TraceEntry(task_id="t", skill="s", step=2, outcome="failure", error_code="e")
+    by_position = TraceEntry("t", "s", 2, "failure", "e")
+    assert by_keyword == by_position == ("t", "s", 2, "failure", "e")
+    entry = TraceEntry("t", "s", 0, "success")
+    assert entry.error_code is None
+    task_id, skill, step, outcome, error_code = entry
+    assert (task_id, skill, step, outcome, error_code) == ("t", "s", 0, "success", None)
+    with pytest.raises(AttributeError):
+        entry.outcome = "failure"
+    assert hash(entry) == hash(TraceEntry("t", "s", 0, "success", None))
+
+
 def test_grade_plan_strict_order():
     assert grade_plan(["a", "b"], ["a", "b"])
     assert not grade_plan(["a", "b"], ["b", "a"])
