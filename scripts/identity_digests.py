@@ -25,6 +25,10 @@ The matrix covers:
                 ``load_library``/``load_trace``: the loaded library's
                 ``library_fingerprint``, and the ``run_maintenance`` output
                 fingerprint plus report JSON built from the loaded inputs
+  plan          the ``skillops plan`` payload of ``build_plan``, or
+                ``{"feasible": false}``, for 25 seeded clean skills' goal
+                text and preconditions, on the library (``raw``) and on its
+                ``run_maintenance`` output (``maintained``)
 
 each on ``build_library`` at (200, 0.0, 0), (500, 0.6, 42) and
 (1000, 0.3, 7).  Output does not depend on ``PYTHONHASHSEED``.
@@ -42,6 +46,7 @@ LIBRARIES = ((200, 0.0, 0), (500, 0.6, 42), (1000, 0.3, 7))
 THRESHOLDS = (0.0, 0.3, 0.6)
 DEP_MODES = ("subset", "overlap")
 PIPELINE_SEEDS = (0, 42)
+PLAN_TASKS = 25
 
 
 def _digest(data) -> str:
@@ -71,6 +76,53 @@ def _mixed_trace(lib, seed: int):
     return ExecutionTrace(entries=tuple(entries))
 
 
+def _plan_payloads(lib, tasks) -> list:
+    """The ``skillops plan`` JSON payload of each task, ``{"feasible": false}``
+    where no plan exists."""
+    from skillops.hseg import build_hseg
+    from skillops.planner import (
+        NoFeasiblePlan,
+        PlannerConfig,
+        build_plan,
+        plan_action_strings,
+    )
+
+    g = build_hseg(lib.skills, adapters=lib.adapters)
+    payloads = []
+    for task in tasks:
+        try:
+            plan = build_plan(lib, g, task, PlannerConfig())
+        except NoFeasiblePlan:
+            payloads.append({"feasible": False})
+            continue
+        payloads.append({
+            "feasible": True,
+            "total_score": plan.total_score,
+            "steps": [
+                {"skill": s.skill, "inserted": s.inserted, "bindings": dict(s.bindings)}
+                for s in plan.steps
+            ],
+            "actions": list(plan_action_strings(plan)),
+        })
+    return payloads
+
+
+def _plan_tasks(lib, provenance, seed: int):
+    """One task per seeded clean skill: its goal words as the goal text and
+    its preconditions as the state facts."""
+    from skillops.debtgen import Xorshift64Star, derive_seed
+    from skillops.planner import TaskSpec
+
+    rng = Xorshift64Star(derive_seed(seed, 2525))
+    clean = sorted(sid for sid, p in provenance.items() if p == "clean")
+    by_id = lib.by_id()
+    return [
+        TaskSpec(id=f"t{i:02d}", goal_text=by_id[sid].goal.replace("-", " "),
+                 state_facts=by_id[sid].preconditions)
+        for i, sid in enumerate(rng.sample(clean, min(PLAN_TASKS, len(clean))))
+    ]
+
+
 def cases():
     """Yield (case name, sha256) for every case, in a fixed order."""
     from skillops.cgpd import CgpdConfig, propagate
@@ -98,7 +150,7 @@ def cases():
     with tempfile.TemporaryDirectory() as tmp:
         for n, noise, seed in LIBRARIES:
             lib_name = f"lib{n}-{noise}-{seed}"
-            lib, _ = build_library(n, noise, seed)
+            lib, provenance = build_library(n, noise, seed)
             trace = exercise_library(lib)
             path = Path(tmp) / f"{lib_name}.jsonl"
             save_trace(trace, path)
@@ -128,6 +180,12 @@ def cases():
                 "converged": result.converged,
             }))
             yield f"diagnose/{lib_name}/export", _digest(_json(g.export()))
+
+            tasks = _plan_tasks(lib, provenance, seed)
+            maintained, _ = run_maintenance(lib, trace, MaintenanceConfig())
+            for plan_name, plan_lib in (("raw", lib), ("maintained", maintained)):
+                yield (f"plan/{lib_name}/{plan_name}",
+                       _digest(_json(_plan_payloads(plan_lib, tasks))))
 
             for traced, dep_mode, threshold, cgpd, force in product(
                 (True, False), DEP_MODES, THRESHOLDS, (True, False), (True, False)

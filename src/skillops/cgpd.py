@@ -135,7 +135,7 @@ def propagate(
     and converged equal a per-skill walk's exactly.
     """
     cfg.validate()
-    ids = sorted(g.nodes)
+    ids = list(g.nodes)
     _check_cover(r_loc, ids, "r_loc")
     if initial is not None:
         _check_cover(initial, ids, "initial")

@@ -40,6 +40,7 @@ from skillops.contract import (
     ConfigInvalid,
     Library,
     SkillOpsError,
+    SkillParseError,
     _parse_skill_file,
     library_fingerprint,
     make_contract,
@@ -116,16 +117,35 @@ class MalformedQueryLine(_MalformedLine):
 _DECODER = json.JSONDecoder()
 
 
+def _read_text(path: str | Path, error: type[SkillOpsError]) -> str:
+    """The file's text, a leading byte-order mark dropped and line ends left
+    as they are.  Bytes that are not UTF-8 raise `error` naming the file and
+    the byte, and for a JSON-lines error the line (CR, LF and CRLF end one)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as e:
+        reason = f"{path} is not UTF-8 at byte {e.start} ({e.reason})"
+        head = data[:e.start]
+    if issubclass(error, _MalformedLine):
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise error(line_no, reason)
+    raise error(reason)
+
+
 def _json_objects(path: str | Path, error: type[_MalformedLine]):
     """(line number, object) for each non-blank line of a JSON-lines file;
-    a line that is not a JSON object raises `error`.  A leading UTF-8
-    byte-order mark is dropped.
+    a line that is not a JSON object, or a byte that is not UTF-8, raises
+    `error`.  A leading byte-order mark is dropped; CR and CRLF end lines.
 
     A line is decoded with one raw_decode call from index 0.  A line that
-    call does not consume whole (surrounding whitespace, a CR, extra data,
-    a syntax error) goes through json.loads, so every line is accepted or
+    call does not consume whole (surrounding whitespace, extra data, a
+    syntax error) goes through json.loads, so every line is accepted or
     rejected, with the same message, as json.loads would."""
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = _read_text(path, error)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
@@ -199,18 +219,20 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
 def _read_entry(root: Path, entry, keys: tuple[str, ...], sets: dict[str, frozenset[str]]):
     """Parse the skill file a manifest entry names, sharing interface and
     tag sets through `sets`.  The entry must carry `keys` as strings, and
-    its path must not be absolute or climb out with `..`.
+    its path must not be absolute or climb out with `..`.  Parse errors gain
+    the entry's path.
 
-    The file is read as bytes: parse_skill_file folds CR and CRLF line ends
-    itself, so text mode's newline translation would only add cost.  A
-    leading UTF-8 byte-order mark, which some editors write, is dropped."""
+    Line ends are not translated: parse_skill_file folds CR and CRLF itself."""
     if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in keys):
         raise ManifestError(f"manifest entry {entry!r} needs string keys {list(keys)}")
     rel = entry["path"]
     if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
         raise ManifestError(f"manifest path {rel!r} leaves the library {root}")
-    with open(os.path.join(root, rel), "rb") as f:
-        return _parse_skill_file(f.read().decode("utf-8-sig"), sets)
+    text = _read_text(os.path.join(root, rel), SkillParseError)
+    try:
+        return _parse_skill_file(text, sets)
+    except SkillParseError as e:
+        raise type(e)(f"{rel}: {e}") from None
 
 
 def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
@@ -226,7 +248,7 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
     if not manifest_path.exists():
         raise ManifestError(f"{root} has no manifest.json")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8-sig"))
+        manifest = json.loads(_read_text(manifest_path, ManifestError))
     except json.JSONDecodeError as e:
         raise ManifestError(f"{manifest_path}: invalid JSON ({e})") from None
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
@@ -690,7 +712,10 @@ def cmd_plan(args) -> int:
 
 
 def _read_action_list(path: str) -> list[str]:
-    obj = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    try:
+        obj = json.loads(_read_text(path, ConfigInvalid))
+    except json.JSONDecodeError as e:
+        raise ConfigInvalid(f"{path}: invalid JSON ({e})") from None
     if isinstance(obj, dict):
         obj = obj.get("actions")
     if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):

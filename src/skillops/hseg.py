@@ -10,9 +10,9 @@ Four directed edge kinds connect skills i -> j:
 
 Self edges never exist.  Because libraries are clone-heavy, the graph keeps
 interface-signature groups instead of a materialized edge set and answers
-pair predicates from per-skill signatures.  The dep relation is built once
-between signatures from token postings (a dep pair always shares a token);
-parents, dep/comp counts and dep-only pairs are all read from it.  Edge
+pair predicates from the contracts, kept once by id.  The dep relation is
+built once between signatures from token postings (a dep pair always shares
+a token); parents, dep/comp counts and dep-only pairs are read from it.  Edge
 listings for export or brute-force checks are generated on demand; above a
 comp threshold of 0 they too visit only signature pairs that share a token.
 """
@@ -50,17 +50,13 @@ class AdapterRecord:
 
 @dataclass
 class Hseg:
-    """Built by build_hseg; treat as immutable once constructed."""
+    """Built by build_hseg; treat as immutable once constructed.  `nodes`
+    maps each skill id to its contract in ascending id order."""
 
-    nodes: frozenset[str]
+    nodes: dict[str, SkillContract]
     comp_threshold: float
     dep_mode: str
     adapter_records: frozenset[AdapterRecord]
-
-    artifact_sets: dict[str, frozenset] = field(default_factory=dict)
-    precondition_sets: dict[str, frozenset] = field(default_factory=dict)
-    goals: dict[str, str] = field(default_factory=dict)
-    body_hashes: dict[str, str] = field(default_factory=dict)
 
     _a_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
     _p_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
@@ -88,16 +84,15 @@ class Hseg:
     def edge_exists(self, kind: str, src: str, dst: str) -> bool:
         if src == dst or src not in self.nodes or dst not in self.nodes:
             return False
+        s, d = self.nodes[src], self.nodes[dst]
         if kind == "dep":
-            return self._dep_sig(self.artifact_sets[src], self.precondition_sets[dst])
+            return self._dep_sig(s.artifact_types, d.preconditions)
         if kind == "comp":
-            return self._comp_sig(self.artifact_sets[src], self.precondition_sets[dst])
+            return self._comp_sig(s.artifact_types, d.preconditions)
         if kind == "red":
-            return (self.precondition_sets[src] == self.precondition_sets[dst]
-                    and self.artifact_sets[src] == self.artifact_sets[dst])
+            return s.preconditions == d.preconditions and s.artifact_types == d.artifact_types
         if kind == "alt":
-            return (self.goals[src] == self.goals[dst]
-                    and self.body_hashes[src] != self.body_hashes[dst])
+            return s.goal == d.goal and body_hash(s) != body_hash(d)
         raise ValueError(f"unknown edge kind: {kind}")
 
     def is_bridged(self, src: str, dst: str) -> bool:
@@ -109,7 +104,7 @@ class Hseg:
 
     def parents(self, skill_id: str) -> frozenset[str]:
         """Skills whose artifacts feed skill_id's preconditions (dep in-edges)."""
-        p = self.precondition_sets[skill_id]
+        p = self.nodes[skill_id].preconditions
         out = set()
         for a_sig in self._parent_sigs[p]:
             out.update(self._a_groups[a_sig])
@@ -118,27 +113,30 @@ class Hseg:
 
     def alt_neighbors(self, skill_id: str) -> tuple[str, ...]:
         """Same-goal, different-body skills, ascending id."""
-        mine = self.body_hashes[skill_id]
+        s = self.nodes[skill_id]
+        mine = body_hash(s)
         return tuple(
-            other for other in self._goal_groups[self.goals[skill_id]]
-            if other != skill_id and self.body_hashes[other] != mine
+            other for other in self._goal_groups[s.goal]
+            if other != skill_id and body_hash(self.nodes[other]) != mine
         )
 
     def red_clusters(self) -> tuple[tuple[str, ...], ...]:
         """Partition of the nodes into maximal interface-equal groups, each
-        sorted ascending, clusters ordered by their smallest member."""
-        return tuple(sorted(self._iface_groups.values(), key=lambda c: c[0]))
+        sorted ascending, clusters ordered by their smallest member (the
+        order build_hseg creates them in)."""
+        return tuple(self._iface_groups.values())
 
     def red_cluster_of(self, skill_id: str) -> tuple[str, ...]:
-        key = (self.precondition_sets[skill_id], self.artifact_sets[skill_id])
-        return self._iface_groups[key]
+        s = self.nodes[skill_id]
+        return self._iface_groups[(s.preconditions, s.artifact_types)]
 
     # ---- aggregate dep/comp counts for health ----------------------------
 
     def incident_dep_counts(self, skill_id: str) -> tuple[int, int]:
         """(incident dep edges, incident dep edges that are compatible or
         adapter-bridged) counting both directions, self pairs excluded."""
-        a, p = self.artifact_sets[skill_id], self.precondition_sets[skill_id]
+        s = self.nodes[skill_id]
+        a, p = s.artifact_types, s.preconditions
         out_dep, out_ok = self._out_counts[a]
         in_dep, in_ok = self._in_counts[p]
         if self._dep_sig(a, p):  # remove the would-be self edge on both sides
@@ -153,6 +151,7 @@ class Hseg:
     # ---- listings (on-demand; can be quadratic on clone-heavy graphs) ----
 
     def iter_edges(self, kinds=EDGE_KINDS):
+        """Every edge of the given kinds as (src, dst, kind), each once."""
         if "dep" in kinds or "comp" in kinds:
             # a dep pair shares a token, and so does a comp pair above
             # threshold 0; at 0 every pair is comp, so every pair is walked
@@ -183,7 +182,7 @@ class Hseg:
         if "alt" in kinds:
             for members in self._goal_groups.values():
                 for s, d in combinations(members, 2):
-                    if self.body_hashes[s] != self.body_hashes[d]:
+                    if body_hash(self.nodes[s]) != body_hash(self.nodes[d]):
                         yield (s, d, "alt")
                         yield (d, s, "alt")
 
@@ -204,10 +203,10 @@ class Hseg:
 
     def export(self) -> dict:
         return {
-            "nodes": sorted(self.nodes),
+            "nodes": list(self.nodes),
             "edges": [
                 {"src": s, "dst": d, "kind": k}
-                for s, d, k in sorted(self.edge_set(), key=lambda e: (e[2], e[0], e[1]))
+                for k, s, d in sorted((k, s, d) for s, d, k in self.iter_edges())
             ],
             "adapters": [
                 {"src": r.src, "dst": r.dst, "artifact_types": sorted(r.artifact_types)}
@@ -242,8 +241,9 @@ def build_hseg(
     if dep_mode not in ("subset", "overlap"):
         raise ValueError(f"dep_mode must be subset or overlap, got {dep_mode!r}")
     skills = tuple(skills)
-    ids = [s.id for s in skills]
-    if len(set(ids)) != len(ids):
+    nodes = {s.id: s for s in sorted(skills, key=lambda s: s.id)}
+    if len(nodes) != len(skills):
+        ids = [s.id for s in skills]
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise DuplicateSkillId(", ".join(dupes))
 
@@ -251,7 +251,7 @@ def build_hseg(
         AdapterRecord(a.src, a.dst, a.contract.artifact_types) for a in adapters
     )
     g = Hseg(
-        nodes=frozenset(ids),
+        nodes=nodes,
         comp_threshold=comp_threshold,
         dep_mode=dep_mode,
         adapter_records=records,
@@ -260,12 +260,8 @@ def build_hseg(
     p_groups: dict[frozenset, list] = {}
     iface_groups: dict[tuple, list] = {}
     goal_groups: dict[str, list] = {}
-    for s in sorted(skills, key=lambda s: s.id):
+    for s in nodes.values():
         a, p = s.artifact_types, s.preconditions
-        g.artifact_sets[s.id] = a
-        g.precondition_sets[s.id] = p
-        g.goals[s.id] = s.goal
-        g.body_hashes[s.id] = body_hash(s)
         a_groups.setdefault(a, []).append(s.id)
         p_groups.setdefault(p, []).append(s.id)
         iface_groups.setdefault((p, a), []).append(s.id)
@@ -306,7 +302,7 @@ def build_hseg(
     for rec in records:
         if rec.src not in g.nodes or rec.dst not in g.nodes:
             continue
-        a, p = g.artifact_sets[rec.src], g.precondition_sets[rec.dst]
+        a, p = nodes[rec.src].artifact_types, nodes[rec.dst].preconditions
         pair = (rec.src, rec.dst)
         if not rec.artifact_types <= p or pair in bridged_pairs:
             continue

@@ -526,7 +526,7 @@ def _plan(
         if len(cluster) < 2:
             continue
         crowding = (len(cluster) - 1) / max(1, n - 1)
-        if crowding > cfg.theta_r and len({g.body_hashes[sid] for sid in cluster}) > 1:
+        if crowding > cfg.theta_r and len({body_hash(g.nodes[sid]) for sid in cluster}) > 1:
             red_conflicts.append(cluster)
 
     gated = not cfg.force and health.debt < cfg.debt_gate

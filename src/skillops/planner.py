@@ -227,12 +227,14 @@ class Bm25Index:
     """Okapi BM25 with the usual nonnegative idf variant, over token postings,
     plus what the hashed-vector cosine needs of each doc.
 
-    Each term's postings are three parallel arrays: doc positions (ascending,
-    in the insertion order of `docs`), the (term, doc) weight idf * freq *
-    (k1 + 1) / (freq + denom_norm), computed once when the index is built,
-    and the raw term frequency.  A query adds up the weights of its tokens
-    in query order, repeats included, so every doc's float sum is the one a
-    per-doc loop over the query tokens would give.
+    Docs are numbered in ascending id order (`ids` is the sorted ids), so
+    ascending positions are the tie order of a ranking.  Each term's
+    postings are three parallel arrays: doc positions (ascending), the
+    (term, doc) weight idf * freq * (k1 + 1) / (freq + denom_norm),
+    computed once when the index is built, and the raw term frequency.  A
+    query adds up the weights of its tokens in query order, repeats
+    included, so every doc's float sum is the one a per-doc loop over the
+    query tokens would give.
 
     A term whose postings cover every doc is common: its positions are
     0..n-1, so its weight and frequency for doc pos sit at index pos.  The
@@ -249,13 +251,13 @@ class Bm25Index:
 
     def __init__(self, docs: dict[str, str], k1: float = 1.2, b: float = 0.75):
         self.k1, self.b = k1, b
-        self.ids = tuple(docs)
+        self.ids = tuple(sorted(docs))
         # term -> (positions, frequencies, hash bucket), in first-seen order
         counts: dict[str, tuple[array, array, int]] = {}
         lengths = array("i")
         self.norms = array("d")
-        for pos, text in enumerate(docs.values()):
-            toks = tokenize(text)
+        for pos, doc_id in enumerate(self.ids):
+            toks = tokenize(docs[doc_id])
             lengths.append(len(toks))
             bucket_counts: dict[int, int] = {}
             for term, freq in Counter(toks).items():
@@ -287,12 +289,6 @@ class Bm25Index:
             self._buckets[bucket] = self._buckets.get(bucket, ()) + (entry,)
             if n == n_docs:
                 self._common_max[term] = max(weights)
-        # positions in ascending id order: the tie order of a ranking
-        self._by_id = array("i", sorted(range(n_docs), key=self.ids.__getitem__))
-        # position -> its place in _by_id, to visit candidates in id order
-        self._id_rank = array("i", [0]) * n_docs
-        for rank, pos in enumerate(self._by_id):
-            self._id_rank[pos] = rank
 
     def _accumulate(self, tokens: list[str], docs) -> list[float]:
         """Scores by position for the docs in `docs`, 0.0 where no query
@@ -341,10 +337,7 @@ class Bm25Index:
         rare = {t for t in tokens if t in postings and t not in common}
         common_maxima = [common[t] for t in tokens if t in common]
         if rare and common_maxima:
-            cands = sorted(
-                {pos for t in rare for pos in postings[t][0]},
-                key=self._id_rank.__getitem__,
-            )
+            cands = sorted({pos for t in rare for pos in postings[t][0]})
             if len(cands) >= k:
                 acc = self._accumulate(tokens, cands)
                 best = heapq.nlargest(k, cands, key=acc.__getitem__)
@@ -357,7 +350,7 @@ class Bm25Index:
     def _top_of_all(self, tokens: list[str], k: int) -> list[tuple[int, float]]:
         """top() by scoring every doc."""
         acc = self._accumulate(tokens, range(len(self.ids)))
-        best = heapq.nlargest(k, self._by_id, key=acc.__getitem__)
+        best = heapq.nlargest(k, range(len(self.ids)), key=acc.__getitem__)
         return [(pos, acc[pos]) for pos in best]
 
     def _cosine_at(self, pos: int, query_vec: Counter, query_norm: float) -> float:

@@ -242,7 +242,7 @@ def reference_propagate(g, r_loc, cfg=CgpdConfig(), initial=None):
         nxt = {}
         for s in ids:
             incoming = None
-            for a_sig in g._parent_sigs[g.precondition_sets[s]]:
+            for a_sig in g._parent_sigs[g.nodes[s].preconditions]:
                 best_id, best, second = stats[a_sig]
                 if best_id == s:
                     if len(g._a_groups[a_sig]) == 1:

@@ -17,6 +17,7 @@ from skillops.contract import (
     ConfigInvalid,
     Library,
     MalformedFrontMatter,
+    SkillParseError,
     library_fingerprint,
     make_contract,
     parse_skill_file,
@@ -27,6 +28,7 @@ from skillops.harness import (
     MalformedTraceLine,
     ManifestError,
     _json_objects,
+    _read_action_list,
     SimulatedExecutor,
     build_retrieval_scenario,
     exercise_library,
@@ -305,7 +307,7 @@ def test_load_reports_list_syntax_after_a_shared_set(tmp_path):
     path.write_text(bad.replace("tags: [t]", "tags: t"))
     with pytest.raises(MalformedFrontMatter) as err:
         load_library(target)
-    assert str(err.value) == "artifact.type: expected a [a, b] list, got 'y'"
+    assert str(err.value) == "skills/b/SKILL.md: artifact.type: expected a [a, b] list, got 'y'"
 
 
 def test_truncated_manifest_names_the_file_and_exits_two(tmp_path, capsys):
@@ -359,7 +361,21 @@ def test_cli_reports_a_malformed_skill_file(tmp_path, capsys):
     assert main(["diagnose", "--lib", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {err.value}\n"
+    assert captured.err == f"error: skills/{lib.skills[1].id}/SKILL.md: {err.value}\n"
+
+
+def test_a_broken_skill_file_in_a_library_names_its_file(tmp_path, capsys):
+    lib, prov = build_library(30, 0.0, seed=4)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    sid = lib.skills[17].id
+    path = target / "skills" / sid / "SKILL.md"
+    path.write_text(path.read_text().replace("\n---\n", "\n", 1))
+    with pytest.raises(MalformedFrontMatter) as err:
+        load_library(target)
+    assert str(err.value) == f"skills/{sid}/SKILL.md: front matter fence is never closed"
+    assert main(["diagnose", "--lib", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -875,6 +891,71 @@ def test_cli_grade_reads_json_files_with_a_byte_order_mark(tmp_path, capsys):
     gold.write_bytes(codecs.BOM_UTF8 + b'["a", "b"]')
     code, verdict = _run(capsys, ["grade", "--plan", str(plan), "--gold", str(gold)])
     assert (code, verdict["exact_match"], verdict["gold"]) == (0, True, ["a", "b"])
+
+
+@pytest.mark.parametrize("flag", ["--plan", "--gold"])
+def test_cli_grade_names_a_json_file_it_cannot_parse(tmp_path, capsys, flag):
+    path = tmp_path / "actions.json"
+    path.write_text('{"actions": [')
+    with pytest.raises(ConfigInvalid) as err:
+        _read_action_list(str(path))
+    assert str(err.value).startswith(f"{path}: invalid JSON (")
+    argv = ["grade", flag, str(path)]
+    argv += ["--gold-list", "a"] if flag == "--plan" else ["--actions", "a"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+TRACE_LINE = b'{"task_id": "t", "skill_id": "a", "step": 0, "outcome": "success"}'
+
+
+def _not_utf8_input(tmp_path, kind):
+    """(path, argv, load) for one input kind whose file holds a byte that
+    is not UTF-8; load reads the file the way the command does."""
+    lib, prov = build_library(3, 0.0, seed=2)
+    libdir = tmp_path / "lib"
+    save_library(lib, libdir, prov)
+    if kind == "trace":
+        # the bad byte sits on line 2, after a CRLF line end
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(TRACE_LINE + b'\r\n{"task_id": "\xff"}\n')
+        return path, ["diagnose", "--lib", str(libdir), "--trace", str(path)], load_trace
+    if kind == "queries":
+        path = tmp_path / "queries.jsonl"
+        path.write_bytes(codecs.BOM_UTF8 + b'\xff{}\n')
+        return (path, ["eval-retrieval", "--lib", str(libdir), "--queries", str(path)],
+                lambda p: list(_json_objects(p, MalformedQueryLine)))
+    if kind == "grade":
+        path = tmp_path / "plan.json"
+        path.write_bytes(b'["a", "\xff"]')
+        return (path, ["grade", "--plan", str(path), "--gold-list", "a"],
+                lambda p: _read_action_list(str(p)))
+    if kind == "manifest":
+        # a UTF-16 byte-order mark in front of the manifest
+        path = libdir / "manifest.json"
+        path.write_bytes(codecs.BOM_UTF16_LE + path.read_bytes())
+    else:
+        path = libdir / "skills" / lib.skills[1].id / "SKILL.md"
+        path.write_bytes(path.read_bytes() + b"caf\xe9\n")
+    return path, ["diagnose", "--lib", str(libdir)], lambda p: load_library(libdir)
+
+
+@pytest.mark.parametrize("kind, error, where", [
+    ("trace", MalformedTraceLine, "trace line 2: {path} is not UTF-8 at byte {at}"),
+    ("queries", MalformedQueryLine, "query line 1: {path} is not UTF-8 at byte {at}"),
+    ("manifest", ManifestError, "{path} is not UTF-8 at byte {at}"),
+    ("skill", SkillParseError, "{path} is not UTF-8 at byte {at}"),
+    ("grade", ConfigInvalid, "{path} is not UTF-8 at byte {at}"),
+])
+def test_bytes_that_are_not_utf8_name_their_file(tmp_path, capsys, kind, error, where):
+    path, argv, load = _not_utf8_input(tmp_path, kind)
+    at = path.read_bytes().index(b"\xff" if kind != "skill" else b"\xe9")
+    with pytest.raises(error) as err:
+        load(path)
+    assert type(err.value) is error
+    assert str(err.value).startswith(where.format(path=path, at=at) + " (")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 def test_cli_plan_infeasible_exits_one(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +193,20 @@ def test_export_shape_and_determinism():
     assert ex1["nodes"] == ["a", "b"]
     assert {tuple(e.values()) for e in ex1["edges"]} >= {("a", "b", "dep")}
     assert ex1["adapters"] == []
+
+
+def test_nodes_map_ascending_ids_to_the_given_contracts():
+    lib, _ = build_library(120, 0.6, 5)
+    shuffled = list(lib.skills)
+    random.Random(3).shuffle(shuffled)
+    g = build_hseg(shuffled, adapters=lib.adapters)
+    assert list(g.nodes) == sorted(s.id for s in shuffled)
+    assert all(g.nodes[s.id] is s for s in shuffled)
+    # red clusters come out ordered by their smallest member, each sorted
+    clusters = g.red_clusters()
+    assert [c[0] for c in clusters] == sorted(c[0] for c in clusters)
+    assert all(list(c) == sorted(c) for c in clusters)
+    assert g.export() == build_hseg(lib.skills, adapters=lib.adapters).export()
 
 
 _tags = st.sets(st.sampled_from(["t1", "t2", "t3", "t4", "t5"]), max_size=3)

@@ -296,7 +296,7 @@ def test_bm25_scores_equal_dense_formula(docs, query, k1b):
     got = index.scores(query)
     want = reference_bm25_scores(docs, query, *k1b)
     assert got == want
-    assert list(got) == list(want)
+    assert list(got) == sorted(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -392,6 +392,19 @@ def test_pruned_top_equals_full_scan(docs, query, k, k1b):
     index = Bm25Index(docs, k1=k1b[0], b=k1b[1])
     got = [(index.ids[pos], score) for pos, score in index.top(tokenize(query), k)]
     assert got == dense_top(docs, query, k1b, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.from_regex(r"[a-z]{1,3}", fullmatch=True), common_docs,
+                       min_size=2, max_size=14),
+       common_queries, st.integers(1, 5), st.randoms(use_true_random=False))
+def test_top_does_not_depend_on_doc_order(docs, query, k, rng):
+    items = list(docs.items())
+    rng.shuffle(items)
+    shuffled, in_order = Bm25Index(dict(items)), Bm25Index(dict(sorted(items)))
+    assert shuffled.ids == in_order.ids == tuple(sorted(docs))
+    tokens = tokenize(query)
+    assert shuffled.top(tokens, k) == in_order.top(tokens, k)
 
 
 @pytest.mark.parametrize("case, scans_all", [
