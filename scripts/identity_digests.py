@@ -24,7 +24,11 @@ The matrix covers:
                 ``save_library``/``save_trace`` and read back with
                 ``load_library``/``load_trace``: the loaded library's
                 ``library_fingerprint``, and the ``run_maintenance`` output
-                fingerprint plus report JSON built from the loaded inputs
+                fingerprint plus report JSON built from the loaded inputs;
+                on the first library also ``adapters``: the overlap-mode,
+                threshold-0.6 maintenance output, which carries thousands
+                of adapter shims, saved and loaded back, as the loaded
+                fingerprint plus the saved ``manifest.json``
   plan          the ``skillops plan`` payload of ``build_plan``, or
                 ``{"feasible": false}``, for 25 seeded clean skills' goal
                 text and preconditions, on the library (``raw``) and on its
@@ -163,6 +167,15 @@ def cases():
             out, report = run_maintenance(loaded, loaded_trace, MaintenanceConfig())
             yield f"load/{lib_name}/maintain", _digest(library_fingerprint(out) + "\n"
                                                        + _json(report.as_dict()))
+            if (n, noise, seed) == LIBRARIES[0]:
+                cfg = MaintenanceConfig(dep_mode="overlap", comp_threshold=0.6)
+                bridged, _ = run_maintenance(lib, trace, cfg)
+                saved = Path(tmp) / f"{lib_name}-adapters"
+                save_library(bridged, saved)
+                loaded, _ = load_library(saved)
+                yield f"load/{lib_name}/adapters", _digest(
+                    library_fingerprint(loaded) + "\n" + (saved / "manifest.json").read_text()
+                )
 
             g = build_hseg(lib.skills, adapters=lib.adapters)
             mixed = _mixed_trace(lib, seed)

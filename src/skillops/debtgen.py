@@ -255,7 +255,6 @@ def build_library(
     skills: list[SkillContract] = list(pool[:clean_count])
     provenance = {s.id: "clean" for s in skills}
     id_counters: dict[tuple[str, str], int] = {}
-    taken = {s.id for s in skills}
 
     for j in range(degraded_count):
         rng = Xorshift64Star(derive_seed(seed, n + j))
@@ -265,11 +264,6 @@ def build_library(
         id_counters[(source.id, kind)] = count
         abbrev = _KIND_ABBREV[kind]
         new_id = f"{source.id}-{abbrev}" if count == 1 else f"{source.id}-{abbrev}{count}"
-        while new_id in taken:
-            count += 1
-            id_counters[(source.id, kind)] = count
-            new_id = f"{source.id}-{abbrev}{count}"
-        taken.add(new_id)
         degraded = inject_degradation(source, kind, new_id, rng)
         skills.append(degraded)
         provenance[new_id] = f"degraded:{kind}:{source.id}"

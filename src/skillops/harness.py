@@ -41,6 +41,7 @@ from skillops.contract import (
     Library,
     SkillOpsError,
     SkillParseError,
+    _ID_RE,
     _parse_skill_file,
     library_fingerprint,
     make_contract,
@@ -170,10 +171,37 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _check_adapter_ends(src: str, dst: str) -> None:
+    """An adapter's ends name its directory, so each must be a skill id."""
+    for key, value in (("src", src), ("dst", dst)):
+        if not _ID_RE.fullmatch(value):
+            raise ManifestError(f"adapter {src!r} -> {dst!r}: {key} is not a skill id")
+
+
+def _adapter_paths(adapters) -> dict[str, AdapterShim]:
+    """adapters/<src>--<dst>/SKILL.md -> shim, in (src, dst) order.  An end
+    that is not a skill id, or two shims saving to one directory (a repeated
+    pair, or "a--b" -> "c" beside "a" -> "b--c"), raise ManifestError."""
+    paths: dict[str, AdapterShim] = {}
+    for shim in sorted(adapters, key=lambda a: (a.src, a.dst)):
+        _check_adapter_ends(shim.src, shim.dst)
+        rel = f"adapters/{shim.src}--{shim.dst}/SKILL.md"
+        other = paths.get(rel)
+        if other is not None:
+            raise ManifestError(
+                f"adapters {other.src!r} -> {other.dst!r} and {shim.src!r} ->"
+                f" {shim.dst!r} both save to {rel}"
+            )
+        paths[rel] = shim
+    return paths
+
+
 def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | None = None) -> None:
     """Write a library directory, replacing a previous library at the same
-    path.  A non-library directory is never deleted."""
+    path.  A non-library directory is never deleted, and neither is a
+    library when an adapter could not be written (see _adapter_paths)."""
     root = Path(path)
+    adapter_paths = _adapter_paths(lib.adapters)
     if root.exists():
         if not (root / "manifest.json").exists() and any(root.iterdir()):
             raise ManifestError(
@@ -203,8 +231,7 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
             }
         )
     adapters_meta = []
-    for shim in sorted(lib.adapters, key=lambda a: (a.src, a.dst)):
-        rel = f"adapters/{shim.src}--{shim.dst}/SKILL.md"
+    for rel, shim in adapter_paths.items():
         (root / rel).parent.mkdir(parents=True)
         (root / rel).write_text(serialize_skill_file(shim.contract), encoding="utf-8")
         adapters_meta.append({"src": shim.src, "dst": shim.dst, "path": rel})
@@ -276,6 +303,7 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
     adapters = []
     for entry in sections["adapters"]:
         contract = _read_entry(root, entry, ("src", "dst", "path"), sets)
+        _check_adapter_ends(entry["src"], entry["dst"])
         adapters.append(AdapterShim(src=entry["src"], dst=entry["dst"], contract=contract))
     return Library(skills=tuple(skills), adapters=tuple(adapters)), provenance
 

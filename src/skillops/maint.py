@@ -13,11 +13,12 @@ Each stage plans against the library produced by the previous stages and
 is applied once, in a single pass, while planning; the library the last
 stage leaves is the output.  One typed graph, built from the input, serves
 every stage, because no action changes a skill's interface, goal or body,
-and after the merge stage no two skills share a body.  Replaying the action
-list one action at a time with apply_action on the input library reproduces
-the output exactly, which the test suite checks.  Red clusters whose
-members disagree on body are never merged; they are reported as conflicts
-instead, which keeps the size arithmetic exact:
+and after the merge stage no two skills share a body: a stage's siblings
+are the graph's red clusters, restricted to the skills that survive.
+Replaying the action list one action at a time with apply_action on the
+input library reproduces the output exactly, which the test suite checks.
+Red clusters whose members disagree on body are never merged; they are
+reported as conflicts instead, which keeps the size arithmetic exact:
 size_after = size_before - absorbed - retired.
 
 Everything here is pure computation over the contracts and the trace; no
@@ -375,21 +376,17 @@ def _plan_merges(
     return actions
 
 
-def _iface_groups(lib: Library) -> dict[tuple, list[SkillContract]]:
-    groups: dict[tuple, list[SkillContract]] = {}
-    for s in lib.skills:
-        groups.setdefault(_iface(s), []).append(s)
-    return groups
+def _siblings(g: Hseg, alive: dict[str, SkillContract], sid: str) -> list[SkillContract]:
+    """sid's red cluster in g without sid, restricted to the alive skills."""
+    return [alive[o] for o in g.red_cluster_of(sid) if o != sid and o in alive]
 
 
 def _repair_source(
     target: SkillContract, siblings: list[SkillContract]
 ) -> tuple[str | None, int]:
-    """Pick the interface sibling to copy artifact names from: ascending id,
-    requiring at least one name the target is missing."""
-    for s in sorted(siblings, key=lambda s: s.id):
-        if s.id == target.id:
-            continue
+    """Pick the interface sibling to copy artifact names from: the first in
+    ascending id holding at least one name the target is missing."""
+    for s in siblings:
         missing = len(set(s.artifact_dirs.scripts) - set(target.artifact_dirs.scripts))
         missing += len(
             set(s.artifact_dirs.references) - set(target.artifact_dirs.references)
@@ -401,16 +398,17 @@ def _repair_source(
 
 def _plan_repairs(
     work: Library,
+    g: Hseg,
     health: LibraryHealthReport,
     risk: dict[str, float],
     cfg: MaintenanceConfig,
 ) -> list[MaintenanceAction]:
+    alive = work.by_id()
     actions = []
-    by_iface = _iface_groups(work)
     for s in sorted(work.skills, key=lambda s: s.id):
         if not (health.per_skill[s.id].F > cfg.theta_f or risk[s.id] > cfg.theta_risk):
             continue
-        sibling, missing = _repair_source(s, by_iface[_iface(s)])
+        sibling, missing = _repair_source(s, _siblings(g, alive, s.id))
         if sibling is None:
             actions.append(
                 MaintenanceAction(kind="repair", target=s.id, reason="no-sibling")
@@ -429,21 +427,25 @@ def _plan_repairs(
 
 def _plan_retires(
     work: Library,
+    g: Hseg,
     health: LibraryHealthReport,
     cfg: MaintenanceConfig,
 ) -> list[MaintenanceAction]:
     def utility(sid: str) -> float:
         return health.per_skill[sid].U
 
+    alive = work.by_id()
     actions = []
-    for group in _iface_groups(work).values():
-        top = min((s.id for s in group), key=lambda sid: (-utility(sid), sid))
-        for s in group:
-            if s.id != top and utility(s.id) < cfg.theta_u:
+    for cluster in g.red_clusters():
+        # a merge kept in another cluster can absorb every member of this one
+        group = [sid for sid in cluster if sid in alive]
+        top = min(group, key=lambda sid: (-utility(sid), sid), default=None)
+        for sid in group:
+            if sid != top and utility(sid) < cfg.theta_u:
                 actions.append(
                     MaintenanceAction(
                         kind="retire",
-                        target=s.id,
+                        target=sid,
                         reason=f"low-utility duplicate of {top}",
                     )
                 )
@@ -451,16 +453,13 @@ def _plan_retires(
     return actions
 
 
-def _plan_validators(work: Library) -> list[MaintenanceAction]:
-    by_iface = _iface_groups(work)
+def _plan_validators(work: Library, g: Hseg) -> list[MaintenanceAction]:
+    alive = work.by_id()
     actions = []
     for s in sorted(work.skills, key=lambda s: s.id):
         if s.checklist:
             continue
-        donor = min(
-            (d.id for d in by_iface[_iface(s)] if d.id != s.id and d.checklist),
-            default=None,
-        )
+        donor = next((d.id for d in _siblings(g, alive, s.id) if d.checklist), None)
         reason = "inherit sibling checklist" if donor else "attach canonical checklist"
         actions.append(
             MaintenanceAction(
@@ -508,8 +507,10 @@ def _plan(
       read the same in this graph as in a fresh one, and add_adapter plans
       from its dep-only pairs restricted to the survivors.
     - After the merge stage no two skills share a body, so a sibling for
-      repair, retire or add_validator can only share the interface; a
-      plain interface grouping of the shadow library finds them.
+      repair, retire or add_validator can only share the interface: it is
+      in the skill's red cluster here, restricted to the survivors and
+      still in ascending id order.  A cluster's crowding is its R in the
+      health report.
     """
     cfg.validate()
     g = build_hseg(lib.skills, cfg.comp_threshold, cfg.dep_mode, lib.adapters)
@@ -520,14 +521,11 @@ def _plan(
         risk = propagate(g, risk, cfg.cgpd).risk
         triggered = tuple(sorted(trigger_set(g, risk, lib, cfg.cgpd.tau)))
 
-    n = len(lib)
-    red_conflicts = []
-    for cluster in g.red_clusters():
-        if len(cluster) < 2:
-            continue
-        crowding = (len(cluster) - 1) / max(1, n - 1)
-        if crowding > cfg.theta_r and len({body_hash(g.nodes[sid]) for sid in cluster}) > 1:
-            red_conflicts.append(cluster)
+    red_conflicts = [
+        cluster for cluster in g.red_clusters()
+        if health.per_skill[cluster[0]].R > cfg.theta_r
+        and len({body_hash(g.nodes[sid]) for sid in cluster}) > 1
+    ]
 
     gated = not cfg.force and health.debt < cfg.debt_gate
     actions: list[MaintenanceAction] = []
@@ -540,9 +538,9 @@ def _plan(
 
     if not gated:
         run_stage(_plan_merges(work, health))
-        run_stage(_plan_repairs(work, health, risk, cfg))
-        run_stage(_plan_retires(work, health, cfg))
-        run_stage(_plan_validators(work))
+        run_stage(_plan_repairs(work, g, health, risk, cfg))
+        run_stage(_plan_retires(work, g, health, cfg))
+        run_stage(_plan_validators(work, g))
         run_stage(_plan_adapters(g, work))
 
     plan = MaintenancePlan(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillops.contract import (
+    AdapterShim,
     ArtifactDirs,
     ConfigInvalid,
     Library,
@@ -206,10 +207,14 @@ MISSING = object()
     pytest.param("adapters", "src", ["emit"], id="adapters-src-list"),
     pytest.param("adapters", "dst", {"need": 1}, id="adapters-dst-object"),
     pytest.param("adapters", "dst", 7, id="adapters-dst-int"),
+    pytest.param("adapters", "src", "../x", id="adapters-src-climbs"),
+    pytest.param("adapters", "dst", "a/b", id="adapters-dst-slash"),
+    pytest.param("adapters", "src", "", id="adapters-src-empty"),
 ])
 def test_load_rejects_manifest_entry_without_key(tmp_path, capsys, section, key, value):
-    """A required key that is missing or not a string, or a provenance that
-    is not a string, fails with ManifestError and exit 2, not a crash."""
+    """A required key that is missing or not a string, a provenance that is
+    not a string, or an adapter end that is not a skill id, fails with
+    ManifestError and exit 2, not a crash."""
     emit, need = _skill("emit", [], ["x"]), _skill("need", ["x", "y"], [])
     target = tmp_path / "lib"
     save_library(Library(skills=(emit, need), adapters=(make_adapter_shim(emit, need),)),
@@ -224,6 +229,62 @@ def test_load_rejects_manifest_entry_without_key(tmp_path, capsys, section, key,
         load_library(target)
     assert main(["diagnose", "--lib", str(target)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+@pytest.mark.parametrize("pairs,message", [
+    pytest.param((("../../escaped", "need"),), "src is not a skill id", id="escaping-end"),
+    pytest.param((("emit", "need"), ("emit", "need")), "both save to", id="repeated-pair"),
+    pytest.param((("a--b", "c"), ("a", "b--c")), "both save to", id="two-spellings"),
+])
+def test_save_refuses_adapters_it_cannot_write_and_keeps_the_old_library(
+    tmp_path, pairs, message
+):
+    """Every adapter directory is checked before anything is deleted: an end
+    that is not a skill id, or two shims sharing a directory, leave the
+    existing library and everything around it byte-identical."""
+    emit, need = _skill("emit", [], ["x"]), _skill("need", ["x", "y"], [])
+    contract = make_adapter_shim(emit, need).contract
+    target = tmp_path / "out" / "lib"
+    save_library(Library(skills=(emit, need), adapters=(make_adapter_shim(emit, need),)),
+                 target)
+    before = _tree_bytes(tmp_path)
+    shims = {pair: AdapterShim(*pair, contract=contract) for pair in pairs}
+    adapters = tuple(shims[pair] for pair in pairs)  # a repeated pair is one object twice
+    with pytest.raises(ManifestError, match=message) as e:
+        save_library(Library(skills=(emit, need), adapters=adapters), target)
+    for s, d in pairs:
+        assert f"{s!r} -> {d!r}" in str(e.value)
+    assert _tree_bytes(tmp_path) == before
+
+
+def test_maintain_refuses_adapter_repros_and_leaves_the_output(tmp_path, capsys):
+    """An escaping adapter end fails at load; a pair listed twice fails at
+    save.  Both exit 2, write nothing outside --out and leave an existing
+    output library byte-identical."""
+    emit = _skill("emit", [], ["x"], body="Emit x.")
+    need = _skill("need", ["x", "y"], [], body="Read x and y.")
+    lib = tmp_path / "lib"
+    save_library(Library(skills=(emit, need), adapters=(make_adapter_shim(emit, need),)),
+                 lib)
+    out = tmp_path / "out" / "o"
+    assert main(["maintain", "--lib", str(lib), "--out", str(out)]) == 0
+    manifest = json.loads((lib / "manifest.json").read_text())
+    entry = manifest["adapters"][0]
+    for adapters, message in (
+        ([dict(entry, src="../../escaped")], "src is not a skill id"),
+        ([entry, entry], "both save to"),
+    ):
+        (lib / "manifest.json").write_text(json.dumps(dict(manifest, adapters=adapters)))
+        capsys.readouterr()
+        before = _tree_bytes(tmp_path / "out")
+        assert main(["maintain", "--lib", str(lib), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert _tree_bytes(tmp_path / "out") == before
 
 
 @pytest.mark.parametrize("escape", ["../outside/SKILL.md", "skills/../../outside/SKILL.md",

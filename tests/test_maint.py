@@ -638,6 +638,44 @@ def reference_plan(lib, trace, cfg):
     return tuple(actions)
 
 
+def test_retire_skips_a_red_cluster_absorbed_by_a_merge_kept_elsewhere():
+    # x1 and x2 share k's body but not its interface; k has the best utility,
+    # so the merge keeps it and their whole red cluster is gone by retire
+    lib = Library(skills=(
+        skill("k", pre=("p",), art=("q",), body="shared"),
+        skill("x1", pre=("r",), art=("s",), body="shared"),
+        skill("x2", pre=("r",), art=("s",), body="shared"),
+        skill("y", pre=("p",), art=("q",), body="other"),
+    ))
+    trace = trace_of({"k": (9, 1), "x1": (1, 9), "x2": (1, 9), "y": (1, 9)})
+    cfg = MaintenanceConfig()
+    actions = plan_actions(lib, trace, cfg).actions
+    assert actions == reference_plan(lib, trace, cfg)
+    assert actions[0] == MaintenanceAction(
+        "merge", "k", drops=("x1", "x2"), reason="3 skills share one body"
+    )
+    retires = [a for a in actions if a.kind == "retire"]
+    assert retires == [MaintenanceAction("retire", "y", reason="low-utility duplicate of k")]
+
+
+def test_repair_whose_only_sibling_was_absorbed_logs_no_sibling():
+    # sib is t's only interface sibling, and the merge into k absorbs it
+    lib = Library(skills=(
+        skill("k", pre=("p",), art=("q",), body="shared"),
+        skill("sib", pre=("x",), art=("y",), body="shared",
+              dirs=ArtifactDirs(scripts=("run.sh",))),
+        skill("t", pre=("x",), art=("y",), body="target body"),
+    ))
+    trace = trace_of({"k": (9, 1), "sib": (5, 5), "t": (1, 9)})
+    cfg = MaintenanceConfig()
+    actions = plan_actions(lib, trace, cfg).actions
+    assert actions == reference_plan(lib, trace, cfg)
+    repairs = [a for a in actions if a.kind == "repair"]
+    assert repairs == [MaintenanceAction("repair", "t", reason="no-sibling")]
+    _, report = run_maintenance(lib, trace, cfg)
+    assert "repair: t skipped (no-sibling)" in report.log
+
+
 _tokens = st.frozensets(st.sampled_from(["t1", "t2", "t3", "t4"]), max_size=3)
 _names = st.sampled_from([(), ("a.sh",), ("b.sh",), ("a.sh", "b.sh")])
 
