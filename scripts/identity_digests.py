@@ -15,7 +15,8 @@ The matrix covers:
   trace         the ``save_trace`` bytes of ``exercise_library``
   maintain      ``library_fingerprint`` of the output plus the report JSON,
                 over trace on/off x dep mode x comp threshold {0, 0.3, 0.6}
-                x CGPD on/off x force on/off
+                x CGPD on/off x force on/off; and with default settings on
+                the mixed trace below at windows 3 and 100
   diagnose      the ``library_health`` JSON at windows 100 and 3, on the
                 probe trace and on a mixed trace (pseudo-random outcomes,
                 interleaved skills, ids outside the library), the CGPD
@@ -215,6 +216,11 @@ def cases():
                         f"/{'force' if force else 'noforce'}")
                 yield name, _digest(library_fingerprint(out) + "\n"
                                     + _json(report.as_dict()))
+
+            for window in (3, 100):
+                out, report = run_maintenance(lib, mixed, MaintenanceConfig(window=window))
+                yield (f"maintain/{lib_name}/mixed-w{window}",
+                       _digest(library_fingerprint(out) + "\n" + _json(report.as_dict())))
 
 
 def main() -> None:

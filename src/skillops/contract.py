@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "SkillOpsError",
@@ -98,8 +98,9 @@ class EmptyLibrary(SkillOpsError):
     pass
 
 
-_ID_RE = re.compile(r"^[a-z0-9_\-]+$")
-_TAG_RE = re.compile(r"^[a-z0-9][a-z0-9_\-.]*$")
+# \Z, not $: $ also matches before a final newline, so "abc\n" would pass
+_ID_RE = re.compile(r"[a-z0-9_\-]+\Z")
+_TAG_RE = re.compile(r"[a-z0-9][a-z0-9_\-.]*\Z")
 
 ARTIFACT_DIR_NAMES = ("scripts", "references", "assets")
 
@@ -197,12 +198,12 @@ def _check_invariants(c: SkillContract, body_normalized: bool) -> None:
     """validate()'s checks in their order.  A caller that built the body
     with normalize_body passes body_normalized=True to skip re-normalizing
     it only to compare."""
-    if not _ID_RE.match(c.id):
+    if not _ID_RE.fullmatch(c.id):
         raise ContractInvariantError(f"bad skill id: {c.id!r}")
     if not _is_token(c.goal):
         raise ContractInvariantError(f"goal must be a single token: {c.goal!r}")
     for tag in c.preconditions | c.artifact_types:
-        if not _TAG_RE.match(tag):
+        if not _TAG_RE.fullmatch(tag):
             raise ContractInvariantError(f"bad type tag: {tag!r}")
     for tag in c.tags | c.failure_modes:
         if not _is_token(tag):
@@ -248,6 +249,17 @@ def body_hash(contract: SkillContract) -> str:
         # storage, which slowed every later field read about twofold.
         object.__setattr__(contract, "_body_digest", digest)
     return digest
+
+
+def _replace_keeping_body(contract: SkillContract, **changes) -> SkillContract:
+    """replace(contract, **changes) for changes that leave the body alone:
+    the new contract carries the memoized body digest, if there is one, so
+    body_hash does not normalize and hash the same body again."""
+    changed = replace(contract, **changes)
+    digest = getattr(contract, "_body_digest", None)
+    if digest is not None and "body" not in changes:
+        object.__setattr__(changed, "_body_digest", digest)
+    return changed
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ same bytes (timing fields aside).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -38,6 +39,7 @@ from skillops.contract import (
     AdapterShim,
     ArtifactDirs,
     ConfigInvalid,
+    ContractInvariantError,
     Library,
     SkillOpsError,
     SkillParseError,
@@ -123,11 +125,16 @@ def _read_text(path: str | Path, error: type[SkillOpsError]) -> str:
     as they are.  Bytes that are not UTF-8 raise `error` naming the file and
     the byte, and for a JSON-lines error the line (CR, LF and CRLF end one)."""
     with open(path, "rb") as f:
-        data = f.read()
+        return _decode(f.read(), error, path)
+
+
+def _decode(data: bytes, error: type[SkillOpsError], *path: str | Path) -> str:
+    """_read_text for bytes already read from the file at os.path.join(*path),
+    which is joined only for an error message."""
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
-        reason = f"{path} is not UTF-8 at byte {e.start} ({e.reason})"
+        reason = f"{os.path.join(*path)} is not UTF-8 at byte {e.start} ({e.reason})"
         head = data[:e.start]
     if issubclass(error, _MalformedLine):
         line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
@@ -199,8 +206,12 @@ def _adapter_paths(adapters) -> dict[str, AdapterShim]:
 def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | None = None) -> None:
     """Write a library directory, replacing a previous library at the same
     path.  A non-library directory is never deleted, and neither is a
-    library when an adapter could not be written (see _adapter_paths)."""
+    library when a skill id could not name a directory or an adapter could
+    not be written (see _adapter_paths)."""
     root = Path(path)
+    for s in lib.skills:
+        if not _ID_RE.fullmatch(s.id):
+            raise ContractInvariantError(f"bad skill id: {s.id!r}")
     adapter_paths = _adapter_paths(lib.adapters)
     if root.exists():
         if not (root / "manifest.json").exists() and any(root.iterdir()):
@@ -243,19 +254,90 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
     (root / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
-def _read_entry(root: Path, entry, keys: tuple[str, ...], sets: dict[str, frozenset[str]]):
+_UNSAFE_PARTS = frozenset(("", ".", ".."))
+
+
+class _LibraryFiles:
+    """Reads the files of one library directory without leaving it.
+
+    The root is opened once; it may itself be a symlink.  Every path below
+    it is opened one component at a time, relative to its parent's
+    descriptor and with O_NOFOLLOW, so a symlink anywhere below the root
+    (or a file where a directory should be) is refused rather than
+    followed.  The directory chain of the last path read stays open, so a
+    sibling file reopens only the components that differ.  Needs POSIX
+    dir_fd support (Linux, macOS)."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self._dir_flags = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW
+        self._file_flags = os.O_RDONLY | os.O_NOFOLLOW
+        try:
+            self._root_fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+        except (FileNotFoundError, NotADirectoryError):
+            raise ManifestError(f"{root} has no manifest.json") from None
+        self._chain: list[tuple[str, int]] = []  # (name, fd) below the root
+
+    def __enter__(self) -> _LibraryFiles:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for _, fd in self._chain:
+            os.close(fd)
+        self._chain.clear()
+        os.close(self._root_fd)
+
+    def read(self, rel: str) -> bytes:
+        """The bytes of the file at `rel`, a "/"-separated path below the
+        root.  An empty, "." or ".." component (an absolute path starts with
+        an empty one) raises ManifestError, and so does a symlink or a
+        non-directory on the way; any other OSError is raised naming the
+        whole path."""
+        *dirs, name = parts = rel.split("/")
+        if not _UNSAFE_PARTS.isdisjoint(parts):
+            raise ManifestError(f"manifest path {rel!r} leaves the library {self.root}")
+        chain = self._chain
+        shared = 0
+        while shared < min(len(chain), len(dirs)) and chain[shared][0] == dirs[shared]:
+            shared += 1
+        while len(chain) > shared:
+            os.close(chain.pop()[1])
+        try:
+            for d in dirs[shared:]:
+                parent = chain[-1][1] if chain else self._root_fd
+                chain.append((d, os.open(d, self._dir_flags, dir_fd=parent)))
+            parent = chain[-1][1] if chain else self._root_fd
+            fd = os.open(name, self._file_flags, dir_fd=parent)
+            try:
+                chunks = []
+                while chunk := os.read(fd, 1 << 16):
+                    chunks.append(chunk)
+                return b"".join(chunks)
+            finally:
+                os.close(fd)
+        except OSError as e:
+            path = os.path.join(self.root, rel)
+            if e.errno in (errno.ELOOP, errno.ENOTDIR):
+                raise ManifestError(
+                    f"{path}: a symlink or a non-directory is on the path;"
+                    " a library is read only through its own directories"
+                ) from None
+            raise OSError(e.errno, e.strerror, path) from None
+
+
+def _read_entry(
+    files: _LibraryFiles, entry, keys: tuple[str, ...], sets: dict[str, frozenset[str]]
+):
     """Parse the skill file a manifest entry names, sharing interface and
     tag sets through `sets`.  The entry must carry `keys` as strings, and
-    its path must not be absolute or climb out with `..`.  Parse errors gain
-    the entry's path.
+    its path must stay inside the library (see _LibraryFiles.read).  Parse
+    errors gain the entry's path.
 
     Line ends are not translated: parse_skill_file folds CR and CRLF itself."""
     if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in keys):
         raise ManifestError(f"manifest entry {entry!r} needs string keys {list(keys)}")
     rel = entry["path"]
-    if os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == os.pardir:
-        raise ManifestError(f"manifest path {rel!r} leaves the library {root}")
-    text = _read_text(os.path.join(root, rel), SkillParseError)
+    text = _decode(files.read(rel), SkillParseError, files.root, rel)
     try:
         return _parse_skill_file(text, sets)
     except SkillParseError as e:
@@ -265,46 +347,52 @@ def _read_entry(root: Path, entry, keys: tuple[str, ...], sets: dict[str, frozen
 def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
     """Read a library directory back.  Front matter is authoritative for
     contract content; the manifest supplies ordering, provenance and the
-    adapter pairing.
+    adapter pairing.  Every file is read beneath the library directory, and
+    a symlink below it is refused with ManifestError (see _LibraryFiles).
 
     Skills whose preconditions, artifact.type or tags have the same front
     matter text share one frozenset, built once per call; nothing is cached
     across calls."""
     root = Path(path)
     manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise ManifestError(f"{root} has no manifest.json")
-    try:
-        manifest = json.loads(_read_text(manifest_path, ManifestError))
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"{manifest_path}: invalid JSON ({e})") from None
-    version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version != FORMAT_VERSION:
-        raise ManifestError(f"unsupported format_version: {version!r}")
-    sections = {key: manifest.get(key, []) for key in ("skills", "adapters")}
-    for key, entries in sections.items():
-        if not isinstance(entries, list):
-            raise ManifestError(f"manifest {key!r} must be a list, got {entries!r}")
     skills = []
     provenance: dict[str, str] = {}
-    sets: dict[str, frozenset[str]] = {}
-    for entry in sections["skills"]:
-        contract = _read_entry(root, entry, ("id", "path"), sets)
-        if contract.id != entry["id"]:
-            raise ManifestError(
-                f"{entry['path']}: file declares id {contract.id!r},"
-                f" manifest says {entry['id']!r}"
-            )
-        origin = entry.get("provenance", "clean")
-        if not isinstance(origin, str):
-            raise ManifestError(f"{entry['path']}: provenance must be a string")
-        skills.append(contract)
-        provenance[contract.id] = origin
     adapters = []
-    for entry in sections["adapters"]:
-        contract = _read_entry(root, entry, ("src", "dst", "path"), sets)
-        _check_adapter_ends(entry["src"], entry["dst"])
-        adapters.append(AdapterShim(src=entry["src"], dst=entry["dst"], contract=contract))
+    sets: dict[str, frozenset[str]] = {}
+    with _LibraryFiles(root) as files:
+        try:
+            data = files.read("manifest.json")
+        except FileNotFoundError:
+            raise ManifestError(f"{root} has no manifest.json") from None
+        try:
+            manifest = json.loads(_decode(data, ManifestError, manifest_path))
+        except json.JSONDecodeError as e:
+            raise ManifestError(f"{manifest_path}: invalid JSON ({e})") from None
+        version = manifest.get("format_version") if isinstance(manifest, dict) else None
+        if version != FORMAT_VERSION:
+            raise ManifestError(f"unsupported format_version: {version!r}")
+        sections = {key: manifest.get(key, []) for key in ("skills", "adapters")}
+        for key, entries in sections.items():
+            if not isinstance(entries, list):
+                raise ManifestError(f"manifest {key!r} must be a list, got {entries!r}")
+        for entry in sections["skills"]:
+            contract = _read_entry(files, entry, ("id", "path"), sets)
+            if contract.id != entry["id"]:
+                raise ManifestError(
+                    f"{entry['path']}: file declares id {contract.id!r},"
+                    f" manifest says {entry['id']!r}"
+                )
+            origin = entry.get("provenance", "clean")
+            if not isinstance(origin, str):
+                raise ManifestError(f"{entry['path']}: provenance must be a string")
+            skills.append(contract)
+            provenance[contract.id] = origin
+        for entry in sections["adapters"]:
+            contract = _read_entry(files, entry, ("src", "dst", "path"), sets)
+            _check_adapter_ends(entry["src"], entry["dst"])
+            adapters.append(
+                AdapterShim(src=entry["src"], dst=entry["dst"], contract=contract)
+            )
     return Library(skills=tuple(skills), adapters=tuple(adapters)), provenance
 
 

@@ -10,7 +10,9 @@ Each skill gets five signals in [0, 1]:
   G  1 exactly when the skill has no validator checklist
 
 U and F come from one pass over the trace from its newest entry back, which
-counts each skill's successes and calls until its window is full.
+counts each skill's successes and calls until its window is full.  They
+depend on nothing but the skill's id, so a maintained library, whose skills
+keep their ids, reuses them from the input's diagnosis.
 
 Library health H is the weighted per-skill score averaged over the library,
 debt is 1 - H.  Under uniform weights H equals 1 minus the mean local risk.
@@ -100,9 +102,11 @@ def _check_window(window: int) -> None:
         raise ConfigInvalid(f"window must be positive, got {window}")
 
 
-def _window_counts(trace: ExecutionTrace, ids, window: int) -> dict[str, list[int]]:
-    """[successes, calls] over each id's last `window` trace entries, from
-    one pass over the trace from its newest entry back."""
+def _window_rates(trace: ExecutionTrace, ids, window: int) -> dict[str, tuple[float, float]]:
+    """(U, F) over each id's last `window` trace entries, from one pass over
+    the trace from its newest entry back counting [successes, calls].  A new
+    dict, not the counts rewritten in place: the in-place form raised
+    maintain-2k's peak RSS by about 0.6 MB."""
     counts = {sid: [0, 0] for sid in ids}
     for e in reversed(trace.entries):
         c = counts.get(e.skill)
@@ -110,11 +114,14 @@ def _window_counts(trace: ExecutionTrace, ids, window: int) -> dict[str, list[in
             c[1] += 1
             if e.outcome == "success":
                 c[0] += 1
-    return counts
+    return {
+        sid: (ok / calls, (calls - ok) / calls) if calls else (0.5, 0.0)
+        for sid, (ok, calls) in counts.items()
+    }
 
 
-def _vector(s: SkillContract, g: Hseg, successes: int, calls: int) -> HealthVector:
-    u, f = (successes / calls, (calls - successes) / calls) if calls else (0.5, 0.0)
+def _vector(s: SkillContract, g: Hseg, u: float, f: float) -> HealthVector:
+    """s's vector over g, with U and F already read from the trace."""
     cluster = len(g.red_cluster_of(s.id))
     r = (cluster - 1) / max(1, len(g.nodes) - 1)
     dep_total, dep_ok = g.incident_dep_counts(s.id)
@@ -129,7 +136,7 @@ def health_vector(
     window: int = DEFAULT_WINDOW,
 ) -> HealthVector:
     _check_window(window)
-    return _vector(s, g, *_window_counts(trace, (s.id,), window)[s.id])
+    return _vector(s, g, *_window_rates(trace, (s.id,), window)[s.id])
 
 
 @dataclass(frozen=True)
@@ -165,8 +172,26 @@ def library_health(
     skills = lib.skills
     if not skills:
         raise EmptyLibrary("cannot diagnose an empty library")
-    counts = _window_counts(trace, (s.id for s in skills), window)
-    per_skill = {s.id: _vector(s, g, *counts[s.id]) for s in skills}
+    rates = _window_rates(trace, (s.id for s in skills), window)
+    per_skill = {s.id: _vector(s, g, *rates[s.id]) for s in skills}
+    return _report(per_skill, weights, window)
+
+
+def _rediagnosed(lib: Library, g: Hseg, before: LibraryHealthReport) -> LibraryHealthReport:
+    """library_health(lib, g, trace, before.weights, before.window) for a
+    library whose every skill `before` diagnosed against the same trace.
+    A skill's U and F read only its own window of the trace, so they are
+    taken from `before`; R, C and G are computed afresh over g."""
+    old = before.per_skill
+    per_skill = {
+        s.id: _vector(s, g, old[s.id].U, old[s.id].F) for s in lib.skills
+    }
+    return _report(per_skill, before.weights, before.window)
+
+
+def _report(
+    per_skill: dict[str, HealthVector], weights: HealthWeights, window: int
+) -> LibraryHealthReport:
     h = math.fsum(skill_score(hv, weights) for hv in per_skill.values()) / len(
         per_skill
     )

@@ -50,13 +50,14 @@ class AdapterRecord:
 
 @dataclass
 class Hseg:
-    """Built by build_hseg; treat as immutable once constructed.  `nodes`
-    maps each skill id to its contract in ascending id order."""
+    """Built by build_hseg, or derived from another graph by _restrict;
+    treat as immutable once constructed.  `nodes` maps each skill id to its
+    contract in ascending id order."""
 
     nodes: dict[str, SkillContract]
     comp_threshold: float
     dep_mode: str
-    adapter_records: frozenset[AdapterRecord]
+    adapter_records: frozenset[AdapterRecord] = frozenset()
 
     _a_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
     _p_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
@@ -201,6 +202,91 @@ class Hseg:
                     )
         return sorted(pairs)
 
+    # ---- derivation ------------------------------------------------------
+
+    def _register(self, adapters) -> None:
+        """Record the shims and the skill pairs they bridge.  A pair counts
+        once however many shims bridge it; a shim touching a skill outside
+        the graph, or whose types miss the destination's preconditions,
+        bridges nothing."""
+        records = frozenset(
+            AdapterRecord(a.src, a.dst, a.contract.artifact_types) for a in adapters
+        )
+        nodes = self.nodes
+        bridged: dict[str, int] = {}
+        bridged_pairs = set()
+        for rec in records:
+            if rec.src not in nodes or rec.dst not in nodes:
+                continue
+            a, p = nodes[rec.src].artifact_types, nodes[rec.dst].preconditions
+            pair = (rec.src, rec.dst)
+            if not rec.artifact_types <= p or pair in bridged_pairs:
+                continue
+            bridged_pairs.add(pair)
+            # the incident counts leave self pairs out
+            if rec.src != rec.dst and self._dep_sig(a, p) and not self._comp_sig(a, p):
+                bridged[rec.src] = bridged.get(rec.src, 0) + 1
+                bridged[rec.dst] = bridged.get(rec.dst, 0) + 1
+        self.adapter_records = records
+        self._bridged_counts = bridged
+        self._bridged_pairs = frozenset(bridged_pairs)
+
+    def _restrict(self, survivors, adapters) -> Hseg:
+        """The graph build_hseg(survivors, ..., adapters) returns, derived
+        from this one.  Each survivor must be a node here with the same
+        interface and goal, as every maintenance action guarantees.
+
+        Dep and comp hold between signatures whatever skills carry them, so
+        this filters the groups that lost a skill, drops the signatures left
+        without skills, keeps the parent lists minus those signatures and
+        re-sums the dep/comp counts from the new group sizes.  It builds no
+        postings, runs no subset test and hashes no body.  Groups and parent
+        lists keep this graph's order, which can differ from a fresh
+        build's; their contents are equal."""
+        alive = {s.id: s for s in survivors}
+        gone = [s for sid, s in self.nodes.items() if sid not in alive]
+        g = Hseg(
+            nodes={sid: alive[sid] for sid in self.nodes if sid in alive},
+            comp_threshold=self.comp_threshold,
+            dep_mode=self.dep_mode,
+        )
+        g._a_groups = _kept(self._a_groups, {s.artifact_types for s in gone}, alive)
+        g._p_groups = _kept(self._p_groups, {s.preconditions for s in gone}, alive)
+        g._iface_groups = _kept(
+            self._iface_groups, {(s.preconditions, s.artifact_types) for s in gone}, alive
+        )
+        g._goal_groups = _kept(self._goal_groups, {s.goal for s in gone}, alive)
+
+        # comp of a dep pair is jaccard(a, p) >= threshold, with the same
+        # integer quotient: under "subset" a <= p, so it is len(a) / len(p)
+        subset, threshold = self.dep_mode == "subset", self.comp_threshold
+        a_sizes = {a_sig: len(srcs) for a_sig, srcs in g._a_groups.items()}
+        dropped = self._a_groups.keys() - a_sizes.keys()
+        out_counts = {a_sig: [0, 0] for a_sig in a_sizes}
+        for p_sig, dsts in g._p_groups.items():
+            parents = self._parent_sigs[p_sig]
+            if not dropped.isdisjoint(parents):
+                parents = tuple(a for a in parents if a not in dropped)
+            g._parent_sigs[p_sig] = parents
+            n_dst, n_p = len(dsts), len(p_sig)
+            in_dep = in_ok = 0
+            for a_sig in parents:
+                counts = out_counts[a_sig]
+                counts[0] += n_dst
+                in_dep += a_sizes[a_sig]
+                if subset:
+                    ok = len(a_sig) / n_p >= threshold
+                else:
+                    shared = len(a_sig & p_sig)
+                    ok = shared / (len(a_sig) + n_p - shared) >= threshold
+                if ok:
+                    counts[1] += n_dst
+                    in_ok += a_sizes[a_sig]
+            g._in_counts[p_sig] = (in_dep, in_ok)
+        g._out_counts = {k: tuple(v) for k, v in out_counts.items()}
+        g._register(adapters)
+        return g
+
     def export(self) -> dict:
         return {
             "nodes": list(self.nodes),
@@ -213,6 +299,19 @@ class Hseg:
                 for r in sorted(self.adapter_records, key=lambda r: (r.src, r.dst))
             ],
         }
+
+
+def _kept(groups: dict, touched: set, alive) -> dict:
+    """groups with the members of each touched group filtered to `alive`,
+    and groups left empty dropped."""
+    kept = dict(groups)
+    for key in touched:
+        left = tuple(filter(alive.__contains__, groups[key]))
+        if left:
+            kept[key] = left
+        else:
+            del kept[key]
+    return kept
 
 
 def _token_postings(p_sigs) -> dict[str, list[frozenset]]:
@@ -247,15 +346,7 @@ def build_hseg(
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise DuplicateSkillId(", ".join(dupes))
 
-    records = frozenset(
-        AdapterRecord(a.src, a.dst, a.contract.artifact_types) for a in adapters
-    )
-    g = Hseg(
-        nodes=nodes,
-        comp_threshold=comp_threshold,
-        dep_mode=dep_mode,
-        adapter_records=records,
-    )
+    g = Hseg(nodes=nodes, comp_threshold=comp_threshold, dep_mode=dep_mode)
     a_groups: dict[frozenset, list] = {}
     p_groups: dict[frozenset, list] = {}
     iface_groups: dict[tuple, list] = {}
@@ -297,21 +388,5 @@ def build_hseg(
     g._parent_sigs = {k: tuple(v) for k, v in parent_sigs.items()}
     g._in_counts = {k: tuple(v) for k, v in in_counts.items()}
 
-    bridged: dict[str, int] = {}
-    bridged_pairs = set()
-    for rec in records:
-        if rec.src not in g.nodes or rec.dst not in g.nodes:
-            continue
-        a, p = nodes[rec.src].artifact_types, nodes[rec.dst].preconditions
-        pair = (rec.src, rec.dst)
-        if not rec.artifact_types <= p or pair in bridged_pairs:
-            continue
-        bridged_pairs.add(pair)
-        # a dep edge counts once however many shims bridge it, and the
-        # incident counts leave self pairs out
-        if rec.src != rec.dst and g._dep_sig(a, p) and not g._comp_sig(a, p):
-            bridged[rec.src] = bridged.get(rec.src, 0) + 1
-            bridged[rec.dst] = bridged.get(rec.dst, 0) + 1
-    g._bridged_counts.update(bridged)
-    g._bridged_pairs = frozenset(bridged_pairs)
+    g._register(adapters)
     return g

@@ -14,7 +14,9 @@ is applied once, in a single pass, while planning; the library the last
 stage leaves is the output.  One typed graph, built from the input, serves
 every stage, because no action changes a skill's interface, goal or body,
 and after the merge stage no two skills share a body: a stage's siblings
-are the graph's red clusters, restricted to the skills that survive.
+are the graph's red clusters, restricted to the skills that survive.  The
+same graph, restricted to the output, and the input's diagnosis give the
+output's health without diagnosing it again.
 Replaying the action list one action at a time with apply_action on the
 input library reproduces the output exactly, which the test suite checks.
 Red clusters whose members disagree on body are never merged; they are
@@ -29,7 +31,7 @@ actions, the same log and the same output library.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from skillops.cgpd import CgpdConfig, propagate, trigger_set
 from skillops.contract import (
@@ -40,6 +42,7 @@ from skillops.contract import (
     SkillContract,
     SkillOpsError,
     UnknownSkillId,
+    _replace_keeping_body,
     body_hash,
 )
 from skillops.health import (
@@ -47,6 +50,7 @@ from skillops.health import (
     UNIFORM_WEIGHTS,
     HealthWeights,
     LibraryHealthReport,
+    _rediagnosed,
     library_health,
 )
 from skillops.hseg import Hseg, build_hseg
@@ -206,7 +210,7 @@ def _merged(keep: SkillContract, absorbed: list[SkillContract]) -> SkillContract
         fmodes.update(s.failure_modes)
         if not checklist and s.checklist:
             checklist = s.checklist
-    return replace(
+    return _replace_keeping_body(
         keep,
         artifact_dirs=ArtifactDirs(
             scripts=tuple(sorted(dirs["scripts"])),
@@ -235,7 +239,7 @@ def _repaired(target: SkillContract, sibling: SkillContract) -> SkillContract:
     )
     if dirs == target.artifact_dirs:
         return target
-    return replace(target, artifact_dirs=dirs)
+    return _replace_keeping_body(target, artifact_dirs=dirs)
 
 
 def _apply_actions(lib: Library, actions: Iterable[MaintenanceAction]) -> Library:
@@ -317,7 +321,7 @@ def _apply_actions(lib: Library, actions: Iterable[MaintenanceAction]) -> Librar
                 checklist = donor.checklist
             else:
                 checklist = (CANONICAL_CHECKLIST_ITEM,)
-            by_id[target.id] = replace(target, checklist=checklist)
+            by_id[target.id] = _replace_keeping_body(target, checklist=checklist)
         elif a.kind == "add_adapter":
             src = _require(by_id, a.target)
             if a.dst is None:
@@ -493,13 +497,13 @@ def _plan_adapters(g: Hseg, work: Library) -> list[MaintenanceAction]:
 
 def _plan(
     lib: Library, trace: ExecutionTrace, cfg: MaintenanceConfig
-) -> tuple[MaintenancePlan, Library]:
+) -> tuple[MaintenancePlan, Library, Hseg]:
     """Diagnose the library, plan every stage and apply it to a shadow copy.
 
-    Returns the plan and the shadow library the actions produce, which is
-    the input object itself when no action changes anything.  Planning
-    builds one graph, of the input library.  It serves every stage because
-    of two invariants:
+    Returns the plan, the shadow library the actions produce (the input
+    object itself when no action changes anything) and the input's graph.
+    Planning builds that one graph.  It serves every stage, and the output's
+    diagnosis, because of two invariants:
 
     - No action changes a skill's interface, goal or body (merge keeps the
       kept skill's body, repair touches only artifact_dirs, add_validator
@@ -551,7 +555,7 @@ def _plan(
         cgpd_triggered=triggered,
         gated=gated,
     )
-    return plan, work
+    return plan, work, g
 
 
 def plan_actions(
@@ -589,8 +593,8 @@ def run_maintenance(
     trace: ExecutionTrace = EMPTY_TRACE,
     cfg: MaintenanceConfig = MaintenanceConfig(),
 ) -> tuple[Library, MaintenanceReport]:
-    """One full maintenance pass: plan, apply, and re-diagnose only a changed
-    library.
+    """One full maintenance pass: plan, apply, and derive the output's
+    health from the input's diagnosis.
 
     With force off and debt below the gate nothing is planned and the report
     says so; otherwise every planned action is applied in order and the
@@ -598,15 +602,22 @@ def run_maintenance(
     pass leaves the library object untouched (a gated pass, or one whose
     actions all no-op, such as a second pass) H_after is H_before: the same
     diagnosis of the same library and graph gives the same number.
+
+    Otherwise H_after is what a fresh graph and health report of the output
+    would give, bit for bit, derived without building either.  The output's
+    skills keep their ids, interfaces and goals (see _plan), so its graph is
+    the input's restricted to them, with its shims registered, and each
+    skill's U and F, read from its own window of the same trace, are the
+    input diagnosis's.  Only R, C and G are computed again.
     """
-    plan, work = _plan(lib, trace, cfg)
+    plan, work, g = _plan(lib, trace, cfg)
     counts = {kind: 0 for kind in ACTION_KINDS}
     for a in plan.actions:
         counts[a.kind] += 1
     H_after = plan.health_before.H
     if work is not lib:
-        g = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
-        H_after = library_health(work, g, trace, cfg.weights, cfg.window).H
+        g_after = g._restrict(work.skills, work.adapters)
+        H_after = _rediagnosed(work, g_after, plan.health_before).H
     report = MaintenanceReport(
         size_before=len(lib),
         size_after=len(work),

@@ -204,6 +204,19 @@ def test_serialize_rejects_invalid():
         serialize_skill_file(c2)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("id", "abc\n"),
+    ("preconditions", frozenset({"html\n"})),
+    ("artifact_types", frozenset({"json", "csv\n"})),
+])
+def test_a_final_newline_is_not_an_id_or_a_type_tag(field, value):
+    kwargs = dict(id="abc", goal="g", preconditions=frozenset({"html"}), body="x",
+                  artifact_types=frozenset({"json"}))
+    make_contract(**kwargs)
+    with pytest.raises(ContractInvariantError, match="bad (skill id|type tag)"):
+        make_contract(**dict(kwargs, **{field: value}))
+
+
 def test_library_rejects_duplicate_ids():
     a = make_contract(id="a", goal="g", preconditions=frozenset(),
                       body="x", artifact_types=frozenset({"t"}))

@@ -4,6 +4,7 @@ CLI entry point."""
 import codecs
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,7 @@ from skillops.contract import (
     AdapterShim,
     ArtifactDirs,
     ConfigInvalid,
+    ContractInvariantError,
     Library,
     MalformedFrontMatter,
     SkillParseError,
@@ -304,6 +306,107 @@ def test_load_rejects_paths_outside_the_library(tmp_path, capsys, escape):
         load_library(target)
     assert main(["diagnose", "--lib", str(target)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _read_spy(monkeypatch):
+    """Every chunk os.read returns from now on."""
+    chunks = []
+    real_read = os.read
+
+    def spy(fd, n):
+        chunk = real_read(fd, n)
+        chunks.append(chunk)
+        return chunk
+
+    monkeypatch.setattr(os, "read", spy)
+    return chunks
+
+
+@pytest.mark.parametrize("link", ["skill-file", "skill-dir", "manifest", "inside"])
+def test_load_refuses_symlinks_below_the_root(tmp_path, capsys, monkeypatch, link):
+    lib, prov = build_library(30, 0.3, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    skill_dir = target / "skills" / lib.skills[0].id
+    # an outside copy of the linked file or directory, marked so that
+    # reading it shows
+    outside = tmp_path / "outside"
+    shutil.copytree(skill_dir, outside)
+    if link == "manifest":
+        original = target / "manifest.json"
+        marked = original.read_text().replace('"clean"', '"clean-outside"')
+    else:
+        original = skill_dir / "SKILL.md"
+        marked = original.read_text().replace("\n## Operation\n", "\n## Operation\nOUTSIDE\n")
+    (outside / original.name).write_text(marked)
+    if link == "skill-dir":
+        shutil.rmtree(skill_dir)
+        skill_dir.symlink_to(outside, target_is_directory=True)
+    elif link == "inside":  # a symlink that stays in the library is refused too
+        original.unlink()
+        original.symlink_to(target / "skills" / lib.skills[1].id / "SKILL.md")
+    else:
+        original.unlink()
+        original.symlink_to(outside / original.name)
+    chunks = _read_spy(monkeypatch)
+    with pytest.raises(ManifestError, match="symlink") as err:
+        load_library(target)
+    assert str(target) in str(err.value)
+    assert main(["diagnose", "--lib", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not any(b"OUTSIDE" in c or b"clean-outside" in c for c in chunks)
+
+
+def test_load_refuses_a_file_where_a_directory_belongs(tmp_path):
+    lib, prov = build_library(3, 0.0, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    skill_dir = target / "skills" / lib.skills[0].id
+    shutil.rmtree(skill_dir)
+    skill_dir.write_text("not a directory\n")
+    with pytest.raises(ManifestError, match=str(skill_dir)):
+        load_library(target)
+
+
+@pytest.mark.parametrize("path", ["./skills/{sid}/SKILL.md", "skills//{sid}/SKILL.md",
+                                  "skills/{sid}/./SKILL.md", "skills/{sid}/SKILL.md/"])
+def test_load_refuses_unclean_manifest_paths(tmp_path, path):
+    lib, prov = build_library(3, 0.0, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    manifest = json.loads((target / "manifest.json").read_text())
+    manifest["skills"][0]["path"] = path.format(sid=lib.skills[0].id)
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match="leaves the library"):
+        load_library(target)
+
+
+def test_load_follows_a_symlinked_root_and_reports_a_missing_file(tmp_path):
+    lib, prov = build_library(30, 0.3, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    alias = tmp_path / "alias"
+    alias.symlink_to(target, target_is_directory=True)
+    assert load_library(alias) == load_library(target)
+    missing = target / "skills" / lib.skills[3].id / "SKILL.md"
+    missing.unlink()
+    with pytest.raises(FileNotFoundError, match=str(alias / missing.relative_to(target))):
+        load_library(alias)
+    with pytest.raises(ManifestError, match="has no manifest.json"):
+        load_library(tmp_path / "nowhere")
+
+
+@pytest.mark.parametrize("bad_id", ["../../escaped", "abc\n"])
+def test_save_refuses_a_bad_skill_id_before_deleting_anything(tmp_path, bad_id):
+    lib, prov = build_library(5, 0.0, seed=2)
+    out = tmp_path / "work" / "out"
+    save_library(lib, out, prov)
+    before, paths = _tree_bytes(tmp_path), sorted(tmp_path.rglob("*"))
+    bad = Library(skills=lib.skills[:-1] + (replace(lib.skills[-1], id=bad_id),))
+    with pytest.raises(ContractInvariantError, match="bad skill id"):
+        save_library(bad, out, prov)
+    assert _tree_bytes(tmp_path) == before
+    assert sorted(tmp_path.rglob("*")) == paths  # no directory made either
 
 
 @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])

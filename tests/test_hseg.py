@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skillops.contract import AdapterShim, DuplicateSkillId, make_contract
 from skillops.debtgen import build_library
-from skillops.hseg import build_hseg, jaccard
+from skillops.hseg import Hseg, build_hseg, jaccard
 
 
 def skill(sid, pre=(), art=(), goal="g", body=None, **kw):
@@ -337,3 +339,47 @@ def test_parents_and_clusters_match_oracle(lib):
             for y in cl:
                 if x != y:
                     assert (x, y, "red") in edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    libraries(),
+    st.sampled_from(["subset", "overlap"]),
+    st.sampled_from([0.0, 0.3, 0.5, 0.6]),  # 0.5 is a jaccard value drawn skills reach
+    st.data(),
+)
+def test_restrict_equals_a_fresh_build_of_the_survivors(lib, dep_mode, threshold, data):
+    ids = [s.id for s in lib]
+
+    def shims():
+        drawn = data.draw(st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids), _tags), max_size=6,
+        ))
+        return tuple(
+            AdapterShim(src=a, dst=b, contract=skill(f"adapt--{a}--{b}", art=t))
+            for a, b, t in drawn
+        )
+
+    before = shims()
+    g = build_hseg(lib, threshold, dep_mode, before)
+    keep = data.draw(st.sets(st.sampled_from(ids), min_size=1))
+    # survivors keep interface, goal and body; some gain a checklist, as
+    # add_validator gives them
+    survivors = [
+        dataclasses.replace(s, checklist=("checked",)) if data.draw(st.booleans()) else s
+        for s in lib if s.id in keep
+    ]
+    # the old shims (some now naming a removed skill) and new ones, which may
+    # be self shims or repeat a pair
+    after = before + shims()
+    derived = g._restrict(survivors, after)
+    fresh = build_hseg(survivors, threshold, dep_mode, after)
+    assert list(derived.nodes) == list(fresh.nodes)
+    assert all(derived.nodes[s.id] is s for s in survivors)
+    for f in dataclasses.fields(Hseg):
+        got, want = getattr(derived, f.name), getattr(fresh, f.name)
+        if f.name == "_parent_sigs":  # contents, not order
+            got = {k: Counter(v) for k, v in got.items()}
+            want = {k: Counter(v) for k, v in want.items()}
+        assert got == want, f.name
+    assert derived.edge_set() == fresh.edge_set()
