@@ -34,6 +34,9 @@ The matrix covers:
                 ``{"feasible": false}``, for 25 seeded clean skills' goal
                 text and preconditions, on the library (``raw``) and on its
                 ``run_maintenance`` output (``maintained``)
+  rank          ``rank_candidates`` output at ``bm25_k`` 1, 10 and 50 for 50
+                queries of goal words, two tags and the first body line of
+                seeded clean skills (the plan-queries benchmark's shape)
 
 each on ``build_library`` at (200, 0.0, 0), (500, 0.6, 42) and
 (1000, 0.3, 7).  Output does not depend on ``PYTHONHASHSEED``.
@@ -52,6 +55,8 @@ THRESHOLDS = (0.0, 0.3, 0.6)
 DEP_MODES = ("subset", "overlap")
 PIPELINE_SEEDS = (0, 42)
 PLAN_TASKS = 25
+RANK_QUERIES = 50
+RANK_KS = (1, 10, 50)
 
 
 def _digest(data) -> str:
@@ -135,6 +140,7 @@ def cases():
     from skillops.debtgen import build_library
     from skillops.harness import (
         SCENARIOS,
+        _library_queries,
         exercise_library,
         load_library,
         load_trace,
@@ -145,7 +151,7 @@ def cases():
     from skillops.health import library_health
     from skillops.hseg import build_hseg
     from skillops.maint import MaintenanceConfig, run_maintenance
-    from skillops.planner import EMPTY_TRACE
+    from skillops.planner import EMPTY_TRACE, PlannerConfig, rank_candidates
 
     for scenario, seed in product(SCENARIOS, PIPELINE_SEEDS):
         report = run_pipeline(scenario, seed).as_dict()
@@ -200,6 +206,13 @@ def cases():
             for plan_name, plan_lib in (("raw", lib), ("maintained", maintained)):
                 yield (f"plan/{lib_name}/{plan_name}",
                        _digest(_json(_plan_payloads(plan_lib, tasks))))
+
+            queries = [text for text, _ in _library_queries(lib, provenance, seed,
+                                                            RANK_QUERIES)]
+            for k in RANK_KS:
+                cfg = PlannerConfig(bm25_k=k, keep_top=1)
+                yield (f"rank/{lib_name}/k{k}",
+                       _digest(_json([rank_candidates(lib, q, cfg) for q in queries])))
 
             for traced, dep_mode, threshold, cgpd, force in product(
                 (True, False), DEP_MODES, THRESHOLDS, (True, False), (True, False)

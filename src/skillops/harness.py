@@ -28,6 +28,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -271,7 +272,8 @@ class _LibraryFiles:
     def __init__(self, root: Path):
         self.root = root
         self._dir_flags = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW
-        self._file_flags = os.O_RDONLY | os.O_NOFOLLOW
+        # O_NONBLOCK: opening a FIFO must not wait for a writer
+        self._file_flags = os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK
         try:
             self._root_fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
         except (FileNotFoundError, NotADirectoryError):
@@ -291,8 +293,9 @@ class _LibraryFiles:
         """The bytes of the file at `rel`, a "/"-separated path below the
         root.  An empty, "." or ".." component (an absolute path starts with
         an empty one) raises ManifestError, and so does a symlink or a
-        non-directory on the way; any other OSError is raised naming the
-        whole path."""
+        non-directory on the way, or a file that is not regular (a FIFO or
+        a device, which could block or never end); any other OSError is
+        raised naming the whole path."""
         *dirs, name = parts = rel.split("/")
         if not _UNSAFE_PARTS.isdisjoint(parts):
             raise ManifestError(f"manifest path {rel!r} leaves the library {self.root}")
@@ -309,6 +312,10 @@ class _LibraryFiles:
             parent = chain[-1][1] if chain else self._root_fd
             fd = os.open(name, self._file_flags, dir_fd=parent)
             try:
+                if not stat.S_ISREG(os.fstat(fd).st_mode):
+                    raise ManifestError(
+                        f"{os.path.join(self.root, rel)} is not a regular file"
+                    )
                 chunks = []
                 while chunk := os.read(fd, 1 << 16):
                     chunks.append(chunk)

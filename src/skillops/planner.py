@@ -8,13 +8,17 @@ gets one BM25 index per (k1, b), built on its first ranked query and kept
 on the Library object; the index stores each (term, doc) weight and term
 frequency once in per-term postings, and a query sums the postings of its
 tokens.  A term held by every skill (a common term) has an idf near zero
-and rarely decides the shortlist, so the shortlist is taken over the skills
-that hold one of the query's rare terms, and is kept only when its last
+and rarely decides the shortlist, so a query that holds both kinds of term
+ranks only the skills that hold one of its rare terms.  It sums their rare
+weights first; the k-th largest of those sums, less a bound on what the
+common terms can add, rules out every skill that cannot reach the top k,
+and only the rest are scored in full.  The shortlist is kept when its last
 score is strictly above a bound that no skill holding common terms alone
-can reach, rounding included; otherwise every skill is scored.  Either way
-the shortlist and its scores are bit-identical to a scan of every skill.
-The cosine of a shortlisted skill reads its term frequencies and
-hashed-vector norm from the same index, so a query tokenizes only itself.
+can reach; otherwise every skill is scored.  Each bound allows for float
+rounding, so either way the shortlist and its scores are bit-identical to
+a scan of every skill.  The cosine of a shortlisted skill reads its term
+frequencies and hashed-vector norm from the same index, so a query
+tokenizes only itself.
 
 Plans are stitched with a bounded-width search over the candidate set where
 consecutive steps must hold both dep and comp edges.  When the beam bound
@@ -70,7 +74,6 @@ __all__ = [
     "match_skills",
     "plan_action_strings",
     "rank_candidates",
-    "semantic_similarity",
     "skill_document",
     "stitch",
     "tokenize",
@@ -206,23 +209,6 @@ def _hash_vector(tokens) -> Counter:
     return vec
 
 
-def _cosine(q: Counter, d: Counter) -> float:
-    if not q or not d:
-        return 0.0
-    dot = sum(count * d.get(bucket, 0) for bucket, count in q.items())
-    norm = math.sqrt(sum(c * c for c in q.values())) * math.sqrt(
-        sum(c * c for c in d.values())
-    )
-    if norm == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, dot / norm))
-
-
-def semantic_similarity(query: str, doc: str) -> float:
-    """Cosine between hashed term-frequency vectors, clipped to [0, 1]."""
-    return _cosine(_hash_vector(tokenize(query)), _hash_vector(tokenize(doc)))
-
-
 class Bm25Index:
     """Okapi BM25 with the usual nonnegative idf variant, over token postings,
     plus what the hashed-vector cosine needs of each doc.
@@ -239,7 +225,7 @@ class Bm25Index:
     A term whose postings cover every doc is common: its positions are
     0..n-1, so its weight and frequency for doc pos sit at index pos.  The
     index keeps each common term's largest weight, from which top() bounds
-    the score of any doc that holds no rare query term.
+    what a query's common terms can add to any doc's score.
 
     For the cosine the index keeps each doc's hashed-vector norm, taken over
     its bucket counts (two of its terms in one bucket add to one count), and
@@ -290,73 +276,103 @@ class Bm25Index:
             if n == n_docs:
                 self._common_max[term] = max(weights)
 
-    def _accumulate(self, tokens: list[str], docs) -> list[float]:
-        """Scores by position for the docs in `docs`, 0.0 where no query
-        token occurs.  `docs` must hold every posting of the query's rare
-        tokens: all positions, or the union of those postings.  A common
-        term's positions are 0..n-1, so its weight for doc pos is
-        weights[pos]; each doc in `docs` gets the same additions in the same
-        token order whichever `docs` it is scored over."""
+    def _accumulate(self, tokens: list[str]) -> list[float]:
+        """Every doc's score by position, 0.0 where no query token occurs:
+        each token's weights added in token order, repeats included."""
         acc = [0.0] * len(self.ids)
+        for term in tokens:
+            entry = self.postings.get(term)
+            if entry is not None:
+                for pos, weight in zip(entry[0], entry[1]):
+                    acc[pos] += weight
+        return acc
+
+    def _score_each(self, tokens: list[str], docs: list[int]) -> list[float]:
+        """The scores of the docs at positions `docs`, each the float sum
+        _accumulate gives it: the same weights added in the same token
+        order.  A common term's weight for doc pos is weights[pos]; a rare
+        term's is found by bisecting its positions."""
+        scores = [0.0] * len(docs)
         common = self._common_max
         for term in tokens:
             entry = self.postings.get(term)
             if entry is None:
                 continue
-            weights = entry[1]
+            positions, weights, _ = entry
             if term in common:
-                for pos in docs:
-                    acc[pos] += weights[pos]
-            else:
-                for pos, weight in zip(entry[0], weights):
-                    acc[pos] += weight
-        return acc
-
-    def scores(self, query: str) -> dict[str, float]:
-        acc = self._accumulate(tokenize(query), range(len(self.ids)))
-        return dict(zip(self.ids, acc))
+                for i, pos in enumerate(docs):
+                    scores[i] += weights[pos]
+                continue
+            n = len(positions)
+            for i, pos in enumerate(docs):
+                j = bisect_left(positions, pos)
+                if j < n and positions[j] == pos:
+                    scores[i] += weights[j]
+        return scores
 
     def top(self, tokens: list[str], k: int) -> list[tuple[int, float]]:
         """The first k (doc position, score) pairs for a tokenized query, by
         descending score, ties by ascending id.
 
-        When the query holds both common and rare terms, only the docs that
-        hold a rare term (the candidates) are scored, in ascending id order,
-        so nlargest keeps the tie rule.  Every other doc holds common terms
-        only, so its float sum is at most `bound`: the sum of those tokens'
-        largest weights, repeats included.  The bound is widened by a
-        relative slack of 2 * (len(tokens) + 4) units of roundoff, which
-        covers the rounding of fsum, of at most len(tokens) additions
-        (each grows a nonnegative sum by a factor of at most 1 + 2**-53)
-        and of the product itself.  If the k-th best candidate score is
-        strictly above the bound, no other doc can reach or tie it, and the
-        candidates' top k is the top k of all docs.  Otherwise (too few
-        candidates, a k-th score at or below the bound, or a query without
-        both kinds of term) every doc is scored."""
+        A query holding both common and rare terms takes three passes over
+        the docs that hold a rare term (the candidates):
+
+        1. Each candidate's rare sum: the weights of its rare terms, added
+           from the rare postings alone, in token order with repeats.
+        2. theta is the k-th largest rare sum.  A candidate is kept when its
+           rare sum plus `lift`, the fsum of the common tokens' largest
+           weights (repeats included), reaches theta.  Both sides carry a
+           relative slack of 2 * (len(tokens) + 4) units of roundoff: theta
+           is divided by it and the kept side multiplied.  It covers the
+           rounding of fsum, of at most len(tokens) additions on either side
+           (each moves a nonnegative sum by a factor of at most 1 + 2**-53)
+           and of the sum, product and quotient here.  So a pruned
+           candidate's score is strictly below the score of each of the k
+           candidates with the largest rare sums: it can neither enter the
+           top k nor tie into it.
+        3. The kept candidates are scored exactly (_score_each), and
+           nlargest takes k of them in ascending position order, so it
+           keeps the tie rule.
+
+        Every other doc holds common terms only, so its float sum is at most
+        `lift` times the slack.  If the k-th score is strictly above that
+        bound, no other doc can reach or tie it, and the candidates' top k
+        is the top k of all docs.  Otherwise (fewer than k candidates, a
+        k-th score at or below the bound, or a query without both kinds of
+        term) every doc is scored."""
         postings, common = self.postings, self._common_max
-        rare = {t for t in tokens if t in postings and t not in common}
+        rare = [postings[t] for t in tokens if t in postings and t not in common]
         common_maxima = [common[t] for t in tokens if t in common]
-        if rare and common_maxima:
-            cands = sorted({pos for t in rare for pos in postings[t][0]})
-            if len(cands) >= k:
-                acc = self._accumulate(tokens, cands)
-                best = heapq.nlargest(k, cands, key=acc.__getitem__)
+        if rare and common_maxima and k > 0:
+            sums: dict[int, float] = {}
+            for positions, weights, _ in rare:
+                for pos, weight in zip(positions, weights):
+                    sums[pos] = sums.get(pos, 0.0) + weight
+            if len(sums) >= k:
                 slack = 1.0 + (len(tokens) + 4) * 2.0 ** -52
-                bound = math.fsum(common_maxima) * slack
-                if best and acc[best[-1]] > bound:
-                    return [(pos, acc[pos]) for pos in best]
+                lift = math.fsum(common_maxima)
+                theta = heapq.nlargest(k, sums.values())[-1] / slack
+                kept = sorted(
+                    pos for pos, rare_sum in sums.items()
+                    if (rare_sum + lift) * slack >= theta
+                )
+                scores = self._score_each(tokens, kept)
+                best = heapq.nlargest(k, range(len(kept)), key=scores.__getitem__)
+                if scores[best[-1]] > lift * slack:
+                    return [(kept[i], scores[i]) for i in best]
         return self._top_of_all(tokens, k)
 
     def _top_of_all(self, tokens: list[str], k: int) -> list[tuple[int, float]]:
         """top() by scoring every doc."""
-        acc = self._accumulate(tokens, range(len(self.ids)))
+        acc = self._accumulate(tokens)
         best = heapq.nlargest(k, range(len(self.ids)), key=acc.__getitem__)
         return [(pos, acc[pos]) for pos in best]
 
     def _cosine_at(self, pos: int, query_vec: Counter, query_norm: float) -> float:
-        """_cosine(query_vec, hashed vector of doc pos), where query_norm is
-        query_vec's norm: the same integer dot product and the same sqrt,
-        multiply, divide and clip."""
+        """The cosine of query_vec with doc pos's hashed vector, clipped to
+        [0, 1], where query_norm is query_vec's norm: the integer dot product
+        of the bucket counts over the product of the two norms, 0.0 when
+        that product is zero."""
         norm = query_norm * self.norms[pos]
         if norm == 0.0:
             return 0.0

@@ -368,6 +368,32 @@ def test_load_refuses_a_file_where_a_directory_belongs(tmp_path):
         load_library(target)
 
 
+@pytest.mark.parametrize("kind", ["fifo-skill", "fifo-manifest", "dir-skill"])
+def test_cli_refuses_a_file_that_is_not_regular(tmp_path, kind):
+    # in a subprocess with a timeout: a read that blocks fails the test
+    # instead of hanging the suite
+    lib, prov = build_library(3, 0.0, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    odd = target / ("manifest.json" if kind == "fifo-manifest" else
+                    f"skills/{lib.skills[0].id}/SKILL.md")
+    odd.unlink()
+    if kind == "dir-skill":
+        odd.mkdir()
+    else:
+        os.mkfifo(odd)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skillops", "diagnose", "--lib", str(target)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {odd} is not a regular file\n"
+
+
 @pytest.mark.parametrize("path", ["./skills/{sid}/SKILL.md", "skills//{sid}/SKILL.md",
                                   "skills/{sid}/./SKILL.md", "skills/{sid}/SKILL.md/"])
 def test_load_refuses_unclean_manifest_paths(tmp_path, path):

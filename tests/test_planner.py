@@ -35,7 +35,6 @@ from skillops.planner import (
     match_skills,
     plan_action_strings,
     rank_candidates,
-    semantic_similarity,
     skill_document,
     stitch,
     tokenize,
@@ -80,6 +79,32 @@ class StubGraph:
 # ---------------------------------------------------------------------------
 # scoring
 
+def reference_cosine(q, d):
+    """Cosine of two hashed term-frequency vectors, clipped to [0, 1]."""
+    if not q or not d:
+        return 0.0
+    dot = sum(count * d.get(bucket, 0) for bucket, count in q.items())
+    norm = math.sqrt(sum(c * c for c in q.values())) * math.sqrt(
+        sum(c * c for c in d.values())
+    )
+    if norm == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, dot / norm))
+
+
+def reference_semantic_similarity(query, doc):
+    """The semantic half of a hybrid score, computed from the two texts:
+    the cosine of their hashed term-frequency vectors."""
+    return reference_cosine(
+        planner._hash_vector(tokenize(query)), planner._hash_vector(tokenize(doc))
+    )
+
+
+def reference_scores(index, query):
+    """Every doc's BM25 score from the index's postings, by id in id order."""
+    return dict(zip(index.ids, index._accumulate(tokenize(query))))
+
+
 def test_tokenize_lowercases_and_splits_on_non_alphanumerics():
     assert tokenize("Deploy_v2 the API!") == ["deploy", "v2", "the", "api"]
     assert tokenize("  ") == []
@@ -91,14 +116,16 @@ def test_skill_document_folds_goal_tags_body():
 
 
 def test_semantic_similarity_extremes():
-    assert semantic_similarity("alpha beta", "alpha beta") == pytest.approx(1.0, abs=1e-12)
-    assert semantic_similarity("alpha", "zeta") == 0.0
-    assert semantic_similarity("", "anything") == 0.0
+    assert reference_semantic_similarity("alpha beta", "alpha beta") == pytest.approx(
+        1.0, abs=1e-12
+    )
+    assert reference_semantic_similarity("alpha", "zeta") == 0.0
+    assert reference_semantic_similarity("", "anything") == 0.0
 
 
 def test_semantic_similarity_is_deterministic_and_bounded():
-    a = semantic_similarity("parse server logs", "parse the server logs carefully")
-    b = semantic_similarity("parse server logs", "parse the server logs carefully")
+    a = reference_semantic_similarity("parse server logs", "parse the server logs carefully")
+    b = reference_semantic_similarity("parse server logs", "parse the server logs carefully")
     assert a == b
     assert 0.0 < a <= 1.0
 
@@ -116,7 +143,7 @@ def test_bm25_prefers_rarer_terms():
         "rare": "widget sprocket gadget",
     }
     index = Bm25Index(docs)
-    scores = index.scores("sprocket")
+    scores = reference_scores(index, "sprocket")
     assert scores["rare"] > 0.0
     assert scores["common1"] == 0.0
 
@@ -143,7 +170,7 @@ def test_rank_all_equal_bm25_falls_back_to_semantic():
     ranked = rank_candidates(Library(skills=tuple(sks)), "identical body")
     assert [sid for sid, _ in ranked] == ["a", "b"]  # tie -> ascending id
     assert ranked[0][1] == ranked[1][1]
-    sem = semantic_similarity("identical body", skill_document(sks[0]))
+    sem = reference_semantic_similarity("identical body", skill_document(sks[0]))
     assert ranked[0][1] == pytest.approx(0.5 * sem, abs=1e-12)
 
 
@@ -261,7 +288,7 @@ def reference_rank(skills, query, cfg):
     rescored = []
     for sid in shortlist:
         bm25_norm = (raw[sid] - lo) / span if span > 0 else 0.0
-        sem = semantic_similarity(query, docs[sid])
+        sem = reference_semantic_similarity(query, docs[sid])
         rescored.append((sid, hybrid_score(cfg.lam, bm25_norm, sem)))
     rescored.sort(key=lambda pair: (-pair[1], pair[0]))
     return tuple(rescored)
@@ -293,7 +320,7 @@ def ranked_skills(bodies):
 @example({}, "alpha", (1.2, 0.75))
 def test_bm25_scores_equal_dense_formula(docs, query, k1b):
     index = Bm25Index(docs, k1=k1b[0], b=k1b[1])
-    got = index.scores(query)
+    got = reference_scores(index, query)
     want = reference_bm25_scores(docs, query, *k1b)
     assert got == want
     assert list(got) == sorted(want)
@@ -322,7 +349,7 @@ def test_colliding_tokens_share_one_bucket():
     # the norm is over bucket counts: sqrt(3 ** 2), not sqrt(1 ** 2 + 2 ** 2)
     index = Bm25Index({"x": "dhy fza fza", "y": "alpha"})
     assert list(index.norms) == [3.0, 1.0]
-    assert semantic_similarity("dhy", "dhy fza fza") == 1.0
+    assert reference_semantic_similarity("dhy", "dhy fza fza") == 1.0
 
 
 def test_rank_zero_fill_takes_unscored_docs_by_ascending_id():
@@ -358,6 +385,25 @@ TIED_AT_THETA = (
     "the alpha",
     2,
 )
+# b holds the smallest rare sum, and only its three "the" lift it to first
+LIFTED_BY_COMMON = (
+    {"a": "the alpha and", "b": "the the the and alpha", "c": "the alpha and beta",
+     "d": "the and"},
+    "the the the alpha",
+    1,
+)
+# a and b tie on alpha; b's second "the" breaks the tie against the id order
+RARE_TIE_AT_THETA = (
+    {"a": "the alpha and and", "b": "the the alpha and", "c": "the beta and"},
+    "alpha the",
+    1,
+)
+# one alpha weighs less than b's beta, but the query counts alpha twice
+REPEATED_RARE = (
+    {"a": "the alpha and", "b": "the beta beta and", "c": "the and"},
+    "alpha the beta alpha",
+    1,
+)
 
 COMMON = ("the", "and")
 RARE = ("alpha", "beta", "gamma", "delta", "omega") + COLLIDING
@@ -388,6 +434,9 @@ def dense_top(docs, query, k1b, k):
 @example(*FEWER_THAN_K, (1.2, 0.75))
 @example(*LOW_THETA, (1.2, 0.75))
 @example(*TIED_AT_THETA, (1.2, 0.75))
+@example(*LIFTED_BY_COMMON, (1.2, 0.75))
+@example(*RARE_TIE_AT_THETA, (1.2, 0.75))
+@example(*REPEATED_RARE, (1.2, 0.75))
 def test_pruned_top_equals_full_scan(docs, query, k, k1b):
     index = Bm25Index(docs, k1=k1b[0], b=k1b[1])
     got = [(index.ids[pos], score) for pos, score in index.top(tokenize(query), k)]
@@ -448,6 +497,47 @@ def test_library_queries_take_the_pruned_path(monkeypatch):
     monkeypatch.setattr(Bm25Index, "_top_of_all", refuse)
     for text, _ in queries:
         assert rank_candidates(lib, text, cfg) == reference_rank(lib.skills, text, cfg)
+
+
+@pytest.fixture
+def exact_passes(monkeypatch):
+    """The kept positions of every pass 3 (_score_each call) that top() runs."""
+    passes = []
+    real = Bm25Index._score_each
+
+    def recording(self, tokens, kept):
+        passes.append(list(kept))
+        return real(self, tokens, kept)
+
+    monkeypatch.setattr(Bm25Index, "_score_each", recording)
+    return passes
+
+
+@pytest.mark.parametrize("case, scored, winner", [
+    (LIFTED_BY_COMMON, ["a", "b", "c"], "b"),
+    (RARE_TIE_AT_THETA, ["a", "b"], "b"),
+    (REPEATED_RARE, ["a"], "a"),
+])
+def test_threshold_keeps_what_common_terms_can_lift(exact_passes, case, scored, winner):
+    docs, query, k = case
+    index = Bm25Index(docs)
+    got = [(index.ids[pos], score) for pos, score in index.top(tokenize(query), k)]
+    assert got == dense_top(docs, query, (1.2, 0.75), k)
+    assert [[index.ids[pos] for pos in kept] for kept in exact_passes] == [scored]
+    assert got[0][0] == winner
+
+
+def test_library_queries_score_fewer_skills_than_hold_a_rare_term(exact_passes):
+    lib, provenance = build_library(1000, 0.6, 42)
+    cfg = PlannerConfig()
+    index = planner._library_index(lib, cfg)
+    for text, _ in _library_queries(lib, provenance, 42, 10):
+        rare = {t for t in tokenize(text) if t in index.postings} - set(index._common_max)
+        union = {pos for t in rare for pos in index.postings[t][0]}
+        del exact_passes[:]
+        assert rank_candidates(lib, text, cfg) == reference_rank(lib.skills, text, cfg)
+        assert len(exact_passes) == 1
+        assert cfg.bm25_k <= len(exact_passes[0]) < len(union)
 
 
 # ---------------------------------------------------------------------------
