@@ -20,7 +20,8 @@ The matrix covers:
   diagnose      the ``library_health`` JSON at windows 100 and 3, on the
                 probe trace and on a mixed trace (pseudo-random outcomes,
                 interleaved skills, ids outside the library), the CGPD
-                risks, iterations and convergence, and ``Hseg.export()``
+                risks, iterations and convergence, and ``Hseg.export()``;
+                and the probe-trace health of the overlap-mode graph
   load          the library and its probe trace written with
                 ``save_library``/``save_trace`` and read back with
                 ``load_library``/``load_trace``: the loaded library's
@@ -39,7 +40,16 @@ The matrix covers:
                 seeded clean skills (the plan-queries benchmark's shape)
 
 each on ``build_library`` at (200, 0.0, 0), (500, 0.6, 42) and
-(1000, 0.3, 7).  Output does not depend on ``PYTHONHASHSEED``.
+(1000, 0.3, 7); and
+
+  wide          on ``skillbench/widegen.py``'s ``build_wide_library(2000,
+                0.3, 42)``, whose 200-token vocabulary gives dep pairs below
+                the comp threshold: the ``library_health`` JSON, the CGPD
+                risks and the forced ``run_maintenance`` output fingerprint
+                plus report JSON, per dep mode x comp threshold {0, 0.3, 0.6}
+
+The generator is this checkout's, importing skillops from ``--src``.
+Output does not depend on ``PYTHONHASHSEED``.
 """
 
 import argparse
@@ -54,6 +64,7 @@ LIBRARIES = ((200, 0.0, 0), (500, 0.6, 42), (1000, 0.3, 7))
 THRESHOLDS = (0.0, 0.3, 0.6)
 DEP_MODES = ("subset", "overlap")
 PIPELINE_SEEDS = (0, 42)
+WIDE_LIBRARY = (2000, 0.3, 42)
 PLAN_TASKS = 25
 RANK_QUERIES = 50
 RANK_KS = (1, 10, 50)
@@ -200,6 +211,9 @@ def cases():
                 "converged": result.converged,
             }))
             yield f"diagnose/{lib_name}/export", _digest(_json(g.export()))
+            overlap = build_hseg(lib.skills, dep_mode="overlap", adapters=lib.adapters)
+            yield (f"diagnose/{lib_name}/health-overlap",
+                   _digest(_json(library_health(lib, overlap, trace).as_dict())))
 
             tasks = _plan_tasks(lib, provenance, seed)
             maintained, _ = run_maintenance(lib, trace, MaintenanceConfig())
@@ -235,6 +249,22 @@ def cases():
                 yield (f"maintain/{lib_name}/mixed-w{window}",
                        _digest(library_fingerprint(out) + "\n" + _json(report.as_dict())))
 
+    from widegen import build_wide_library
+
+    lib = build_wide_library(*WIDE_LIBRARY)
+    lib_name = "wide{}-{}-{}".format(*WIDE_LIBRARY)
+    for dep_mode, threshold in product(DEP_MODES, THRESHOLDS):
+        name = f"wide/{lib_name}/{dep_mode}/t{threshold}"
+        g = build_hseg(lib.skills, threshold, dep_mode, lib.adapters)
+        health = library_health(lib, g)
+        yield f"{name}/health", _digest(_json(health.as_dict()))
+        result = propagate(g, health.local_risks(), CgpdConfig())
+        yield f"{name}/cgpd", _digest(_json(result.risk))
+        cfg = MaintenanceConfig(force=True, comp_threshold=threshold, dep_mode=dep_mode)
+        out, report = run_maintenance(lib, EMPTY_TRACE, cfg)
+        yield f"{name}/maintain", _digest(library_fingerprint(out) + "\n"
+                                          + _json(report.as_dict()))
+
 
 def main() -> None:
     ap = argparse.ArgumentParser(
@@ -253,6 +283,8 @@ def main() -> None:
 
     if src not in Path(skillops.__file__).resolve().parents:
         sys.exit(f"imported skillops from {skillops.__file__}, not from {src}")
+    # after src, so the generator's own skillops imports resolve to it too
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "skillbench"))
     for name, digest in cases():
         print(name, digest, flush=True)
 

@@ -34,7 +34,6 @@ __all__ = [
     "HealthWeights",
     "UNIFORM_WEIGHTS",
     "LibraryHealthReport",
-    "health_vector",
     "library_health",
     "local_risk",
     "skill_score",
@@ -127,16 +126,6 @@ def _vector(s: SkillContract, g: Hseg, u: float, f: float) -> HealthVector:
     dep_total, dep_ok = g.incident_dep_counts(s.id)
     c = dep_ok / dep_total if dep_total else 1.0
     return HealthVector(u, r, c, f, 0.0 if s.checklist else 1.0)
-
-
-def health_vector(
-    s: SkillContract,
-    g: Hseg,
-    trace: ExecutionTrace = ExecutionTrace(),
-    window: int = DEFAULT_WINDOW,
-) -> HealthVector:
-    _check_window(window)
-    return _vector(s, g, *_window_rates(trace, (s.id,), window)[s.id])
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ Self edges never exist.  Because libraries are clone-heavy, the graph keeps
 interface-signature groups instead of a materialized edge set and answers
 pair predicates from the contracts, kept once by id.  The dep relation is
 built once between signatures from token postings (a dep pair always shares
-a token); parents, dep/comp counts and dep-only pairs are read from it.  Edge
-listings for export or brute-force checks are generated on demand; above a
-comp threshold of 0 they too visit only signature pairs that share a token.
+a token); CGPD's parent lists and dep-only pairs are read from it, and
+each interface's dep/comp counts are summed from it once, by _tally, which a
+fresh build and a restriction share.  Edge listings for export or
+brute-force checks are generated on demand; above a comp threshold of 0 they
+too visit only signature pairs that share a token.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ class AdapterRecord:
 class Hseg:
     """Built by build_hseg, or derived from another graph by _restrict;
     treat as immutable once constructed.  `nodes` maps each skill id to its
-    contract in ascending id order."""
+    contract in ascending id order.  Both ways set the groups and the dep
+    relation (_parent_sigs), then tally the counts and register the
+    adapters the same way."""
 
     nodes: dict[str, SkillContract]
     comp_threshold: float
@@ -65,8 +69,9 @@ class Hseg:
     _goal_groups: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # per distinct precondition signature, the artifact signatures that feed it
     _parent_sigs: dict[frozenset, tuple[frozenset, ...]] = field(default_factory=dict)
-    _out_counts: dict[frozenset, tuple[int, int]] = field(default_factory=dict)
-    _in_counts: dict[frozenset, tuple[int, int]] = field(default_factory=dict)
+    # per interface, keyed as in _iface_groups: (incident dep edges, those
+    # that are also comp) of any one member, its self pair taken out
+    _iface_counts: dict[tuple, tuple[int, int]] = field(default_factory=dict)
     _bridged_counts: dict[str, int] = field(default_factory=dict)
     _bridged_pairs: frozenset[tuple[str, str]] = frozenset()
 
@@ -81,6 +86,14 @@ class Hseg:
 
     def _comp_sig(self, a: frozenset, p: frozenset) -> bool:
         return jaccard(a, p) >= self.comp_threshold
+
+    def _dep_comp(self, a: frozenset, p: frozenset) -> bool:
+        """_comp_sig of a dep pair, from the same integer quotient: a is
+        nonempty, and under "subset" a <= p, so jaccard is len(a) / len(p)."""
+        if self.dep_mode == "subset":
+            return len(a) / len(p) >= self.comp_threshold
+        shared = len(a & p)
+        return shared / (len(a) + len(p) - shared) >= self.comp_threshold
 
     def edge_exists(self, kind: str, src: str, dst: str) -> bool:
         if src == dst or src not in self.nodes or dst not in self.nodes:
@@ -102,15 +115,6 @@ class Hseg:
         return (src, dst) in self._bridged_pairs
 
     # ---- neighborhoods ---------------------------------------------------
-
-    def parents(self, skill_id: str) -> frozenset[str]:
-        """Skills whose artifacts feed skill_id's preconditions (dep in-edges)."""
-        p = self.nodes[skill_id].preconditions
-        out = set()
-        for a_sig in self._parent_sigs[p]:
-            out.update(self._a_groups[a_sig])
-        out.discard(skill_id)
-        return frozenset(out)
 
     def alt_neighbors(self, skill_id: str) -> tuple[str, ...]:
         """Same-goal, different-body skills, ascending id."""
@@ -137,17 +141,8 @@ class Hseg:
         """(incident dep edges, incident dep edges that are compatible or
         adapter-bridged) counting both directions, self pairs excluded."""
         s = self.nodes[skill_id]
-        a, p = s.artifact_types, s.preconditions
-        out_dep, out_ok = self._out_counts[a]
-        in_dep, in_ok = self._in_counts[p]
-        if self._dep_sig(a, p):  # remove the would-be self edge on both sides
-            out_dep -= 1
-            in_dep -= 1
-            if self._comp_sig(a, p):
-                out_ok -= 1
-                in_ok -= 1
-        bridged = self._bridged_counts.get(skill_id, 0)
-        return out_dep + in_dep, out_ok + in_ok + bridged
+        dep, ok = self._iface_counts[(s.preconditions, s.artifact_types)]
+        return dep, ok + self._bridged_counts.get(skill_id, 0)
 
     # ---- listings (on-demand; can be quadratic on clone-heavy graphs) ----
 
@@ -187,22 +182,53 @@ class Hseg:
                         yield (s, d, "alt")
                         yield (d, s, "alt")
 
-    def edge_set(self, kinds=EDGE_KINDS) -> frozenset[tuple[str, str, str]]:
-        return frozenset(self.iter_edges(kinds))
-
     def dep_not_comp_pairs(self):
         """Ordered (src, dst) pairs holding a dep edge without comp."""
         pairs = []
         for p_sig, a_sigs in self._parent_sigs.items():
             dsts = self._p_groups[p_sig]
             for a_sig in a_sigs:
-                if not self._comp_sig(a_sig, p_sig):
+                if not self._dep_comp(a_sig, p_sig):
                     pairs.extend(
                         (s, d) for s in self._a_groups[a_sig] for d in dsts if s != d
                     )
         return sorted(pairs)
 
     # ---- derivation ------------------------------------------------------
+
+    def _tally(self) -> None:
+        """Sum each interface's incident dep and comp counts from the dep
+        relation and the group sizes.  A dep pair of signatures adds the
+        destination group's size to the artifact signature's out-counts and
+        the source group's size to the precondition signature's in-counts;
+        an interface's counts are its two signatures' sums less its self
+        pair, counted once on each side."""
+        a_groups, p_groups = self._a_groups, self._p_groups
+        out = {a_sig: [0, 0] for a_sig in a_groups}
+        into = {}
+        for p_sig, parents in self._parent_sigs.items():
+            n_dst = len(p_groups[p_sig])
+            dep = ok = 0
+            for a_sig in parents:
+                n_src = len(a_groups[a_sig])
+                counts = out[a_sig]
+                counts[0] += n_dst
+                dep += n_src
+                if self._dep_comp(a_sig, p_sig):
+                    counts[1] += n_dst
+                    ok += n_src
+            into[p_sig] = (dep, ok)
+        tally = {}
+        for key in self._iface_groups:
+            p, a = key
+            (out_dep, out_ok), (in_dep, in_ok) = out[a], into[p]
+            dep, ok = out_dep + in_dep, out_ok + in_ok
+            if self._dep_sig(a, p):
+                dep -= 2
+                if self._dep_comp(a, p):
+                    ok -= 2
+            tally[key] = (dep, ok)
+        self._iface_counts = tally
 
     def _register(self, adapters) -> None:
         """Record the shims and the skill pairs they bridge.  A pair counts
@@ -224,7 +250,7 @@ class Hseg:
                 continue
             bridged_pairs.add(pair)
             # the incident counts leave self pairs out
-            if rec.src != rec.dst and self._dep_sig(a, p) and not self._comp_sig(a, p):
+            if rec.src != rec.dst and self._dep_sig(a, p) and not self._dep_comp(a, p):
                 bridged[rec.src] = bridged.get(rec.src, 0) + 1
                 bridged[rec.dst] = bridged.get(rec.dst, 0) + 1
         self.adapter_records = records
@@ -238,8 +264,8 @@ class Hseg:
 
         Dep and comp hold between signatures whatever skills carry them, so
         this filters the groups that lost a skill, drops the signatures left
-        without skills, keeps the parent lists minus those signatures and
-        re-sums the dep/comp counts from the new group sizes.  It builds no
+        without skills and keeps the parent lists minus those signatures;
+        _tally then sums the counts from the new group sizes.  It builds no
         postings, runs no subset test and hashes no body.  Groups and parent
         lists keep this graph's order, which can differ from a fresh
         build's; their contents are equal."""
@@ -257,33 +283,13 @@ class Hseg:
         )
         g._goal_groups = _kept(self._goal_groups, {s.goal for s in gone}, alive)
 
-        # comp of a dep pair is jaccard(a, p) >= threshold, with the same
-        # integer quotient: under "subset" a <= p, so it is len(a) / len(p)
-        subset, threshold = self.dep_mode == "subset", self.comp_threshold
-        a_sizes = {a_sig: len(srcs) for a_sig, srcs in g._a_groups.items()}
-        dropped = self._a_groups.keys() - a_sizes.keys()
-        out_counts = {a_sig: [0, 0] for a_sig in a_sizes}
-        for p_sig, dsts in g._p_groups.items():
+        dropped = self._a_groups.keys() - g._a_groups.keys()
+        for p_sig in g._p_groups:
             parents = self._parent_sigs[p_sig]
             if not dropped.isdisjoint(parents):
                 parents = tuple(a for a in parents if a not in dropped)
             g._parent_sigs[p_sig] = parents
-            n_dst, n_p = len(dsts), len(p_sig)
-            in_dep = in_ok = 0
-            for a_sig in parents:
-                counts = out_counts[a_sig]
-                counts[0] += n_dst
-                in_dep += a_sizes[a_sig]
-                if subset:
-                    ok = len(a_sig) / n_p >= threshold
-                else:
-                    shared = len(a_sig & p_sig)
-                    ok = shared / (len(a_sig) + n_p - shared) >= threshold
-                if ok:
-                    counts[1] += n_dst
-                    in_ok += a_sizes[a_sig]
-            g._in_counts[p_sig] = (in_dep, in_ok)
-        g._out_counts = {k: tuple(v) for k, v in out_counts.items()}
+        g._tally()
         g._register(adapters)
         return g
 
@@ -365,28 +371,20 @@ def build_hseg(
     # the dep relation, from token -> precondition signature postings.  A
     # subset pair holds every token of a_sig, so the posting of its rarest
     # token lists all candidates; an overlap pair is any pair sharing a token.
-    # Each pair adds group sizes to both signatures' dep/comp counts, and
-    # walking _a_groups in order fixes the order of every parent list.
+    # Walking _a_groups in order fixes the order of every parent list.
     postings = _token_postings(g._p_groups)
     parent_sigs: dict[frozenset, list] = {p_sig: [] for p_sig in g._p_groups}
-    in_counts = {p_sig: [0, 0] for p_sig in g._p_groups}
-    for a_sig, srcs in g._a_groups.items():
+    for a_sig in g._a_groups:
         if dep_mode == "overlap":
             deps = {p for token in a_sig for p in postings.get(token, ())}
         else:
             rarest = min((postings.get(token, ()) for token in a_sig), key=len, default=())
             deps = [p_sig for p_sig in rarest if a_sig <= p_sig]
-        dep_n = ok_n = 0
         for p_sig in deps:
             parent_sigs[p_sig].append(a_sig)
-            ok = g._comp_sig(a_sig, p_sig)
-            dep_n += len(g._p_groups[p_sig])
-            ok_n += ok * len(g._p_groups[p_sig])
-            in_counts[p_sig][0] += len(srcs)
-            in_counts[p_sig][1] += ok * len(srcs)
-        g._out_counts[a_sig] = (dep_n, ok_n)
     g._parent_sigs = {k: tuple(v) for k, v in parent_sigs.items()}
-    g._in_counts = {k: tuple(v) for k, v in in_counts.items()}
+    del postings, parent_sigs  # freed before the tally allocates its own maps
 
+    g._tally()
     g._register(adapters)
     return g

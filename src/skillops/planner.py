@@ -271,6 +271,10 @@ class Bm25Index:
                 idf * freq * (k1 + 1) / (freq + denom_norm[pos])
                 for pos, freq in zip(positions, freqs)
             ])
+            # a k1 that validate() accepts can still overflow a weight to inf
+            # or nan, which would zero the BM25 half of every ranking
+            if not all(map(math.isfinite, weights)):
+                raise ConfigInvalid(f"k1={k1!r} with b={b!r} overflows the BM25 weights")
             entry = self.postings[term] = (positions, weights, freqs)
             self._buckets[bucket] = self._buckets.get(bucket, ()) + (entry,)
             if n == n_docs:

@@ -5,18 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skillops.contract import ConfigInvalid, EmptyLibrary, Library, make_contract
+from skillops.contract import (
+    ConfigInvalid,
+    EmptyLibrary,
+    Library,
+    SkillContract,
+    make_contract,
+)
 from skillops.health import (
     DEFAULT_WINDOW,
     UNIFORM_WEIGHTS,
     HealthVector,
     HealthWeights,
-    health_vector,
+    _check_window,
+    _vector,
+    _window_rates,
     library_health,
     local_risk,
     skill_score,
 )
-from skillops.hseg import build_hseg
+from skillops.hseg import Hseg, build_hseg
 from skillops.planner import ExecutionTrace, TraceEntry
 from skillops.planner import make_adapter_shim
 
@@ -47,6 +55,16 @@ def trace_of(counts):
     return ExecutionTrace(entries=tuple(entries))
 
 
+def reference_health_vector(
+    s: SkillContract,
+    g: Hseg,
+    trace: ExecutionTrace = ExecutionTrace(),
+    window: int = DEFAULT_WINDOW,
+) -> HealthVector:
+    _check_window(window)
+    return _vector(s, g, *_window_rates(trace, (s.id,), window)[s.id])
+
+
 def test_health_vector_is_an_immutable_record():
     hv = HealthVector(U=0.8, R=0.0, C=1.0, F=0.2, G=1.0)
     assert hv == HealthVector(0.8, 0.0, 1.0, 0.2, 1.0) == (0.8, 0.0, 1.0, 0.2, 1.0)
@@ -67,7 +85,7 @@ def test_hand_vector_well_connected_validated_skill():
         skill("down", pre=("b",)),
     ]
     g = build_hseg(sks)
-    hv = health_vector(sks[1], g, trace_of({"mid": (8, 2)}))
+    hv = reference_health_vector(sks[1], g, trace_of({"mid": (8, 2)}))
     assert hv == HealthVector(U=0.8, R=0.0, C=1.0, F=0.2, G=0.0)
     assert local_risk(hv) == pytest.approx(0.08, abs=1e-12)
     assert skill_score(hv) == pytest.approx(0.92, abs=1e-12)
@@ -75,7 +93,7 @@ def test_hand_vector_well_connected_validated_skill():
 
 def test_never_called_defaults():
     sks = [skill("solo")]
-    hv = health_vector(sks[0], build_hseg(sks))
+    hv = reference_health_vector(sks[0], build_hseg(sks))
     assert hv.U == 0.5
     assert hv.F == 0.0
     assert hv.C == 1.0  # no dep edges at all
@@ -84,7 +102,7 @@ def test_never_called_defaults():
 
 def test_missing_checklist_sets_gap():
     sks = [skill("bare", checklist=())]
-    hv = health_vector(sks[0], build_hseg(sks))
+    hv = reference_health_vector(sks[0], build_hseg(sks))
     assert hv.G == 1.0
 
 
@@ -94,13 +112,13 @@ def test_redundancy_three_clones_in_library_of_five():
     sks = clones + others
     g = build_hseg(sks)
     for c in clones:
-        assert health_vector(c, g).R == pytest.approx((3 - 1) / (5 - 1), abs=0)
-    assert health_vector(others[0], g).R == 0.0
+        assert reference_health_vector(c, g).R == pytest.approx((3 - 1) / (5 - 1), abs=0)
+    assert reference_health_vector(others[0], g).R == 0.0
 
 
 def test_singleton_library_redundancy_denominator():
     sks = [skill("only")]
-    assert health_vector(sks[0], build_hseg(sks)).R == 0.0
+    assert reference_health_vector(sks[0], build_hseg(sks)).R == 0.0
 
 
 def test_window_drops_old_entries():
@@ -109,10 +127,12 @@ def test_window_drops_old_entries():
     # 60 failures then 100 successes: only the last 100 land in the window
     entries = [TraceEntry("t", "w", i, "failure", "e") for i in range(60)]
     entries += [TraceEntry("t", "w", 60 + i, "success") for i in range(100)]
-    hv = health_vector(sks[0], g, ExecutionTrace(tuple(entries)), window=DEFAULT_WINDOW)
+    hv = reference_health_vector(
+        sks[0], g, ExecutionTrace(tuple(entries)), window=DEFAULT_WINDOW
+    )
     assert hv.U == 1.0
     assert hv.F == 0.0
-    hv_small = health_vector(sks[0], g, ExecutionTrace(tuple(entries)), window=4)
+    hv_small = reference_health_vector(sks[0], g, ExecutionTrace(tuple(entries)), window=4)
     assert hv_small.U == 1.0
     # entries[-window:] with window <= 0 would keep the oldest calls instead
     for window in (0, -3):
@@ -120,7 +140,9 @@ def test_window_drops_old_entries():
             library_health(Library(skills=tuple(sks)), g, ExecutionTrace(tuple(entries)),
                            window=window)
         with pytest.raises(ConfigInvalid, match="window"):
-            health_vector(sks[0], g, ExecutionTrace(tuple(entries)), window=window)
+            reference_health_vector(
+                sks[0], g, ExecutionTrace(tuple(entries)), window=window
+            )
 
 
 def test_incompatible_dep_edge_lowers_c():
@@ -130,8 +152,8 @@ def test_incompatible_dep_edge_lowers_c():
         skill("need", pre=("x", "a", "b", "c")),
     ]
     g = build_hseg(sks)
-    assert health_vector(sks[0], g).C == 0.0
-    assert health_vector(sks[1], g).C == 0.0
+    assert reference_health_vector(sks[0], g).C == 0.0
+    assert reference_health_vector(sks[1], g).C == 0.0
 
 
 def test_adapter_bridge_restores_c():
@@ -141,8 +163,8 @@ def test_adapter_bridge_restores_c():
     ]
     shim = make_adapter_shim(sks[0], sks[1])
     g = build_hseg(sks, adapters=(shim,))
-    assert health_vector(sks[0], g).C == 1.0
-    assert health_vector(sks[1], g).C == 1.0
+    assert reference_health_vector(sks[0], g).C == 1.0
+    assert reference_health_vector(sks[1], g).C == 1.0
 
 
 def test_library_health_perfect_library_is_exactly_one():
@@ -171,7 +193,7 @@ def test_library_health_matches_per_skill_vectors():
     lib = Library(skills=tuple(sks))
     report = library_health(lib, g, trace)
     for s in sks:
-        assert report.per_skill[s.id] == health_vector(s, g, trace)
+        assert report.per_skill[s.id] == reference_health_vector(s, g, trace)
     expected_h = math.fsum(
         skill_score(report.per_skill[s.id]) for s in sks
     ) / len(sks)
@@ -234,8 +256,8 @@ def test_cloning_a_skill_raises_its_redundancy():
         g_before = build_hseg(sks)
         grown = sks + [clone]
         g_after = build_hseg(grown)
-        r_before = health_vector(victim, g_before).R
-        r_after = health_vector(victim, g_after).R
+        r_before = reference_health_vector(victim, g_before).R
+        r_after = reference_health_vector(victim, g_after).R
         assert r_after > r_before
         assert set(g_after.red_cluster_of(victim.id)) >= {victim.id, "zz-clone"}
 
@@ -281,7 +303,7 @@ def test_report_dict_is_sorted_and_complete():
 def test_usage_rates_partition(succ, fail):
     sks = [skill("p")]
     g = build_hseg(sks)
-    hv = health_vector(sks[0], g, trace_of({"p": (succ, fail)}))
+    hv = reference_health_vector(sks[0], g, trace_of({"p": (succ, fail)}))
     if succ + fail == 0:
         assert (hv.U, hv.F) == (0.5, 0.0)
     else:
@@ -328,5 +350,5 @@ def test_window_counts_equal_the_slice_formula(calls, window):
         u, f = reference_usage_rates(
             tuple(e for e in entries if e.skill == s.id), window
         )
-        for hv in (report.per_skill[s.id], health_vector(s, g, trace, window)):
+        for hv in (report.per_skill[s.id], reference_health_vector(s, g, trace, window)):
             assert (hv.U.hex(), hv.F.hex()) == (u.hex(), f.hex())  # bit for bit

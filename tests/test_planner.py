@@ -248,6 +248,28 @@ def test_config_rejects_weights_that_break_bm25(field, value):
         rank_candidates(lib, "alpha", cfg)
 
 
+@pytest.mark.parametrize("docs", [
+    {"x": "a a a a", "y": "b"},  # a's weight overflows to inf
+    {"x": "a a a a", "y": ""},  # and here to inf / inf = nan
+])
+def test_index_refuses_a_k1_that_overflows_its_weights(docs):
+    with pytest.raises(ConfigInvalid, match=r"k1=.* b="):
+        Bm25Index(docs, k1=1e308, b=1.0)
+
+
+def test_overflowing_k1_fails_every_query_and_is_not_memoized():
+    # validate() accepts this finite k1, but 458 of the library's weights
+    # overflow; ranking on would leave only the semantic half
+    lib, provenance = build_library(100, 0.6, 1)
+    query = _library_queries(lib, provenance, 1, 1)[0][0]
+    cfg = PlannerConfig(k1=1e308)
+    cfg.validate()
+    for _ in range(2):
+        with pytest.raises(ConfigInvalid, match=r"k1=.* b="):
+            rank_candidates(lib, query, cfg)
+    assert (cfg.k1, cfg.b) not in getattr(lib, "_bm25_indexes", {})
+
+
 # ---------------------------------------------------------------------------
 # BM25 postings index against the dense per-doc formula
 
