@@ -30,7 +30,9 @@ The matrix covers:
                 on the first library also ``adapters``: the overlap-mode,
                 threshold-0.6 maintenance output, which carries thousands
                 of adapter shims, saved and loaded back, as the loaded
-                fingerprint plus the saved ``manifest.json``
+                fingerprint plus the saved ``manifest.json``, and
+                ``adapters-export``: ``Hseg.export()`` of that loaded
+                library's overlap-mode, threshold-0.6 graph with its shims
   plan          the ``skillops plan`` payload of ``build_plan``, or
                 ``{"feasible": false}``, for 25 seeded clean skills' goal
                 text and preconditions, on the library (``raw``) and on its
@@ -194,6 +196,8 @@ def cases():
                 yield f"load/{lib_name}/adapters", _digest(
                     library_fingerprint(loaded) + "\n" + (saved / "manifest.json").read_text()
                 )
+                shimmed = build_hseg(loaded.skills, 0.6, "overlap", loaded.adapters)
+                yield f"load/{lib_name}/adapters-export", _digest(_json(shimmed.export()))
 
             g = build_hseg(lib.skills, adapters=lib.adapters)
             mixed = _mixed_trace(lib, seed)

@@ -276,27 +276,35 @@ class Library:
     """An ordered collection of skills plus any registered adapter shims.
 
     Skill ids are unique; adapters live outside the skill list and never
-    count toward library size.
+    count toward library size.  Construction checks the ids and keeps the
+    id -> contract map it builds for get and `in`, stored with
+    object.__setattr__ so dataclass eq, hash and repr never see it.
+    replace() builds a new Library, which builds its own map.
     """
 
     skills: tuple[SkillContract, ...] = ()
     adapters: tuple[AdapterShim, ...] = ()
 
     def __post_init__(self) -> None:
-        seen = set()
+        index = {}
         for s in self.skills:
-            if s.id in seen:
+            if s.id in index:
                 raise DuplicateSkillId(s.id)
-            seen.add(s.id)
+            index[s.id] = s
+        object.__setattr__(self, "_index", index)
 
     def by_id(self) -> dict[str, SkillContract]:
-        return {s.id: s for s in self.skills}
+        """A fresh id -> contract map, in skill order, for callers that edit it."""
+        return dict(self._index)
 
     def get(self, skill_id: str) -> SkillContract:
-        for s in self.skills:
-            if s.id == skill_id:
-                return s
-        raise UnknownSkillId(skill_id)
+        s = self._index.get(skill_id)
+        if s is None:
+            raise UnknownSkillId(skill_id)
+        return s
+
+    def __contains__(self, skill_id: str) -> bool:
+        return skill_id in self._index
 
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.skills)

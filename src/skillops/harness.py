@@ -492,15 +492,15 @@ class SimulatedExecutor:
     """
 
     def __init__(self, lib: Library, scripted: dict | None = None):
-        self.by_id = lib.by_id()
+        self.lib = lib
         self.scripted = dict(scripted or {})
         self.invocations = 0
         self.external_model_calls = 0
 
     def verdict(self, skill_id: str) -> tuple[bool, str | None]:
-        s = self.by_id.get(skill_id)
-        if s is None:
+        if skill_id not in self.lib:
             return True, None
+        s = self.lib.get(skill_id)
         if s.artifact_dirs.is_empty():
             return False, "empty-artifacts"
         for dirname, fname in extract_artifact_links(s.body):
@@ -596,7 +596,6 @@ def _eval_condition(lib: Library, queries, k: int) -> dict:
     query's text, its top k ids and whether one of them is relevant, so a
     miss can be traced to its query.
     """
-    present = set(lib.ids())
     # the shortlist bounds the ranking, so it must hold at least k ids
     cfg = PlannerConfig(bm25_k=max(k, PlannerConfig().bm25_k))
     per_query, reciprocal_ranks, recalls, entries = [], [], [], []
@@ -609,7 +608,7 @@ def _eval_condition(lib: Library, queries, k: int) -> dict:
         if ranks:
             hits += 1
         reciprocal_ranks.append(1.0 / ranks[0] if ranks else 0.0)
-        held = len(relevant & present)
+        held = sum(sid in lib for sid in relevant)
         recalls.append(len(ranks) / held if held else 0.0)
     n = len(per_query)
     lo, hi = wilson_ci(hits, n)
@@ -656,13 +655,12 @@ def _library_queries(lib: Library, provenance: dict[str, str], seed: int, count:
     clean_ids = sorted(sid for sid, p in provenance.items() if p == "clean")
     rng = Xorshift64Star(derive_seed(seed, 7777))
     picked = rng.sample(clean_ids, min(count, len(clean_ids)))
-    by_id = lib.by_id()
     classes: dict[str, list[str]] = {}
     for s in lib.skills:
         classes.setdefault(body_hash(s), []).append(s.id)
     queries = []
     for sid in sorted(picked):
-        s = by_id[sid]
+        s = lib.get(sid)
         text = " ".join(
             [s.goal.replace("-", " "), *sorted(s.tags)[:2], s.body.split("\n")[0]]
         )

@@ -31,7 +31,7 @@ from skillops.contract import (
     body_hash,
 )
 
-__all__ = ["AdapterRecord", "Hseg", "build_hseg", "jaccard", "EDGE_KINDS"]
+__all__ = ["Hseg", "build_hseg", "jaccard", "EDGE_KINDS"]
 
 EDGE_KINDS = ("dep", "comp", "red", "alt")
 
@@ -43,25 +43,19 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
-@dataclass(frozen=True)
-class AdapterRecord:
-    src: str
-    dst: str
-    artifact_types: frozenset[str]
-
-
 @dataclass
 class Hseg:
     """Built by build_hseg, or derived from another graph by _restrict;
     treat as immutable once constructed.  `nodes` maps each skill id to its
-    contract in ascending id order.  Both ways set the groups and the dep
-    relation (_parent_sigs), then tally the counts and register the
+    contract in ascending id order, and `adapters` holds the shims the
+    graph was built with, in the order given.  Both ways set the groups and
+    the dep relation (_parent_sigs), then tally the counts and register the
     adapters the same way."""
 
     nodes: dict[str, SkillContract]
     comp_threshold: float
     dep_mode: str
-    adapter_records: frozenset[AdapterRecord] = frozenset()
+    adapters: tuple[AdapterShim, ...] = ()
 
     _a_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
     _p_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
@@ -231,29 +225,26 @@ class Hseg:
         self._iface_counts = tally
 
     def _register(self, adapters) -> None:
-        """Record the shims and the skill pairs they bridge.  A pair counts
-        once however many shims bridge it; a shim touching a skill outside
-        the graph, or whose types miss the destination's preconditions,
-        bridges nothing."""
-        records = frozenset(
-            AdapterRecord(a.src, a.dst, a.contract.artifact_types) for a in adapters
-        )
+        """Keep the shims as given and record the skill pairs they bridge.
+        A pair counts once however many shims bridge it; a shim touching a
+        skill outside the graph, or whose types miss the destination's
+        preconditions, bridges nothing."""
+        self.adapters = tuple(adapters)
         nodes = self.nodes
         bridged: dict[str, int] = {}
         bridged_pairs = set()
-        for rec in records:
-            if rec.src not in nodes or rec.dst not in nodes:
+        for shim in self.adapters:
+            if shim.src not in nodes or shim.dst not in nodes:
                 continue
-            a, p = nodes[rec.src].artifact_types, nodes[rec.dst].preconditions
-            pair = (rec.src, rec.dst)
-            if not rec.artifact_types <= p or pair in bridged_pairs:
+            a, p = nodes[shim.src].artifact_types, nodes[shim.dst].preconditions
+            pair = (shim.src, shim.dst)
+            if not shim.contract.artifact_types <= p or pair in bridged_pairs:
                 continue
             bridged_pairs.add(pair)
             # the incident counts leave self pairs out
-            if rec.src != rec.dst and self._dep_sig(a, p) and not self._dep_comp(a, p):
-                bridged[rec.src] = bridged.get(rec.src, 0) + 1
-                bridged[rec.dst] = bridged.get(rec.dst, 0) + 1
-        self.adapter_records = records
+            if shim.src != shim.dst and self._dep_sig(a, p) and not self._dep_comp(a, p):
+                bridged[shim.src] = bridged.get(shim.src, 0) + 1
+                bridged[shim.dst] = bridged.get(shim.dst, 0) + 1
         self._bridged_counts = bridged
         self._bridged_pairs = frozenset(bridged_pairs)
 
@@ -294,6 +285,10 @@ class Hseg:
         return g
 
     def export(self) -> dict:
+        """Nodes in id order, edges sorted by (kind, src, dst), and each
+        distinct (src, dst, sorted artifact types) of the shims in full sort
+        order, so the dump depends on neither the shim order nor the hash
+        seed."""
         return {
             "nodes": list(self.nodes),
             "edges": [
@@ -301,8 +296,11 @@ class Hseg:
                 for k, s, d in sorted((k, s, d) for s, d, k in self.iter_edges())
             ],
             "adapters": [
-                {"src": r.src, "dst": r.dst, "artifact_types": sorted(r.artifact_types)}
-                for r in sorted(self.adapter_records, key=lambda r: (r.src, r.dst))
+                {"src": s, "dst": d, "artifact_types": list(types)}
+                for s, d, types in sorted({
+                    (a.src, a.dst, tuple(sorted(a.contract.artifact_types)))
+                    for a in self.adapters
+                })
             ],
         }
 

@@ -250,11 +250,15 @@ def _apply_actions(lib: Library, actions: Iterable[MaintenanceAction]) -> Librar
     touching a removed skill are dropped.  Retire's duplicate check reads
     survivor counts per interface and per body hash, built on the first
     retire and decremented as skills leave.  When no action changes anything
-    the input object is returned.
+    the input object is returned.  add_adapter is a no-op when a shim for the
+    pair already covers the destination's preconditions; otherwise the new
+    shim takes the place of the pair's first, stale shim, if it has one.
     """
     by_id = lib.by_id()
     adapters = list(lib.adapters)
-    pairs = {(a.src, a.dst) for a in adapters}
+    slots: dict[tuple[str, str], list[int]] = {}
+    for i, shim in enumerate(adapters):
+        slots.setdefault((shim.src, shim.dst), []).append(i)
     removed: set[str] = set()
     survivors: dict[object, int] | None = None
     changed = False
@@ -327,10 +331,14 @@ def _apply_actions(lib: Library, actions: Iterable[MaintenanceAction]) -> Librar
             if a.dst is None:
                 raise ConfigInvalid("add_adapter needs a destination skill")
             dst = _require(by_id, a.dst)
-            if (src.id, dst.id) in pairs:
+            held = slots.setdefault((src.id, dst.id), [])
+            if any(adapters[i].contract.artifact_types <= dst.preconditions for i in held):
                 continue
-            adapters.append(make_adapter_shim(src, dst))
-            pairs.add((src.id, dst.id))
+            if held:
+                adapters[held[0]] = make_adapter_shim(src, dst)
+            else:
+                held.append(len(adapters))
+                adapters.append(make_adapter_shim(src, dst))
         elif a.kind == "instantiate":
             continue
         else:
@@ -380,9 +388,9 @@ def _plan_merges(
     return actions
 
 
-def _siblings(g: Hseg, alive: dict[str, SkillContract], sid: str) -> list[SkillContract]:
-    """sid's red cluster in g without sid, restricted to the alive skills."""
-    return [alive[o] for o in g.red_cluster_of(sid) if o != sid and o in alive]
+def _siblings(g: Hseg, work: Library, sid: str) -> list[SkillContract]:
+    """sid's red cluster in g without sid, restricted to work's skills."""
+    return [work.get(o) for o in g.red_cluster_of(sid) if o != sid and o in work]
 
 
 def _repair_source(
@@ -407,12 +415,11 @@ def _plan_repairs(
     risk: dict[str, float],
     cfg: MaintenanceConfig,
 ) -> list[MaintenanceAction]:
-    alive = work.by_id()
     actions = []
     for s in sorted(work.skills, key=lambda s: s.id):
         if not (health.per_skill[s.id].F > cfg.theta_f or risk[s.id] > cfg.theta_risk):
             continue
-        sibling, missing = _repair_source(s, _siblings(g, alive, s.id))
+        sibling, missing = _repair_source(s, _siblings(g, work, s.id))
         if sibling is None:
             actions.append(
                 MaintenanceAction(kind="repair", target=s.id, reason="no-sibling")
@@ -438,11 +445,10 @@ def _plan_retires(
     def utility(sid: str) -> float:
         return health.per_skill[sid].U
 
-    alive = work.by_id()
     actions = []
     for cluster in g.red_clusters():
         # a merge kept in another cluster can absorb every member of this one
-        group = [sid for sid in cluster if sid in alive]
+        group = [sid for sid in cluster if sid in work]
         top = min(group, key=lambda sid: (-utility(sid), sid), default=None)
         for sid in group:
             if sid != top and utility(sid) < cfg.theta_u:
@@ -458,12 +464,11 @@ def _plan_retires(
 
 
 def _plan_validators(work: Library, g: Hseg) -> list[MaintenanceAction]:
-    alive = work.by_id()
     actions = []
     for s in sorted(work.skills, key=lambda s: s.id):
         if s.checklist:
             continue
-        donor = next((d.id for d in _siblings(g, alive, s.id) if d.checklist), None)
+        donor = next((d.id for d in _siblings(g, work, s.id) if d.checklist), None)
         reason = "inherit sibling checklist" if donor else "attach canonical checklist"
         actions.append(
             MaintenanceAction(
@@ -479,10 +484,9 @@ def _plan_validators(work: Library, g: Hseg) -> list[MaintenanceAction]:
 def _plan_adapters(g: Hseg, work: Library) -> list[MaintenanceAction]:
     """Shims for the dep-only pairs of g whose endpoints both survive in work
     and that no registered adapter bridges yet."""
-    alive = set(work.ids())
     actions = []
     for src, dst in g.dep_not_comp_pairs():
-        if src not in alive or dst not in alive or g.is_bridged(src, dst):
+        if src not in work or dst not in work or g.is_bridged(src, dst):
             continue
         actions.append(
             MaintenanceAction(

@@ -99,7 +99,6 @@ class TaskSpec:
     goal_text: str
     state_facts: frozenset[str] = frozenset()
     gold_args: tuple[tuple[str, str], ...] = ()
-    gold_plan: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -396,9 +395,10 @@ class Bm25Index:
 def _library_index(lib: Library, cfg: PlannerConfig) -> Bm25Index:
     """The library's index for (k1, b), built on its first ranked query.
 
-    Memoized on the Library object with object.__setattr__, as
-    contract.body_hash does, so dataclass eq, hash and repr never see it.
-    replace() builds a new Library, which builds its own index.
+    Memoized on the Library object with object.__setattr__, as Library
+    keeps its id map and contract.body_hash its digest, so dataclass eq,
+    hash and repr never see it.  replace() builds a new Library, which
+    builds its own map and its own index.
     """
     memo = getattr(lib, "_bm25_indexes", None)
     if memo is None:
@@ -410,17 +410,6 @@ def _library_index(lib: Library, cfg: PlannerConfig) -> Bm25Index:
         docs = {s.id: skill_document(s) for s in lib.skills}
         index = memo[key] = Bm25Index(docs, k1=cfg.k1, b=cfg.b)
     return index
-
-
-def _library_by_id(lib: Library) -> dict[str, SkillContract]:
-    """The library's id -> contract map, built once per Library object and
-    memoized like _library_index.  Read-only: Library.by_id() returns a
-    fresh dict for callers that edit theirs."""
-    by_id = getattr(lib, "_by_id_map", None)
-    if by_id is None:
-        by_id = lib.by_id()
-        object.__setattr__(lib, "_by_id_map", by_id)
-    return by_id
 
 
 def hybrid_score(lam: float, bm25_norm: float, sem: float) -> float:
@@ -465,11 +454,10 @@ def match_skills(
     """Candidate set: top keep_top ranked skills whose score clears
     theta_score and whose preconditions hold in the task's state facts."""
     ranked = rank_candidates(lib, task.goal_text, cfg)
-    by_id = _library_by_id(lib)
     kept = [
         (sid, score)
         for sid, score in ranked
-        if score >= cfg.theta_score and by_id[sid].preconditions <= task.state_facts
+        if score >= cfg.theta_score and lib.get(sid).preconditions <= task.state_facts
     ]
     return tuple(kept[: cfg.keep_top])
 
@@ -582,22 +570,19 @@ def make_adapter_shim(src: SkillContract, dst: SkillContract) -> AdapterShim:
 def insert_validators_adapters(plan: Plan, g: Hseg, lib: Library) -> Plan:
     """Insert a validator step after every non-terminal unvalidated step and
     an adapter step inside every dep-without-comp transition."""
-    by_id = _library_by_id(lib)
     walked = [s for s in plan.steps if s.inserted is None]
     out: list[PlanStep] = []
     for pos, step in enumerate(walked):
         out.append(step)
         terminal = pos == len(walked) - 1
-        contract = by_id.get(step.skill)
-        if not terminal and contract is not None and not contract.checklist:
+        if not terminal and step.skill in lib and not lib.get(step.skill).checklist:
             out.append(PlanStep(skill=step.skill, inserted="validator"))
         if not terminal:
             nxt = walked[pos + 1]
             if g.edge_exists("dep", step.skill, nxt.skill) and not g.edge_exists(
                 "comp", step.skill, nxt.skill
             ):
-                src, dst = by_id[step.skill], by_id[nxt.skill]
-                shim = make_adapter_shim(src, dst)
+                shim = make_adapter_shim(lib.get(step.skill), lib.get(nxt.skill))
                 out.append(PlanStep(skill=shim.contract.id, inserted="adapter"))
     return Plan(steps=tuple(out), total_score=plan.total_score)
 

@@ -191,6 +191,15 @@ def test_missing_entry_and_bad_config():
     for eps in (0.0, -1e-9, float("nan"), float("inf")):
         with pytest.raises(ConfigInvalid, match="eps must be positive and finite"):
             CgpdConfig(eps=eps).validate()
+    with pytest.raises(ConfigInvalid, match="max_iters must be at least 1, got 0"):
+        CgpdConfig(max_iters=0).validate()
+    with pytest.raises(ConfigInvalid, match=r"tau must be in \[0, 1\], got 1.5"):
+        CgpdConfig(tau=1.5).validate()
+
+
+def test_empty_graph_propagates_to_an_empty_converged_result():
+    res = propagate(build_hseg([]), {})
+    assert (res.risk, res.iterations_used, res.converged) == ({}, 0, True)
 
 
 def test_trigger_set_flags_unvalidated_risky_skills():

@@ -21,6 +21,7 @@ from skillops.contract import (
     SkillContract,
     SkillParseError,
     UnknownSection,
+    UnknownSkillId,
     body_hash,
     make_contract,
     normalize_body,
@@ -222,6 +223,28 @@ def test_library_rejects_duplicate_ids():
                       body="x", artifact_types=frozenset({"t"}))
     with pytest.raises(DuplicateSkillId):
         Library(skills=(a, a))
+
+
+def test_library_looks_ids_up_in_the_map_it_builds():
+    b, a = (make_contract(id=sid, goal="g", preconditions=frozenset(),
+                          body=f"body {sid}", artifact_types=frozenset({"t"}))
+            for sid in ("b", "a"))
+    lib = Library(skills=(b, a))
+    assert lib.get("a") is a and lib.get("b") is b
+    assert "a" in lib and "c" not in lib
+    with pytest.raises(UnknownSkillId, match="^c$"):
+        lib.get("c")
+    # by_id is a fresh copy in skill order; editing it leaves lib alone
+    edited = lib.by_id()
+    assert list(edited) == ["b", "a"] and edited is not lib.by_id()
+    edited.pop("a")
+    assert "a" in lib and lib.get("a") is a
+    # the map stays out of eq, hash and repr; replace() builds its own
+    twin = replace(lib)
+    assert twin == lib and hash(twin) == hash(lib) and repr(twin) == repr(lib)
+    assert repr(lib) == f"Library(skills={(b, a)!r}, adapters=())"
+    only_b = replace(lib, skills=(b,))
+    assert only_b.get("b") is b and "a" not in only_b
 
 
 _tag = st.from_regex(r"[a-z][a-z0-9]{0,6}", fullmatch=True)

@@ -24,6 +24,7 @@ from skillops.contract import (
     library_fingerprint,
     make_contract,
     parse_skill_file,
+    serialize_skill_file,
 )
 from skillops.debtgen import build_library
 from skillops.harness import (
@@ -843,6 +844,11 @@ def test_retrieval_scenario_decoys_crowd_out_the_answer():
     assert after["hits"] == 6
 
 
+def test_retrieval_scenario_needs_a_query():
+    with pytest.raises(ConfigInvalid, match="^need at least one query$"):
+        build_retrieval_scenario(0)
+
+
 @pytest.mark.parametrize("k, retrieved", [(5, 10), (10, 10), (20, 20)])
 def test_eval_shortlist_holds_at_least_k_ids(monkeypatch, k, retrieved):
     # 160 skills: a shortlist of the default 10 would cap a k of 20 at 10 ids
@@ -1096,6 +1102,16 @@ def test_cli_grade_names_a_json_file_it_cannot_parse(tmp_path, capsys, flag):
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
+@pytest.mark.parametrize("text", ['{"actions": "a,b"}', '["a", 2]', '"a"', "{}"])
+def test_cli_grade_names_a_json_file_that_is_not_an_action_list(tmp_path, capsys, text):
+    path = tmp_path / "actions.json"
+    path.write_text(text)
+    assert main(["grade", "--plan", str(path), "--gold-list", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: expected a JSON list of action strings\n"
+
+
 TRACE_LINE = b'{"task_id": "t", "skill_id": "a", "step": 0, "outcome": "success"}'
 
 
@@ -1311,6 +1327,41 @@ def test_cli_diagnose_strict_exits_one_when_cgpd_does_not_converge(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--strict needs --cgpd" in captured.err
+
+
+def test_dumped_graph_does_not_depend_on_the_hash_seed(tmp_path):
+    # three shims for one pair, as a hand-written manifest may list them
+    a = _skill("a", pre=(), art=("x",))
+    b = _skill("b", pre=("x", "y", "z"), art=())
+    target = tmp_path / "lib"
+    save_library(Library(skills=(a, b)), target)
+    manifest = json.loads((target / "manifest.json").read_text())
+    for n, types in enumerate([("x", "y", "z"), ("x", "y"), ("x", "z")]):
+        rel = f"adapters/a--b-{n}/SKILL.md"
+        (target / rel).parent.mkdir(parents=True)
+        shim = _skill(f"adapt--a--b-{n}", pre=("x",), art=types)
+        (target / rel).write_text(serialize_skill_file(shim))
+        manifest["adapters"].append({"src": "a", "dst": "b", "path": rel})
+    (target / "manifest.json").write_text(json.dumps(manifest))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    dumps = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        graph = tmp_path / f"graph-{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "skillops", "diagnose", "--lib", str(target),
+             "--dump-graph", str(graph)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        dumps.add(graph.read_text())
+    assert len(dumps) == 1
+    assert json.loads(dumps.pop())["adapters"] == [
+        {"src": "a", "dst": "b", "artifact_types": types}
+        for types in (["x", "y"], ["x", "y", "z"], ["x", "z"])
+    ]
 
 
 def test_python_dash_m_skillops_runs_the_cli():

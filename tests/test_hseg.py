@@ -155,6 +155,14 @@ def test_duplicate_ids_rejected():
         build_hseg([a, a])
 
 
+def test_unknown_edge_kind_and_dep_mode_rejected():
+    g = build_hseg([skill("a", art=("x",)), skill("b", pre=("x",))])
+    with pytest.raises(ValueError, match="^unknown edge kind: next$"):
+        g.edge_exists("next", "a", "b")
+    with pytest.raises(ValueError, match="dep_mode must be subset or overlap, got 'x'"):
+        build_hseg([skill("a")], dep_mode="x")
+
+
 def test_dep_mode_overlap():
     i = skill("i", art=("json", "log"))
     j = skill("j", pre=("json", "table", "form", "chart"))
@@ -211,6 +219,15 @@ def test_export_shape_and_determinism():
     assert ex1["nodes"] == ["a", "b"]
     assert {tuple(e.values()) for e in ex1["edges"]} >= {("a", "b", "dep")}
     assert ex1["adapters"] == []
+
+    # shims list each distinct (src, dst, types) once, in full sort order,
+    # whatever order the graph was given them in
+    shims = [AdapterShim(src="a", dst="b", contract=skill(f"t{n}", art=types))
+             for n, types in enumerate([("x", "z"), ("x",), ("x", "y"), ("x",)])]
+    want = [{"src": "a", "dst": "b", "artifact_types": types}
+            for types in (["x"], ["x", "y"], ["x", "z"])]
+    for order in (shims, shims[::-1]):
+        assert build_hseg(sks, adapters=order).export()["adapters"] == want
 
 
 def test_nodes_map_ascending_ids_to_the_given_contracts():

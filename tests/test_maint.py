@@ -33,7 +33,12 @@ from skillops.maint import (
     plan_actions,
     run_maintenance,
 )
-from skillops.planner import CANONICAL_CHECKLIST_ITEM, ExecutionTrace, TraceEntry
+from skillops.planner import (
+    CANONICAL_CHECKLIST_ITEM,
+    ExecutionTrace,
+    TraceEntry,
+    make_adapter_shim,
+)
 
 
 def skill(sid, pre=(), art=(), goal=None, body=None, checklist=("check",),
@@ -182,6 +187,42 @@ def test_add_adapter_registers_shim_once():
     assert out.adapters[0].src == "emit" and out.adapters[0].dst == "need"
     assert apply_action(out, act) is out  # already bridged
     assert len(out) == 2  # shims never count toward size
+
+
+def test_add_adapter_replaces_a_stale_shim_in_place():
+    # the shim was made when b needed {t1, t3, t4, t9}; b now needs
+    # {t1, t2, t3, t4}, so the shim's types miss b's and it bridges nothing
+    a = skill("a", pre=("x",), art=("t1",))
+    b = skill("b", pre=("t1", "t2", "t3", "t4"))
+    stale = make_adapter_shim(a, skill("b", pre=("t1", "t3", "t4", "t9")))
+    lib = Library(skills=(a, b), adapters=(stale,))
+    assert not build_hseg(lib.skills, adapters=lib.adapters).is_bridged("a", "b")
+
+    out, report = run_maintenance(lib)
+    assert report.log == ("add_adapter: a -> b",)
+    assert out.adapters == (make_adapter_shim(a, b),)
+    assert build_hseg(out.skills, adapters=out.adapters).is_bridged("a", "b")
+    assert report.H_after > report.H_before
+    again, report2 = run_maintenance(out)
+    assert report2.actions == () and again is out
+
+    act = MaintenanceAction(kind="add_adapter", target="a", dst="b")
+    other = make_adapter_shim(b, a)
+    # the stale shim is replaced where it stands; other shims keep their places
+    mixed = Library(skills=(a, b), adapters=(stale, other))
+    assert apply_action(mixed, act).adapters == (make_adapter_shim(a, b), other)
+    # a pair that some shim already bridges is left alone
+    held = Library(skills=(a, b), adapters=(stale, make_adapter_shim(a, b)))
+    assert apply_action(held, act) is held
+
+
+def test_ill_formed_validator_and_adapter_actions_rejected():
+    lib = Library(skills=(skill("bare", checklist=()), skill("donor", checklist=())))
+    with pytest.raises(ConfigInvalid, match="donor donor has no checklist"):
+        apply_action(lib, MaintenanceAction(kind="add_validator", target="bare",
+                                            source_sibling="donor"))
+    with pytest.raises(ConfigInvalid, match="add_adapter needs a destination"):
+        apply_action(lib, MaintenanceAction(kind="add_adapter", target="bare"))
 
 
 def test_unknown_action_kind_rejected():

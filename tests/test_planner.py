@@ -676,24 +676,38 @@ CHAIN_TASK = TaskSpec(id="t", goal_text="clean the raw event logs",
 
 def test_build_plan_builds_the_id_map_once(monkeypatch):
     lib, g = chain_library()
-    calls = []
-    real = Library.by_id
+    built, copied = [], []
+    real_init, real_by_id = Library.__post_init__, Library.by_id
 
-    def counting(self):
-        calls.append(self)
-        return real(self)
+    def counting_init(self):
+        built.append(self)
+        real_init(self)
 
-    monkeypatch.setattr(Library, "by_id", counting)
+    def counting_by_id(self):
+        copied.append(self)
+        return real_by_id(self)
+
+    monkeypatch.setattr(Library, "__post_init__", counting_init)
+    monkeypatch.setattr(Library, "by_id", counting_by_id)
     first = build_plan(lib, g, CHAIN_TASK)
     assert [s.skill for s in first.steps if s.inserted is None] == ["fetch", "clean"]
     for _ in range(3):
         assert build_plan(lib, g, CHAIN_TASK) == first
-    assert len(calls) == 1 and calls[0] is lib
+    # the map was built with lib, before counting began; no query builds one
+    assert built == [] and copied == []
     # replace() builds a new Library, which builds its own map
     other = dataclasses.replace(lib)
     assert build_plan(other, g, CHAIN_TASK) == first
-    assert len(calls) == 2 and calls[1] is other
-    assert planner._library_by_id(other) is not planner._library_by_id(lib)
+    assert len(built) == 1 and built[0] is other and copied == []
+    # and plans from it: a replaced fetch that has a checklist needs no validator
+    checked = dataclasses.replace(
+        lib, skills=(skill("fetch", art=("raw",), body="fetch the raw event logs",
+                           checklist=("verified",)),) + lib.skills[1:]
+    )
+    steps = [(s.skill, s.inserted) for s in build_plan(checked, g, CHAIN_TASK).steps]
+    assert ("fetch", "validator") not in steps
+    assert build_plan(lib, g, CHAIN_TASK) == first
+    assert copied == []
 
 
 def test_edited_by_id_result_does_not_reach_the_planner():
@@ -705,7 +719,9 @@ def test_edited_by_id_result_does_not_reach_the_planner():
     edited["fetch"] = skill("fetch", checklist=("verified",))
     assert build_plan(lib, g, CHAIN_TASK) == first
     assert ("fetch", "validator") in [(s.skill, s.inserted) for s in first.steps]
-    assert planner._library_by_id(lib) == {s.id: s for s in lib.skills}
+    assert "clean" in lib
+    assert [lib.get(s.id) for s in lib.skills] == list(lib.skills)
+    assert lib.by_id() == {s.id: s for s in lib.skills}
 
 
 # ---------------------------------------------------------------------------
