@@ -16,7 +16,10 @@ The matrix covers:
   maintain      ``library_fingerprint`` of the output plus the report JSON,
                 over trace on/off x dep mode x comp threshold {0, 0.3, 0.6}
                 x CGPD on/off x force on/off; and with default settings on
-                the mixed trace below at windows 3 and 100
+                the mixed trace below at windows 3 and 100; on the second
+                library also ``restrict-export``: ``Hseg.export()`` of the
+                graph ``Hseg._restrict`` derives for the default
+                maintenance output, whose goal groups it builds on use
   diagnose      the ``library_health`` JSON at windows 100 and 3, on the
                 probe trace and on a mixed trace (pseudo-random outcomes,
                 interleaved skills, ids outside the library), the CGPD
@@ -221,6 +224,9 @@ def cases():
 
             tasks = _plan_tasks(lib, provenance, seed)
             maintained, _ = run_maintenance(lib, trace, MaintenanceConfig())
+            if (n, noise, seed) == LIBRARIES[1]:
+                derived = g._restrict(maintained.skills, maintained.adapters)
+                yield f"maintain/{lib_name}/restrict-export", _digest(_json(derived.export()))
             for plan_name, plan_lib in (("raw", lib), ("maintained", maintained)):
                 yield (f"plan/{lib_name}/{plan_name}",
                        _digest(_json(_plan_payloads(plan_lib, tasks))))

@@ -179,20 +179,18 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _check_adapter_ends(src: str, dst: str) -> None:
-    """An adapter's ends name its directory, so each must be a skill id."""
-    for key, value in (("src", src), ("dst", dst)):
-        if not _ID_RE.fullmatch(value):
-            raise ManifestError(f"adapter {src!r} -> {dst!r}: {key} is not a skill id")
-
-
 def _adapter_paths(adapters) -> dict[str, AdapterShim]:
     """adapters/<src>--<dst>/SKILL.md -> shim, in (src, dst) order.  An end
     that is not a skill id, or two shims saving to one directory (a repeated
     pair, or "a--b" -> "c" beside "a" -> "b--c"), raise ManifestError."""
     paths: dict[str, AdapterShim] = {}
     for shim in sorted(adapters, key=lambda a: (a.src, a.dst)):
-        _check_adapter_ends(shim.src, shim.dst)
+        # an adapter's ends name its directory, so each must be a skill id
+        for key, value in (("src", shim.src), ("dst", shim.dst)):
+            if not _ID_RE.fullmatch(value):
+                raise ManifestError(
+                    f"adapter {shim.src!r} -> {shim.dst!r}: {key} is not a skill id"
+                )
         rel = f"adapters/{shim.src}--{shim.dst}/SKILL.md"
         other = paths.get(rel)
         if other is not None:
@@ -356,6 +354,9 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
     contract content; the manifest supplies ordering, provenance and the
     adapter pairing.  Every file is read beneath the library directory, and
     a symlink below it is refused with ManifestError (see _LibraryFiles).
+    So are adapters that save_library could not write back (see
+    _adapter_paths): an end that is not a skill id, or two shims sharing a
+    directory.
 
     Skills whose preconditions, artifact.type or tags have the same front
     matter text share one frozenset, built once per call; nothing is cached
@@ -396,10 +397,11 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
             provenance[contract.id] = origin
         for entry in sections["adapters"]:
             contract = _read_entry(files, entry, ("src", "dst", "path"), sets)
-            _check_adapter_ends(entry["src"], entry["dst"])
             adapters.append(
                 AdapterShim(src=entry["src"], dst=entry["dst"], contract=contract)
             )
+    # refuse what save_library would refuse, before any work is done on it
+    _adapter_paths(adapters)
     return Library(skills=tuple(skills), adapters=tuple(adapters)), provenance
 
 

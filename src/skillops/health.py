@@ -12,7 +12,9 @@ Each skill gets five signals in [0, 1]:
 U and F come from one pass over the trace from its newest entry back, which
 counts each skill's successes and calls until its window is full.  They
 depend on nothing but the skill's id, so a maintained library, whose skills
-keep their ids, reuses them from the input's diagnosis.
+keep their ids, reuses them from the input's diagnosis.  R and C depend only
+on the skill's interface, bridging aside, so they are computed once per
+interface group of the graph; C is redone for the skills a shim bridges.
 
 Library health H is the weighted per-skill score averaged over the library,
 debt is 1 - H.  Under uniform weights H equals 1 minus the mean local risk.
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from skillops.contract import ConfigInvalid, EmptyLibrary, Library, SkillContract
+from skillops.contract import ConfigInvalid, EmptyLibrary, Library
 from skillops.hseg import Hseg
 from skillops.planner import ExecutionTrace
 
@@ -101,50 +103,80 @@ def _check_window(window: int) -> None:
         raise ConfigInvalid(f"window must be positive, got {window}")
 
 
-def _window_rates(trace: ExecutionTrace, ids, window: int) -> dict[str, tuple[float, float]]:
-    """(U, F) over each id's last `window` trace entries, from one pass over
-    the trace from its newest entry back counting [successes, calls].  A new
-    dict, not the counts rewritten in place: the in-place form raised
-    maintain-2k's peak RSS by about 0.6 MB."""
-    counts = {sid: [0, 0] for sid in ids}
+def _usage_rates(trace: ExecutionTrace, skills, window: int):
+    """(U, F) of each skill in order, over its last `window` trace entries,
+    from one pass over the trace from its newest entry back that counts
+    successes and calls into two int maps."""
+    ok = dict.fromkeys((s.id for s in skills), 0)
+    calls = ok.copy()
     for e in reversed(trace.entries):
-        c = counts.get(e.skill)
-        if c is not None and c[1] < window:
-            c[1] += 1
+        n = calls.get(e.skill)
+        if n is not None and n < window:
+            calls[e.skill] = n + 1
             if e.outcome == "success":
-                c[0] += 1
+                ok[e.skill] += 1
+    return (
+        (k / n, (n - k) / n) if n else (0.5, 0.0)
+        for k, n in zip(ok.values(), calls.values())
+    )
+
+
+def _vectors(skills, g: Hseg, rates) -> dict[str, HealthVector]:
+    """Each skill's vector over g, with (U, F) taken from `rates` in skill
+    order.  R and the unbridged C are computed once per interface, as every
+    member shares them; C is computed again for the skills that shims
+    bridge, from their own incident counts."""
+    r_of: dict[str, float] = {}
+    c_of: dict[str, float] = {}
+    denom = max(1, len(g.nodes) - 1)
+    for key, group in g._iface_groups.items():
+        dep_total, dep_ok = g._iface_counts[key]
+        r = (len(group) - 1) / denom
+        c = dep_ok / dep_total if dep_total else 1.0
+        for sid in group:
+            r_of[sid] = r
+            c_of[sid] = c
+    for sid in g._bridged_counts:
+        dep_total, dep_ok = g.incident_dep_counts(sid)
+        c_of[sid] = dep_ok / dep_total if dep_total else 1.0
     return {
-        sid: (ok / calls, (calls - ok) / calls) if calls else (0.5, 0.0)
-        for sid, (ok, calls) in counts.items()
+        s.id: HealthVector(u, r_of[s.id], c_of[s.id], f, 0.0 if s.checklist else 1.0)
+        for s, (u, f) in zip(skills, rates)
     }
-
-
-def _vector(s: SkillContract, g: Hseg, u: float, f: float) -> HealthVector:
-    """s's vector over g, with U and F already read from the trace."""
-    cluster = len(g.red_cluster_of(s.id))
-    r = (cluster - 1) / max(1, len(g.nodes) - 1)
-    dep_total, dep_ok = g.incident_dep_counts(s.id)
-    c = dep_ok / dep_total if dep_total else 1.0
-    return HealthVector(u, r, c, f, 0.0 if s.checklist else 1.0)
 
 
 @dataclass(frozen=True)
 class LibraryHealthReport:
+    """Per-skill vectors and library health.  The local risks are computed
+    once, on first use, and shared by local_risks and as_dict."""
+
     per_skill: dict[str, HealthVector]
     H: float
     debt: float
     weights: HealthWeights = UNIFORM_WEIGHTS
     window: int = DEFAULT_WINDOW
 
+    def _risks(self) -> dict[str, float]:
+        """id -> local risk, kept with object.__setattr__ so eq and repr
+        never see it."""
+        risks = self.__dict__.get("_local_risks")
+        if risks is None:
+            risks = {sid: local_risk(hv) for sid, hv in self.per_skill.items()}
+            object.__setattr__(self, "_local_risks", risks)
+        return risks
+
     def local_risks(self) -> dict[str, float]:
-        return {sid: local_risk(hv) for sid, hv in self.per_skill.items()}
+        """A fresh id -> local risk map, in per_skill order."""
+        return dict(self._risks())
 
     def as_dict(self) -> dict:
+        risks = self._risks()
         per_skill = {}
         for sid in sorted(self.per_skill):
-            entry = self.per_skill[sid].as_dict()
-            entry["local_risk"] = local_risk(self.per_skill[sid])
-            per_skill[sid] = entry
+            u, r, c, f, gap = self.per_skill[sid]
+            per_skill[sid] = {
+                "U": u, "R": r, "C": c, "F": f, "G": gap, "local_risk": risks[sid]
+            }
         return {"H": self.H, "debt": self.debt, "per_skill": per_skill}
 
 
@@ -155,14 +187,14 @@ def library_health(
     weights: HealthWeights = UNIFORM_WEIGHTS,
     window: int = DEFAULT_WINDOW,
 ) -> LibraryHealthReport:
-    """Diagnose every skill with one pass over the trace."""
+    """Diagnose every skill with one pass over the trace and one over the
+    graph's interface groups."""
     weights.validate()
     _check_window(window)
     skills = lib.skills
     if not skills:
         raise EmptyLibrary("cannot diagnose an empty library")
-    rates = _window_rates(trace, (s.id for s in skills), window)
-    per_skill = {s.id: _vector(s, g, *rates[s.id]) for s in skills}
+    per_skill = _vectors(skills, g, _usage_rates(trace, skills, window))
     return _report(per_skill, weights, window)
 
 
@@ -172,10 +204,8 @@ def _rediagnosed(lib: Library, g: Hseg, before: LibraryHealthReport) -> LibraryH
     A skill's U and F read only its own window of the trace, so they are
     taken from `before`; R, C and G are computed afresh over g."""
     old = before.per_skill
-    per_skill = {
-        s.id: _vector(s, g, old[s.id].U, old[s.id].F) for s in lib.skills
-    }
-    return _report(per_skill, before.weights, before.window)
+    rates = ((old[s.id].U, old[s.id].F) for s in lib.skills)
+    return _report(_vectors(lib.skills, g, rates), before.weights, before.window)
 
 
 def _report(

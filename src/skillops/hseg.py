@@ -10,10 +10,14 @@ Four directed edge kinds connect skills i -> j:
 
 Self edges never exist.  Because libraries are clone-heavy, the graph keeps
 interface-signature groups instead of a materialized edge set and answers
-pair predicates from the contracts, kept once by id.  The dep relation is
-built once between signatures from token postings (a dep pair always shares
-a token); CGPD's parent lists and dep-only pairs are read from it, and
-each interface's dep/comp counts are summed from it once, by _tally, which a
+pair predicates from the contracts, kept once by id.  The skills are grouped
+once, by interface; the artifact and precondition signature groups are
+derived from those interface groups, and the goal groups, which only alt
+neighborhoods and listings read, are built on first use.  The dep relation
+is built once between signatures by a set-containment join over token ->
+precondition-signature posting sets (a dep pair always shares a token);
+CGPD's parent lists and dep-only pairs are read from it, and each
+interface's dep/comp counts are summed from it once, by _tally, which a
 fresh build and a restriction share.  Edge listings for export or
 brute-force checks are generated on demand; above a comp threshold of 0 they
 too visit only signature pairs that share a token.
@@ -21,8 +25,10 @@ too visit only signature pairs that share a token.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 
 from skillops.contract import (
     AdapterShim,
@@ -48,9 +54,13 @@ class Hseg:
     """Built by build_hseg, or derived from another graph by _restrict;
     treat as immutable once constructed.  `nodes` maps each skill id to its
     contract in ascending id order, and `adapters` holds the shims the
-    graph was built with, in the order given.  Both ways set the groups and
-    the dep relation (_parent_sigs), then tally the counts and register the
-    adapters the same way."""
+    graph was built with, in the order given.  Both ways set the signature
+    groups and the dep relation (_parent_sigs), then tally the counts and
+    register the adapters the same way.  Every group lists its members in
+    ascending id order; in a fresh build each map's groups also come in the
+    order of their first members.  The goal groups are not a field: they
+    are built from `nodes` on first use, so eq, repr and dataclasses.fields
+    never see them."""
 
     nodes: dict[str, SkillContract]
     comp_threshold: float
@@ -60,7 +70,6 @@ class Hseg:
     _a_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
     _p_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
     _iface_groups: dict[tuple, tuple[str, ...]] = field(default_factory=dict)
-    _goal_groups: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # per distinct precondition signature, the artifact signatures that feed it
     _parent_sigs: dict[frozenset, tuple[frozenset, ...]] = field(default_factory=dict)
     # per interface, keyed as in _iface_groups: (incident dep edges, those
@@ -68,6 +77,13 @@ class Hseg:
     _iface_counts: dict[tuple, tuple[int, int]] = field(default_factory=dict)
     _bridged_counts: dict[str, int] = field(default_factory=dict)
     _bridged_pairs: frozenset[tuple[str, str]] = frozenset()
+
+    @cached_property
+    def _goal_groups(self) -> dict[str, tuple[str, ...]]:
+        groups: dict[str, list] = {}
+        for sid, s in self.nodes.items():
+            groups.setdefault(s.goal, []).append(sid)
+        return {goal: tuple(members) for goal, members in groups.items()}
 
     # ---- pair predicates -------------------------------------------------
 
@@ -198,25 +214,25 @@ class Hseg:
         an interface's counts are its two signatures' sums less its self
         pair, counted once on each side."""
         a_groups, p_groups = self._a_groups, self._p_groups
-        out = {a_sig: [0, 0] for a_sig in a_groups}
-        into = {}
+        out_dep = dict.fromkeys(a_groups, 0)
+        out_ok = dict.fromkeys(a_groups, 0)
+        in_dep, in_ok = {}, {}
         for p_sig, parents in self._parent_sigs.items():
             n_dst = len(p_groups[p_sig])
             dep = ok = 0
             for a_sig in parents:
                 n_src = len(a_groups[a_sig])
-                counts = out[a_sig]
-                counts[0] += n_dst
+                out_dep[a_sig] += n_dst
                 dep += n_src
                 if self._dep_comp(a_sig, p_sig):
-                    counts[1] += n_dst
+                    out_ok[a_sig] += n_dst
                     ok += n_src
-            into[p_sig] = (dep, ok)
+            in_dep[p_sig] = dep
+            in_ok[p_sig] = ok
         tally = {}
         for key in self._iface_groups:
             p, a = key
-            (out_dep, out_ok), (in_dep, in_ok) = out[a], into[p]
-            dep, ok = out_dep + in_dep, out_ok + in_ok
+            dep, ok = out_dep[a] + in_dep[p], out_ok[a] + in_ok[p]
             if self._dep_sig(a, p):
                 dep -= 2
                 if self._dep_comp(a, p):
@@ -257,9 +273,10 @@ class Hseg:
         this filters the groups that lost a skill, drops the signatures left
         without skills and keeps the parent lists minus those signatures;
         _tally then sums the counts from the new group sizes.  It builds no
-        postings, runs no subset test and hashes no body.  Groups and parent
-        lists keep this graph's order, which can differ from a fresh
-        build's; their contents are equal."""
+        postings, runs no subset test and hashes no body, and the goal
+        groups are built from the survivors only if something reads them.
+        Groups and parent lists keep this graph's order, which can differ
+        from a fresh build's; their contents are equal."""
         alive = {s.id: s for s in survivors}
         gone = [s for sid, s in self.nodes.items() if sid not in alive]
         g = Hseg(
@@ -272,7 +289,6 @@ class Hseg:
         g._iface_groups = _kept(
             self._iface_groups, {(s.preconditions, s.artifact_types) for s in gone}, alive
         )
-        g._goal_groups = _kept(self._goal_groups, {s.goal for s in gone}, alive)
 
         dropped = self._a_groups.keys() - g._a_groups.keys()
         for p_sig in g._p_groups:
@@ -327,6 +343,67 @@ def _token_postings(p_sigs) -> dict[str, list[frozenset]]:
     return postings
 
 
+def _side_groups(iface_groups: dict, side: int) -> dict:
+    """The groups of one side of the interface keys (0: preconditions,
+    1: artifact types), members ascending, keys in order of first member.
+    A signature that one interface holds reuses that interface's tuple; one
+    that several hold joins their tuples once and sorts."""
+    groups: dict = {}
+    parts: dict = {}
+    for key, members in iface_groups.items():
+        sig = key[side]
+        first = groups.get(sig)
+        if first is None:
+            groups[sig] = members
+        elif sig in parts:
+            parts[sig].append(members)
+        else:
+            parts[sig] = [first, members]
+    for sig, tuples in parts.items():
+        groups[sig] = tuple(sorted(chain.from_iterable(tuples)))
+    return groups
+
+
+def _dep_parents(a_groups, p_groups, subset: bool) -> dict:
+    """p_sig -> the artifact signatures that feed it, in a_groups order.
+
+    A set-containment join (Helmer & Moerkotte, VLDB 1997; Mamoulis, SIGMOD
+    2003) over token -> precondition-signature posting sets: under "subset"
+    an artifact signature feeds exactly the intersection of its tokens'
+    posting sets, taken rarest first, and under "overlap" their union.  No
+    pair outside the output is tested."""
+    postings: dict[str, set] = {}
+    for p_sig in p_groups:
+        for token in p_sig:
+            holders = postings.get(token)
+            if holders is None:
+                postings[token] = {p_sig}
+            else:
+                holders.add(p_sig)
+    parents: dict = dict.fromkeys(p_groups, ())
+    for a_sig in a_groups:
+        held = [postings[token] for token in a_sig if token in postings]
+        if not held or (subset and len(held) < len(a_sig)):
+            continue  # no artifacts, or a token no precondition holds
+        if len(held) == 1:
+            deps = held[0]
+        elif subset:
+            held.sort(key=len)
+            deps = held[0].intersection(*held[1:])
+        else:
+            deps = held[0].union(*held[1:])
+        for p_sig in deps:
+            fed = parents[p_sig]
+            if fed:
+                fed.append(a_sig)
+            else:
+                parents[p_sig] = [a_sig]
+    for p_sig, fed in parents.items():
+        if fed:
+            parents[p_sig] = tuple(fed)
+    return parents
+
+
 def build_hseg(
     skills,
     comp_threshold: float = 0.3,
@@ -335,53 +412,38 @@ def build_hseg(
 ) -> Hseg:
     """Construct the graph for a collection of contracts.
 
-    Pairwise over distinct interface signatures rather than skills, and
-    only over candidate signature pairs: under "subset" the precondition
-    signatures holding an artifact signature's rarest token, under
-    "overlap" those sharing any of its tokens.  The cost is O(N + candidate
-    pairs) instead of O(N^2) on libraries full of clones.
+    One pass groups the skills by interface; the artifact and precondition
+    groups are derived from the interface groups, so a library of N skills
+    over I interfaces builds I group tuples plus one per signature that
+    several interfaces share.  The dep relation is a join over distinct
+    signatures, not skills, that visits only the pairs it keeps (see
+    _dep_parents).  The cost is O(N + I + dep signature pairs) instead of
+    O(N^2) on libraries full of clones.
     """
     if dep_mode not in ("subset", "overlap"):
         raise ValueError(f"dep_mode must be subset or overlap, got {dep_mode!r}")
     skills = tuple(skills)
     nodes = {s.id: s for s in sorted(skills, key=lambda s: s.id)}
     if len(nodes) != len(skills):
-        ids = [s.id for s in skills]
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise DuplicateSkillId(", ".join(dupes))
+        counts = Counter(s.id for s in skills)
+        raise DuplicateSkillId(", ".join(sorted(i for i, n in counts.items() if n > 1)))
 
     g = Hseg(nodes=nodes, comp_threshold=comp_threshold, dep_mode=dep_mode)
-    a_groups: dict[frozenset, list] = {}
-    p_groups: dict[frozenset, list] = {}
     iface_groups: dict[tuple, list] = {}
-    goal_groups: dict[str, list] = {}
-    for s in nodes.values():
-        a, p = s.artifact_types, s.preconditions
-        a_groups.setdefault(a, []).append(s.id)
-        p_groups.setdefault(p, []).append(s.id)
-        iface_groups.setdefault((p, a), []).append(s.id)
-        goal_groups.setdefault(s.goal, []).append(s.id)
-    g._a_groups = {k: tuple(v) for k, v in a_groups.items()}
-    g._p_groups = {k: tuple(v) for k, v in p_groups.items()}
-    g._iface_groups = {k: tuple(v) for k, v in iface_groups.items()}
-    g._goal_groups = {k: tuple(v) for k, v in goal_groups.items()}
-
-    # the dep relation, from token -> precondition signature postings.  A
-    # subset pair holds every token of a_sig, so the posting of its rarest
-    # token lists all candidates; an overlap pair is any pair sharing a token.
-    # Walking _a_groups in order fixes the order of every parent list.
-    postings = _token_postings(g._p_groups)
-    parent_sigs: dict[frozenset, list] = {p_sig: [] for p_sig in g._p_groups}
-    for a_sig in g._a_groups:
-        if dep_mode == "overlap":
-            deps = {p for token in a_sig for p in postings.get(token, ())}
+    for sid, s in nodes.items():
+        key = (s.preconditions, s.artifact_types)
+        members = iface_groups.get(key)
+        if members is None:
+            iface_groups[key] = [sid]
         else:
-            rarest = min((postings.get(token, ()) for token in a_sig), key=len, default=())
-            deps = [p_sig for p_sig in rarest if a_sig <= p_sig]
-        for p_sig in deps:
-            parent_sigs[p_sig].append(a_sig)
-    g._parent_sigs = {k: tuple(v) for k, v in parent_sigs.items()}
-    del postings, parent_sigs  # freed before the tally allocates its own maps
+            members.append(sid)
+    for key, members in iface_groups.items():
+        iface_groups[key] = tuple(members)
+    g._iface_groups = iface_groups
+    g._a_groups = _side_groups(iface_groups, 1)
+    g._p_groups = _side_groups(iface_groups, 0)
+    # walking _a_groups in order fixes the order of every parent list
+    g._parent_sigs = _dep_parents(g._a_groups, g._p_groups, dep_mode == "subset")
 
     g._tally()
     g._register(adapters)

@@ -26,6 +26,7 @@ from skillops.contract import (
     parse_skill_file,
     serialize_skill_file,
 )
+from skillops import harness
 from skillops.debtgen import build_library
 from skillops.harness import (
     MalformedQueryLine,
@@ -266,9 +267,9 @@ def test_save_refuses_adapters_it_cannot_write_and_keeps_the_old_library(
 
 
 def test_maintain_refuses_adapter_repros_and_leaves_the_output(tmp_path, capsys):
-    """An escaping adapter end fails at load; a pair listed twice fails at
-    save.  Both exit 2, write nothing outside --out and leave an existing
-    output library byte-identical."""
+    """An escaping adapter end and a pair listed twice both fail at load.
+    Both exit 2, write nothing outside --out and leave an existing output
+    library byte-identical."""
     emit = _skill("emit", [], ["x"], body="Emit x.")
     need = _skill("need", ["x", "y"], [], body="Read x and y.")
     lib = tmp_path / "lib"
@@ -288,6 +289,44 @@ def test_maintain_refuses_adapter_repros_and_leaves_the_output(tmp_path, capsys)
         assert main(["maintain", "--lib", str(lib), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert _tree_bytes(tmp_path / "out") == before
+
+
+@pytest.mark.parametrize("pairs", [
+    pytest.param((("emit", "need"), ("emit", "need")), id="repeated-pair"),
+    pytest.param((("a--b", "c"), ("a", "b--c")), id="two-spellings"),
+])
+def test_shims_sharing_a_directory_fail_at_load_before_any_work(
+    tmp_path, capsys, monkeypatch, pairs
+):
+    """A manifest whose two shims save_library could not write back is
+    refused by load_library: diagnose and maintain --out exit 2 before they
+    build a graph or run a pass, and maintain creates no output."""
+    emit, need = _skill("emit", [], ["x"]), _skill("need", ["x", "y"], [])
+    lib = tmp_path / "lib"
+    save_library(Library(skills=(emit, need), adapters=(make_adapter_shim(emit, need),)),
+                 lib)
+    manifest = json.loads((lib / "manifest.json").read_text())
+    entry = manifest["adapters"][0]
+    manifest["adapters"] = [dict(entry, src=s, dst=d) for s, d in pairs]
+    (lib / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match="both save to"):
+        load_library(lib)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a refused library")
+
+    monkeypatch.setattr(harness, "build_hseg", no_work)
+    monkeypatch.setattr(harness, "run_maintenance", no_work)
+    out = tmp_path / "out"
+    for argv in (["diagnose", "--lib", str(lib)],
+                 ["maintain", "--lib", str(lib), "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "both save to" in err
+        for s, d in pairs:
+            assert f"{s!r} -> {d!r}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("escape", ["../outside/SKILL.md", "skills/../../outside/SKILL.md",
@@ -1330,35 +1369,71 @@ def test_cli_diagnose_strict_exits_one_when_cgpd_does_not_converge(tmp_path, cap
 
 
 def test_dumped_graph_does_not_depend_on_the_hash_seed(tmp_path):
-    # three shims for one pair, as a hand-written manifest may list them
+    # shims for three pairs, each with its own types (c -> b's bridges
+    # nothing), written in the manifest out of sort order; and a library
+    # listing three shims for one pair, which load_library refuses
     a = _skill("a", pre=(), art=("x",))
     b = _skill("b", pre=("x", "y", "z"), art=())
-    target = tmp_path / "lib"
-    save_library(Library(skills=(a, b)), target)
-    manifest = json.loads((target / "manifest.json").read_text())
-    for n, types in enumerate([("x", "y", "z"), ("x", "y"), ("x", "z")]):
-        rel = f"adapters/a--b-{n}/SKILL.md"
-        (target / rel).parent.mkdir(parents=True)
-        shim = _skill(f"adapt--a--b-{n}", pre=("x",), art=types)
-        (target / rel).write_text(serialize_skill_file(shim))
-        manifest["adapters"].append({"src": "a", "dst": "b", "path": rel})
-    (target / "manifest.json").write_text(json.dumps(manifest))
+    c = _skill("c", pre=("x", "y"), art=("x",))
+
+    def write(target, shims):
+        save_library(Library(skills=(a, b, c)), target)
+        manifest = json.loads((target / "manifest.json").read_text())
+        for n, (src, dst, types) in enumerate(shims):
+            rel = f"adapters/{src}--{dst}-{n}/SKILL.md"
+            (target / rel).parent.mkdir(parents=True)
+            shim = _skill(f"adapt--{src}--{dst}-{n}", pre=("x",), art=types)
+            (target / rel).write_text(serialize_skill_file(shim))
+            manifest["adapters"].append({"src": src, "dst": dst, "path": rel})
+        (target / "manifest.json").write_text(json.dumps(manifest))
+
+    write(tmp_path / "lib", [("c", "b", ("x", "z")), ("a", "b", ("x", "y", "z")),
+                             ("a", "c", ("x", "y"))])
+    write(tmp_path / "repeated", [("a", "b", ("x", "y", "z")), ("a", "b", ("x", "y")),
+                                  ("a", "b", ("x", "z"))])
+
+    # a graph built in process may still carry several shims for one pair
+    built_in_process = "\n".join([
+        "import json",
+        "from skillops.contract import AdapterShim, make_contract",
+        "from skillops.hseg import build_hseg",
+        "def skill(sid, pre, art):",
+        "    return make_contract(id=sid, goal='g', preconditions=frozenset(pre),",
+        "                         body=sid, artifact_types=frozenset(art))",
+        "a, b = skill('a', (), ('x',)), skill('b', ('x', 'y', 'z'), ())",
+        "shims = tuple(AdapterShim('a', 'b', skill(f't{n}', ('x',), types)) for n, types",
+        "              in enumerate([('x', 'y', 'z'), ('x', 'y'), ('x', 'z')]))",
+        "print(json.dumps(build_hseg([a, b], adapters=shims).export()))",
+    ])
 
     src = str(Path(__file__).resolve().parent.parent / "src")
-    dumps = set()
+    dumps, refusals, exports = set(), set(), set()
     for seed in range(6):
         env = dict(os.environ, PYTHONHASHSEED=str(seed))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         graph = tmp_path / f"graph-{seed}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "skillops", "diagnose", "--lib", str(target),
-             "--dump-graph", str(graph)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
+        for lib, code in (("lib", 0), ("repeated", 2)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "skillops", "diagnose", "--lib", str(tmp_path / lib),
+                 "--dump-graph", str(graph)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == code, proc.stderr
         dumps.add(graph.read_text())
+        refusals.add(proc.stderr)
+        proc = subprocess.run([sys.executable, "-c", built_in_process],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        exports.add(proc.stdout)
     assert len(dumps) == 1
     assert json.loads(dumps.pop())["adapters"] == [
+        {"src": s, "dst": d, "artifact_types": types}
+        for s, d, types in (("a", "b", ["x", "y", "z"]), ("a", "c", ["x", "y"]),
+                            ("c", "b", ["x", "z"]))
+    ]
+    assert len(refusals) == 1 and "both save to" in refusals.pop()
+    assert len(exports) == 1
+    assert json.loads(exports.pop())["adapters"] == [
         {"src": "a", "dst": "b", "artifact_types": types}
         for types in (["x", "y"], ["x", "y", "z"], ["x", "z"])
     ]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillops.contract import (
+    AdapterShim,
     ConfigInvalid,
     EmptyLibrary,
     Library,
@@ -18,8 +19,6 @@ from skillops.health import (
     HealthVector,
     HealthWeights,
     _check_window,
-    _vector,
-    _window_rates,
     library_health,
     local_risk,
     skill_score,
@@ -61,8 +60,20 @@ def reference_health_vector(
     trace: ExecutionTrace = ExecutionTrace(),
     window: int = DEFAULT_WINDOW,
 ) -> HealthVector:
+    """s's vector from the definitions: U and F over its last `window`
+    trace entries, newest first; R, C and G from the graph's public queries
+    and the contract."""
     _check_window(window)
-    return _vector(s, g, *_window_rates(trace, (s.id,), window)[s.id])
+    recent = [e for e in reversed(trace.entries) if e.skill == s.id][:window]
+    if recent:
+        successes = sum(1 for e in recent if e.outcome == "success")
+        u, f = successes / len(recent), (len(recent) - successes) / len(recent)
+    else:
+        u, f = 0.5, 0.0
+    r = (len(g.red_cluster_of(s.id)) - 1) / max(1, len(g.nodes) - 1)
+    dep_total, dep_ok = g.incident_dep_counts(s.id)
+    c = dep_ok / dep_total if dep_total else 1.0
+    return HealthVector(u, r, c, f, 0.0 if s.checklist else 1.0)
 
 
 def test_health_vector_is_an_immutable_record():
@@ -352,3 +363,35 @@ def test_window_counts_equal_the_slice_formula(calls, window):
         )
         for hv in (report.per_skill[s.id], reference_health_vector(s, g, trace, window)):
             assert (hv.U.hex(), hv.F.hex()) == (u.hex(), f.hex())  # bit for bit
+
+
+_IFACE_TAGS = st.frozensets(st.sampled_from(["t1", "t2", "t3", "t4"]), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ifaces=st.lists(st.tuples(_IFACE_TAGS, _IFACE_TAGS, st.booleans()),
+                    min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_library_health_matches_the_reference_with_shims(ifaces, data):
+    # clones share an interface, so R and C are computed per interface; the
+    # shims, some repeated, some self shims, some naming no skill, bridge
+    # single skills of a group, whose C must then differ from the group's
+    sks = [skill(f"s{i:02d}", pre=p, art=a, checklist=("check",) if v else ())
+           for i, (p, a, v) in enumerate(ifaces)]
+    ids = [s.id for s in sks]
+    shims = tuple(
+        AdapterShim(src=a, dst=b, contract=skill(f"adapt--{a}--{b}", art=t))
+        for a, b, t in data.draw(st.lists(
+            st.tuples(st.sampled_from(ids + ["ghost"]), st.sampled_from(ids), _IFACE_TAGS),
+            max_size=6,
+        ))
+    )
+    for dep_mode in ("subset", "overlap"):
+        g = build_hseg(sks, dep_mode=dep_mode, adapters=shims)
+        trace = trace_of({sid: (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+                          for sid in ids[::2]})
+        report = library_health(Library(skills=tuple(sks)), g, trace, window=3)
+        for s in sks:
+            assert report.per_skill[s.id] == reference_health_vector(s, g, trace, 3)

@@ -153,6 +153,11 @@ def test_duplicate_ids_rejected():
     a = skill("a")
     with pytest.raises(DuplicateSkillId):
         build_hseg([a, a])
+    # every repeated id once, sorted, whatever order and multiplicity
+    sks = [skill(sid) for sid in ("m", "b", "z", "m", "a", "z", "b", "m", "c")]
+    with pytest.raises(DuplicateSkillId) as e:
+        build_hseg(sks)
+    assert str(e.value) == "b, m, z"
 
 
 def test_unknown_edge_kind_and_dep_mode_rejected():
@@ -449,3 +454,60 @@ def test_restrict_equals_a_fresh_build_of_the_survivors(lib, dep_mode, threshold
             want = {k: Counter(v) for k, v in want.items()}
         assert got == want, f.name
     assert reference_edge_set(derived) == reference_edge_set(fresh)
+
+
+def reference_groups(skills, key):
+    """(key, members) pairs from one walk over the skills in id order:
+    members ascending, keys in order of first member."""
+    groups = {}
+    for s in sorted(skills, key=lambda s: s.id):
+        groups.setdefault(key(s), []).append(s.id)
+    return [(k, tuple(members)) for k, members in groups.items()]
+
+
+def rarest_token_parents(a_sigs, p_sigs, dep_mode):
+    """p_sig -> its parent artifact signatures in a_sigs order: under
+    "subset" the rarest token's precondition signatures filtered by a
+    subset test, under "overlap" every signature sharing a token."""
+    postings = {}
+    for p in p_sigs:
+        for token in p:
+            postings.setdefault(token, []).append(p)
+    parents = {p: [] for p in p_sigs}
+    for a in a_sigs:
+        if dep_mode == "overlap":
+            candidates = {p for token in a for p in postings.get(token, ())}
+        else:
+            rarest = min((postings.get(token, ()) for token in a), key=len, default=())
+            candidates = [p for p in rarest if a <= p]
+        for p in candidates:
+            parents[p].append(a)
+    return {p: tuple(a_list) for p, a_list in parents.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(libraries(), st.sampled_from(["subset", "overlap"]), st.data())
+def test_groups_and_parents_match_a_per_skill_reference(lib, dep_mode, data):
+    shuffled = data.draw(st.permutations(lib))
+    g = build_hseg(shuffled, dep_mode=dep_mode)
+    assert list(g._iface_groups.items()) == reference_groups(
+        lib, lambda s: (s.preconditions, s.artifact_types))
+    assert list(g._a_groups.items()) == reference_groups(lib, lambda s: s.artifact_types)
+    assert list(g._p_groups.items()) == reference_groups(lib, lambda s: s.preconditions)
+    # the join keeps each parent list in _a_groups order, keyed as _p_groups
+    want = rarest_token_parents(list(g._a_groups), list(g._p_groups), dep_mode)
+    assert list(g._parent_sigs.items()) == list(want.items())
+
+    # goal groups are no field and are built on first use, here and on a
+    # derived graph, as a fresh walk over its nodes would build them
+    assert "_goal_groups" not in {f.name for f in dataclasses.fields(Hseg)}
+    assert "_goal_groups" not in vars(g)
+    twin = build_hseg(lib, dep_mode=dep_mode)
+    assert list(g._goal_groups.items()) == reference_groups(lib, lambda s: s.goal)
+    assert g == twin  # a built cache does not enter eq
+    keep = data.draw(st.sets(st.sampled_from([s.id for s in lib]), min_size=1))
+    survivors = [s for s in lib if s.id in keep]
+    derived = g._restrict(survivors, ())
+    assert "_goal_groups" not in vars(derived)
+    assert list(derived._goal_groups.items()) == reference_groups(
+        survivors, lambda s: s.goal)
