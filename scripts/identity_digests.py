@@ -39,7 +39,10 @@ The matrix covers:
   plan          the ``skillops plan`` payload of ``build_plan``, or
                 ``{"feasible": false}``, for 25 seeded clean skills' goal
                 text and preconditions, on the library (``raw``) and on its
-                ``run_maintenance`` output (``maintained``)
+                ``run_maintenance`` output (``maintained``); on the first
+                library also ``adapters``: the same tasks planned on the
+                loaded overlap-mode, threshold-0.6 output above over its own
+                graph, so dep-only transitions plan through its shims
   rank          ``rank_candidates`` output at ``bm25_k`` 1, 10 and 50 for 50
                 queries of goal words, two tags and the first body line of
                 seeded clean skills (the plan-queries benchmark's shape)
@@ -102,9 +105,10 @@ def _mixed_trace(lib, seed: int):
     return ExecutionTrace(entries=tuple(entries))
 
 
-def _plan_payloads(lib, tasks) -> list:
+def _plan_payloads(lib, tasks, g=None) -> list:
     """The ``skillops plan`` JSON payload of each task, ``{"feasible": false}``
-    where no plan exists."""
+    where no plan exists, planned over g (by default the library's graph at
+    the default settings, as ``skillops plan`` builds it)."""
     from skillops.hseg import build_hseg
     from skillops.planner import (
         NoFeasiblePlan,
@@ -113,7 +117,8 @@ def _plan_payloads(lib, tasks) -> list:
         plan_action_strings,
     )
 
-    g = build_hseg(lib.skills, adapters=lib.adapters)
+    if g is None:
+        g = build_hseg(lib.skills, adapters=lib.adapters)
     payloads = []
     for task in tasks:
         try:
@@ -195,11 +200,11 @@ def cases():
                 bridged, _ = run_maintenance(lib, trace, cfg)
                 saved = Path(tmp) / f"{lib_name}-adapters"
                 save_library(bridged, saved)
-                loaded, _ = load_library(saved)
+                shim_lib, _ = load_library(saved)
                 yield f"load/{lib_name}/adapters", _digest(
-                    library_fingerprint(loaded) + "\n" + (saved / "manifest.json").read_text()
+                    library_fingerprint(shim_lib) + "\n" + (saved / "manifest.json").read_text()
                 )
-                shimmed = build_hseg(loaded.skills, 0.6, "overlap", loaded.adapters)
+                shimmed = build_hseg(shim_lib.skills, 0.6, "overlap", shim_lib.adapters)
                 yield f"load/{lib_name}/adapters-export", _digest(_json(shimmed.export()))
 
             g = build_hseg(lib.skills, adapters=lib.adapters)
@@ -230,6 +235,9 @@ def cases():
             for plan_name, plan_lib in (("raw", lib), ("maintained", maintained)):
                 yield (f"plan/{lib_name}/{plan_name}",
                        _digest(_json(_plan_payloads(plan_lib, tasks))))
+            if (n, noise, seed) == LIBRARIES[0]:
+                yield (f"plan/{lib_name}/adapters",
+                       _digest(_json(_plan_payloads(shim_lib, tasks, shimmed))))
 
             queries = [text for text, _ in _library_queries(lib, provenance, seed,
                                                             RANK_QUERIES)]

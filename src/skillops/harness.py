@@ -488,9 +488,9 @@ class SimulatedExecutor:
 
     A skill invocation fails when its artifact directories are all empty or
     its body links to a file its directories do not hold; ids outside the
-    library (generated adapter steps) succeed.  Scripted overrides keyed by
-    (task_id, skill_id, attempt) take precedence, which lets tests stage
-    arbitrary failure patterns.
+    library (adapter steps, named by registered shims) succeed.  Scripted
+    overrides keyed by (task_id, skill_id, attempt) take precedence, which
+    lets tests stage arbitrary failure patterns.
     """
 
     def __init__(self, lib: Library, scripted: dict | None = None):
@@ -741,10 +741,15 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _cgpd_config(args) -> CgpdConfig | None:
-    if not args.cgpd:
-        return None
+    """The CGPD settings of --cgpd, None without it.  A CGPD flag given
+    without --cgpd would be silently ignored, so it is refused."""
     flags = ("alpha", "tau", "eps", "max_iters")
-    return CgpdConfig(**{f: getattr(args, f) for f in flags if getattr(args, f) is not None})
+    given = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    if not args.cgpd:
+        if given:
+            raise ConfigInvalid(f"--{next(iter(given)).replace('_', '-')} needs --cgpd")
+        return None
+    return CgpdConfig(**given)
 
 
 def _add_cgpd_flags(p: argparse.ArgumentParser) -> None:
@@ -801,9 +806,9 @@ def cmd_maintain(args) -> int:
     # artifact files, so saving over the input would destroy its artifacts
     if args.out and Path(args.out).resolve() == Path(args.lib).resolve():
         raise ConfigInvalid("--out must not be the --lib directory")
+    cfg = MaintenanceConfig(force=not args.no_force, cgpd=_cgpd_config(args))
     lib, provenance = load_library(args.lib)
     trace = load_trace(args.trace) if args.trace else EMPTY_TRACE
-    cfg = MaintenanceConfig(force=not args.no_force, cgpd=_cgpd_config(args))
     new_lib, report = run_maintenance(lib, trace, cfg)
     if args.out:
         save_library(new_lib, args.out, provenance)

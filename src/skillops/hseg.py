@@ -76,7 +76,7 @@ class Hseg:
     # that are also comp) of any one member, its self pair taken out
     _iface_counts: dict[tuple, tuple[int, int]] = field(default_factory=dict)
     _bridged_counts: dict[str, int] = field(default_factory=dict)
-    _bridged_pairs: frozenset[tuple[str, str]] = frozenset()
+    _bridges: dict[tuple[str, str], AdapterShim] = field(default_factory=dict)
 
     @cached_property
     def _goal_groups(self) -> dict[str, tuple[str, ...]]:
@@ -122,7 +122,11 @@ class Hseg:
     def is_bridged(self, src: str, dst: str) -> bool:
         """True when a registered adapter carries this pair of skills and its
         artifact types satisfy the destination's preconditions."""
-        return (src, dst) in self._bridged_pairs
+        return (src, dst) in self._bridges
+
+    def bridge(self, src: str, dst: str) -> AdapterShim | None:
+        """The first registered shim that bridges this pair, else None."""
+        return self._bridges.get((src, dst))
 
     # ---- neighborhoods ---------------------------------------------------
 
@@ -241,28 +245,28 @@ class Hseg:
         self._iface_counts = tally
 
     def _register(self, adapters) -> None:
-        """Keep the shims as given and record the skill pairs they bridge.
-        A pair counts once however many shims bridge it; a shim touching a
-        skill outside the graph, or whose types miss the destination's
-        preconditions, bridges nothing."""
+        """Keep the shims as given and map each skill pair they bridge to the
+        first shim that does.  A pair counts once however many shims bridge
+        it; a shim touching a skill outside the graph, or whose types miss
+        the destination's preconditions, bridges nothing."""
         self.adapters = tuple(adapters)
         nodes = self.nodes
         bridged: dict[str, int] = {}
-        bridged_pairs = set()
+        bridges = {}
         for shim in self.adapters:
             if shim.src not in nodes or shim.dst not in nodes:
                 continue
             a, p = nodes[shim.src].artifact_types, nodes[shim.dst].preconditions
             pair = (shim.src, shim.dst)
-            if not shim.contract.artifact_types <= p or pair in bridged_pairs:
+            if not shim.contract.artifact_types <= p or pair in bridges:
                 continue
-            bridged_pairs.add(pair)
+            bridges[pair] = shim
             # the incident counts leave self pairs out
             if shim.src != shim.dst and self._dep_sig(a, p) and not self._dep_comp(a, p):
                 bridged[shim.src] = bridged.get(shim.src, 0) + 1
                 bridged[shim.dst] = bridged.get(shim.dst, 0) + 1
         self._bridged_counts = bridged
-        self._bridged_pairs = frozenset(bridged_pairs)
+        self._bridges = bridges
 
     def _restrict(self, survivors, adapters) -> Hseg:
         """The graph build_hseg(survivors, ..., adapters) returns, derived

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from skillops.cgpd import CgpdConfig, propagate, trigger_set
 from skillops.contract import (
     ARTIFACT_DIR_NAMES,
+    AdapterShim,
     ArtifactDirs,
     ConfigInvalid,
     Library,
@@ -44,6 +45,7 @@ from skillops.contract import (
     UnknownSkillId,
     _replace_keeping_body,
     body_hash,
+    make_contract,
 )
 from skillops.health import (
     DEFAULT_WINDOW,
@@ -54,15 +56,12 @@ from skillops.health import (
     library_health,
 )
 from skillops.hseg import Hseg, build_hseg
-from skillops.planner import (
-    CANONICAL_CHECKLIST_ITEM,
-    EMPTY_TRACE,
-    ExecutionTrace,
-    make_adapter_shim,
-)
+from skillops.planner import EMPTY_TRACE, ExecutionTrace
 
 __all__ = [
     "ACTION_KINDS",
+    "AdapterTypeUnsatisfiable",
+    "CANONICAL_CHECKLIST_ITEM",
     "IllegalMerge",
     "IllegalRepair",
     "RetireRequiresDuplicate",
@@ -71,6 +70,7 @@ __all__ = [
     "MaintenancePlan",
     "MaintenanceReport",
     "apply_action",
+    "make_adapter_shim",
     "plan_actions",
     "run_maintenance",
 ]
@@ -95,6 +95,38 @@ class IllegalRepair(SkillOpsError):
 
 class RetireRequiresDuplicate(SkillOpsError):
     pass
+
+
+class AdapterTypeUnsatisfiable(SkillOpsError):
+    pass
+
+
+CANONICAL_CHECKLIST_ITEM = "artifact type matches declared artifact.type"
+
+
+def make_adapter_shim(src: SkillContract, dst: SkillContract) -> AdapterShim:
+    """Bridge skill for a dep-only transition: consumes the source's
+    artifact types and produces the destination's required input types.
+    Rejected when the destination requires nothing, so there is nothing
+    for the shim to produce."""
+    artifact_types = frozenset(dst.preconditions)
+    if not artifact_types:
+        raise AdapterTypeUnsatisfiable(
+            f"{src.id} -> {dst.id}: adapter artifacts cannot satisfy the destination"
+        )
+    contract = make_contract(
+        id=f"adapt--{src.id}--{dst.id}",
+        goal=f"adapt:{src.id}:{dst.id}",
+        preconditions=frozenset(src.artifact_types),
+        body=(
+            f"Convert [{', '.join(sorted(src.artifact_types))}] artifacts from "
+            f"{src.id} into [{', '.join(sorted(dst.preconditions))}] inputs for {dst.id}."
+        ),
+        artifact_types=artifact_types,
+        checklist=(CANONICAL_CHECKLIST_ITEM,),
+        tags=frozenset({"adapter"}),
+    )
+    return AdapterShim(src=src.id, dst=dst.id, contract=contract)
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,13 @@ frequencies and hashed-vector norm from the same index, so a query
 tokenizes only itself.
 
 Plans are stitched with a bounded-width search over the candidate set where
-consecutive steps must hold both dep and comp edges.  When the beam bound
-covers the whole candidate set no pruning can occur and the search
-enumerates every simple path, so small instances are solved exactly.
-Validator steps are inserted after unvalidated non-terminal steps, adapter
-steps bridge dep-only transitions, and execution retries failed steps with
-same-goal alternatives before re-invoking the original skill.
+consecutive steps must hold a dep edge and a comp edge or registered shim.
+When the beam bound covers the whole candidate set no pruning can occur and
+the search enumerates every simple path, so small instances are solved
+exactly.  Validator steps are inserted after unvalidated non-terminal steps,
+a dep-only transition gets its registered shim's step (the planner builds no
+shim), and execution retries failed steps with same-goal alternatives before
+re-invoking the original skill.
 """
 
 from __future__ import annotations
@@ -42,18 +43,15 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from skillops.contract import (
-    AdapterShim,
     ConfigInvalid,
     EmptyLibrary,
     Library,
     SkillContract,
     SkillOpsError,
-    make_contract,
 )
 from skillops.hseg import Hseg
 
 __all__ = [
-    "AdapterTypeUnsatisfiable",
     "ConfigInvalid",
     "NoFeasiblePlan",
     "ExecutionTrace",
@@ -63,14 +61,12 @@ __all__ = [
     "TaskSpec",
     "TraceEntry",
     "Bm25Index",
-    "CANONICAL_CHECKLIST_ITEM",
     "bind_arguments",
     "build_plan",
     "execute_with_repair",
     "grade_plan",
     "hybrid_score",
     "insert_validators_adapters",
-    "make_adapter_shim",
     "match_skills",
     "plan_action_strings",
     "rank_candidates",
@@ -83,12 +79,6 @@ __all__ = [
 class NoFeasiblePlan(SkillOpsError):
     pass
 
-
-class AdapterTypeUnsatisfiable(SkillOpsError):
-    pass
-
-
-CANONICAL_CHECKLIST_ITEM = "artifact type matches declared artifact.type"
 
 OUTCOMES = ("success", "failure")
 
@@ -133,7 +123,7 @@ class PlannerConfig:
 class PlanStep:
     skill: str
     bindings: tuple[tuple[str, str], ...] = ()
-    inserted: str | None = None  # None | "validator" | "adapter"
+    inserted: str | None = None  # None | "validator" | "adapter" (a shim's id)
 
 
 @dataclass(frozen=True)
@@ -480,7 +470,8 @@ def stitch(
 ) -> Plan:
     """Find the score-sum-maximizing path through the candidate set.
 
-    Transitions require both dep and comp edges; no skill repeats; path
+    A transition needs a dep edge and either a comp edge or a shim the graph
+    has registered for the pair (g.is_bridged); no skill repeats; path
     length is capped by the horizon.  Paths grow one step per depth.  With
     beam_width >= |candidates| nothing is pruned or merged, so every simple
     path is considered and the result is exact.  Otherwise each depth keeps
@@ -502,7 +493,7 @@ def stitch(
             for other in ids
             if other != sid
             and g.edge_exists("dep", sid, other)
-            and g.edge_exists("comp", sid, other)
+            and (g.edge_exists("comp", sid, other) or g.is_bridged(sid, other))
         )
     max_len = min(cfg.horizon, len(ids))
     exhaustive = cfg.beam_width >= len(ids)
@@ -542,47 +533,24 @@ def stitch(
 # ---------------------------------------------------------------------------
 # adapters and validators
 
-def make_adapter_shim(src: SkillContract, dst: SkillContract) -> AdapterShim:
-    """Bridge skill for a dep-only transition: consumes the source's
-    artifact types and produces the destination's required input types.
-    Rejected when the destination requires nothing, so there is nothing
-    for the shim to produce."""
-    artifact_types = frozenset(dst.preconditions)
-    if not artifact_types:
-        raise AdapterTypeUnsatisfiable(
-            f"{src.id} -> {dst.id}: adapter artifacts cannot satisfy the destination"
-        )
-    contract = make_contract(
-        id=f"adapt--{src.id}--{dst.id}",
-        goal=f"adapt:{src.id}:{dst.id}",
-        preconditions=frozenset(src.artifact_types),
-        body=(
-            f"Convert [{', '.join(sorted(src.artifact_types))}] artifacts from "
-            f"{src.id} into [{', '.join(sorted(dst.preconditions))}] inputs for {dst.id}."
-        ),
-        artifact_types=artifact_types,
-        checklist=(CANONICAL_CHECKLIST_ITEM,),
-        tags=frozenset({"adapter"}),
-    )
-    return AdapterShim(src=src.id, dst=dst.id, contract=contract)
-
-
 def insert_validators_adapters(plan: Plan, g: Hseg, lib: Library) -> Plan:
-    """Insert a validator step after every non-terminal unvalidated step and
-    an adapter step inside every dep-without-comp transition."""
+    """Insert a validator step after every non-terminal unvalidated step and,
+    inside every dep-without-comp transition, a step named by the shim the
+    graph registered for the pair (g.bridge).  The planner builds no shim:
+    an unbridged dep-only transition, which only a hand-built plan can hold,
+    gets no step."""
     walked = [s for s in plan.steps if s.inserted is None]
     out: list[PlanStep] = []
-    for pos, step in enumerate(walked):
+    for step, nxt in zip(walked, walked[1:] + [None]):
         out.append(step)
-        terminal = pos == len(walked) - 1
-        if not terminal and step.skill in lib and not lib.get(step.skill).checklist:
-            out.append(PlanStep(skill=step.skill, inserted="validator"))
-        if not terminal:
-            nxt = walked[pos + 1]
-            if g.edge_exists("dep", step.skill, nxt.skill) and not g.edge_exists(
-                "comp", step.skill, nxt.skill
-            ):
-                shim = make_adapter_shim(lib.get(step.skill), lib.get(nxt.skill))
+        if nxt is None:
+            break
+        src, dst = step.skill, nxt.skill
+        if src in lib and not lib.get(src).checklist:
+            out.append(PlanStep(skill=src, inserted="validator"))
+        if g.edge_exists("dep", src, dst) and not g.edge_exists("comp", src, dst):
+            shim = g.bridge(src, dst)
+            if shim is not None:
                 out.append(PlanStep(skill=shim.contract.id, inserted="adapter"))
     return Plan(steps=tuple(out), total_score=plan.total_score)
 

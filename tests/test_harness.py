@@ -46,13 +46,12 @@ from skillops.harness import (
     save_trace,
     wilson_ci,
 )
-from skillops.maint import MaintenanceConfig, run_maintenance
+from skillops.maint import MaintenanceConfig, make_adapter_shim, run_maintenance
 from skillops.planner import (
     EMPTY_TRACE,
     ExecutionTrace,
     TaskSpec,
     TraceEntry,
-    make_adapter_shim,
 )
 
 
@@ -1366,6 +1365,40 @@ def test_cli_diagnose_strict_exits_one_when_cgpd_does_not_converge(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--strict needs --cgpd" in captured.err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "maintain"])
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "0.9"), ("--tau", "0.5"), ("--eps", "1e-6"), ("--max-iters", "0"),
+])
+def test_cli_refuses_cgpd_flags_without_cgpd(tmp_path, capsys, command, flag, value):
+    """A CGPD setting without --cgpd would be ignored, so it is refused with
+    exit 2 before the library is read: here the library does not exist, and
+    the error names the flag, not the missing directory."""
+    assert main([command, "--lib", str(tmp_path / "missing"), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} needs --cgpd" in captured.err
+
+
+def test_cli_plans_through_the_shim_maintain_saved(tmp_path, capsys):
+    emit = _skill("emit", [], ["q"], body="Emit the q artifact.",
+                  artifact_dirs=ArtifactDirs(scripts=("run.sh",)))
+    need = _skill("need", ["q", "a", "b", "c"], [], body="Consume q with a, b and c.")
+    libdir, outdir = tmp_path / "lib", tmp_path / "out"
+    save_library(Library(skills=(emit, need)), libdir)
+    code, report = _run(capsys, ["maintain", "--lib", str(libdir), "--out", str(outdir)])
+    assert code == 0 and report["action_counts"]["add_adapter"] == 1
+    (shim,) = load_library(outdir)[0].adapters
+    code, plan = _run(capsys, ["plan", "--lib", str(outdir), "--goal", "emit need",
+                               "--state", "q,a,b,c"])
+    assert code == 0
+    assert [(s["skill"], s["inserted"]) for s in plan["steps"]] == [
+        ("emit", None),
+        (shim.contract.id, "adapter"),
+        ("need", None),
+    ]
+    assert plan["actions"] == ["emit", "need"]
 
 
 def test_dumped_graph_does_not_depend_on_the_hash_seed(tmp_path):

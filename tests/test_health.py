@@ -24,8 +24,8 @@ from skillops.health import (
     skill_score,
 )
 from skillops.hseg import Hseg, build_hseg
+from skillops.maint import make_adapter_shim
 from skillops.planner import ExecutionTrace, TraceEntry
-from skillops.planner import make_adapter_shim
 
 
 def skill(sid, pre=(), art=(), goal=None, body=None, checklist=("check",), tags=()):

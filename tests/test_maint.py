@@ -18,10 +18,12 @@ from skillops.contract import (
     normalize_body,
 )
 from skillops.debtgen import build_library
-from skillops.harness import exercise_library
 from skillops.health import _rediagnosed, library_health
 from skillops.hseg import build_hseg
+from skillops.harness import SimulatedExecutor, exercise_library
 from skillops.maint import (
+    CANONICAL_CHECKLIST_ITEM,
+    AdapterTypeUnsatisfiable,
     IllegalMerge,
     IllegalRepair,
     MaintenanceAction,
@@ -30,14 +32,17 @@ from skillops.maint import (
     _apply_actions,
     _plan_merges,
     apply_action,
+    make_adapter_shim,
     plan_actions,
     run_maintenance,
 )
 from skillops.planner import (
-    CANONICAL_CHECKLIST_ITEM,
     ExecutionTrace,
+    TaskSpec,
     TraceEntry,
-    make_adapter_shim,
+    build_plan,
+    execute_with_repair,
+    match_skills,
 )
 
 
@@ -214,6 +219,25 @@ def test_add_adapter_replaces_a_stale_shim_in_place():
     # a pair that some shim already bridges is left alone
     held = Library(skills=(a, b), adapters=(stale, make_adapter_shim(a, b)))
     assert apply_action(held, act) is held
+
+
+def test_adapter_shim_contract_shape():
+    src = skill("emit", art=("x",))
+    dst = skill("need", pre=("x", "a", "b", "c"))
+    shim = make_adapter_shim(src, dst)
+    assert shim.src == "emit" and shim.dst == "need"
+    assert shim.contract.id == "adapt--emit--need"
+    assert shim.contract.preconditions == frozenset({"x"})
+    assert shim.contract.artifact_types == frozenset({"x", "a", "b", "c"})
+    assert shim.contract.checklist == (CANONICAL_CHECKLIST_ITEM,)
+    assert "adapter" in shim.contract.tags
+
+
+def test_adapter_unsatisfiable_when_destination_needs_nothing():
+    src = skill("emit", art=("x",))
+    dst = skill("takes-nothing")
+    with pytest.raises(AdapterTypeUnsatisfiable):
+        make_adapter_shim(src, dst)
 
 
 def test_ill_formed_validator_and_adapter_actions_rejected():
@@ -447,6 +471,36 @@ def five_stage_library():
         )
     )
     return lib, trace_of({"alt1": (1, 9), "c1": (8, 2)})
+
+
+def test_plans_run_through_the_shim_maintenance_registers():
+    # five_stage_library with artifact files on emit and need, so the
+    # simulated executor can run them
+    lib, trace = five_stage_library()
+    files = ArtifactDirs(scripts=("run.sh",))
+    lib = Library(skills=tuple(
+        replace(s, artifact_dirs=files) if s.id in ("emit", "need") else s
+        for s in lib.skills
+    ))
+    task = TaskSpec(id="t", goal_text="emit need", state_facts=frozenset("qabc"))
+    assert {sid for sid, _ in match_skills(lib, task)} == {"emit", "need"}
+    raw = build_plan(lib, build_hseg(lib.skills, adapters=lib.adapters), task)
+    assert len(raw.steps) == 1  # emit -> need is dep without comp
+
+    out, _ = run_maintenance(lib, trace)
+    shim = next(a for a in out.adapters if (a.src, a.dst) == ("emit", "need"))
+    g = build_hseg(out.skills, adapters=out.adapters)
+    plan = build_plan(out, g, task)
+    assert [(s.skill, s.inserted) for s in plan.steps] == [
+        ("emit", None),
+        (shim.contract.id, "adapter"),
+        ("need", None),
+    ]
+    assert shim.contract.id == "adapt--emit--need"
+    run = execute_with_repair(plan, task, SimulatedExecutor(out), g)
+    assert [(e.skill, e.outcome) for e in run.entries] == [
+        (s.skill, "success") for s in plan.steps
+    ]
 
 
 def test_stage_order_is_merge_repair_retire_validate_adapt():

@@ -10,13 +10,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from skillops import planner
 
-from skillops.contract import ConfigInvalid, EmptyLibrary, Library, make_contract
+from skillops.contract import (
+    AdapterShim,
+    ConfigInvalid,
+    EmptyLibrary,
+    Library,
+    make_contract,
+)
 from skillops.debtgen import build_library
 from skillops.harness import _library_queries
 from skillops.hseg import build_hseg
+from skillops.maint import MaintenanceConfig, run_maintenance
 from skillops.planner import (
-    CANONICAL_CHECKLIST_ITEM,
-    AdapterTypeUnsatisfiable,
     Bm25Index,
     ExecutionTrace,
     NoFeasiblePlan,
@@ -31,7 +36,6 @@ from skillops.planner import (
     grade_plan,
     hybrid_score,
     insert_validators_adapters,
-    make_adapter_shim,
     match_skills,
     plan_action_strings,
     rank_candidates,
@@ -55,11 +59,12 @@ def skill(sid, pre=(), art=(), goal=None, body=None, checklist=("check",), tags=
 
 class StubGraph:
     """Adjacency-list stand-in for the ecosystem graph: stitching and
-    insertion only consult edge_exists / alt_neighbors / nodes."""
+    execution only consult edge_exists / is_bridged / alt_neighbors / nodes."""
 
-    def __init__(self, dep=(), comp=(), alts=None, nodes=()):
+    def __init__(self, dep=(), comp=(), alts=None, nodes=(), bridged=()):
         self.dep = set(dep)
         self.comp = set(comp)
+        self.bridged = set(bridged)
         self._alts = dict(alts or {})
         self.nodes = frozenset(nodes)
 
@@ -71,6 +76,9 @@ class StubGraph:
         if kind == "comp":
             return (src, dst) in self.comp
         return False
+
+    def is_bridged(self, src, dst):
+        return (src, dst) in self.bridged
 
     def alt_neighbors(self, skill_id):
         return tuple(self._alts.get(skill_id, ()))
@@ -745,6 +753,12 @@ def test_stitch_requires_both_edge_kinds():
     g = StubGraph(dep={("a", "b")}, comp=set(), nodes={"a", "b"})
     plan = stitch([("a", 0.8), ("b", 0.9)], g)
     assert [s.skill for s in plan.steps] == ["b"]  # no joint edge, best single
+    # a registered shim stands in for the missing comp edge, not for dep
+    g = StubGraph(dep={("a", "b")}, comp=set(), nodes={"a", "b"}, bridged={("a", "b")})
+    plan = stitch([("a", 0.8), ("b", 0.9)], g)
+    assert [s.skill for s in plan.steps] == ["a", "b"]
+    g = StubGraph(dep=set(), comp={("a", "b")}, nodes={"a", "b"}, bridged={("a", "b")})
+    assert [s.skill for s in stitch([("a", 0.8), ("b", 0.9)], g).steps] == ["b"]
 
 
 def test_stitch_singleton_and_empty():
@@ -819,19 +833,21 @@ def oracle_best_path(candidates, transitions, horizon):
 
 
 def test_stitch_matches_exhaustive_enumeration():
+    # each edge kind and the bridged pairs drawn independently, so every
+    # mix of dep, comp and shim occurs; transitions are dep and (comp or
+    # bridged)
     rng = random.Random(1234)
     for _ in range(60):
         n = rng.randint(1, 7)
         ids = [f"s{i}" for i in range(n)]
         candidates = [(sid, round(rng.uniform(0.1, 1.0), 2)) for sid in ids]
-        transitions = {
-            (a, b)
-            for a in ids
-            for b in ids
-            if a != b and rng.random() < 0.35
-        }
+        pairs = [(a, b) for a in ids for b in ids if a != b]
+        dep = {p for p in pairs if rng.random() < 0.6}
+        comp = {p for p in pairs if rng.random() < 0.5}
+        bridged = {p for p in pairs if rng.random() < 0.3}
+        transitions = {p for p in dep if p in comp or p in bridged}
         horizon = rng.randint(1, 8)
-        g = StubGraph(dep=transitions, comp=transitions, nodes=ids)
+        g = StubGraph(dep=dep, comp=comp, nodes=ids, bridged=bridged)
         cfg = PlannerConfig(beam_width=n, horizon=horizon)
         plan = stitch(candidates, g, cfg)
         want_score, want_path = oracle_best_path(candidates, transitions, horizon)
@@ -856,7 +872,7 @@ def reference_stitch(candidates, g, cfg=PlannerConfig()):
             for other in ids
             if other != sid
             and g.edge_exists("dep", sid, other)
-            and g.edge_exists("comp", sid, other)
+            and (g.edge_exists("comp", sid, other) or g.is_bridged(sid, other))
         )
         for sid in ids
     }
@@ -976,15 +992,21 @@ def test_adapter_inserted_inside_dep_only_transition():
         skill("emit", art=("x",)),
         skill("need", pre=("x", "a", "b", "c")),
     ]
-    lib = Library(skills=tuple(sks))
-    g = build_hseg(sks)
     plan = Plan(steps=(PlanStep("emit"), PlanStep("need")), total_score=1.0)
-    out = insert_validators_adapters(plan, g, lib)
+    # a registered shim's id names the step; the planner builds no shim
+    shim = AdapterShim("emit", "need", skill("registered-shim", pre=("x",),
+                                             art=("x", "a", "b", "c")))
+    lib = Library(skills=tuple(sks), adapters=(shim,))
+    out = insert_validators_adapters(plan, build_hseg(sks, adapters=lib.adapters), lib)
     assert [(s.skill, s.inserted) for s in out.steps] == [
         ("emit", None),
-        ("adapt--emit--need", "adapter"),
+        ("registered-shim", "adapter"),
         ("need", None),
     ]
+    # without a shim the dep-only transition gets no step
+    bare = Library(skills=tuple(sks))
+    out = insert_validators_adapters(plan, build_hseg(sks), bare)
+    assert [(s.skill, s.inserted) for s in out.steps] == [("emit", None), ("need", None)]
 
 
 def test_insertion_is_idempotent():
@@ -997,23 +1019,31 @@ def test_insertion_is_idempotent():
     assert once == twice
 
 
-def test_adapter_shim_contract_shape():
-    src = skill("emit", art=("x",))
-    dst = skill("need", pre=("x", "a", "b", "c"))
-    shim = make_adapter_shim(src, dst)
-    assert shim.src == "emit" and shim.dst == "need"
-    assert shim.contract.id == "adapt--emit--need"
-    assert shim.contract.preconditions == frozenset({"x"})
-    assert shim.contract.artifact_types == frozenset({"x", "a", "b", "c"})
-    assert shim.contract.checklist == (CANONICAL_CHECKLIST_ITEM,)
-    assert "adapter" in shim.contract.tags
-
-
-def test_adapter_unsatisfiable_when_destination_needs_nothing():
-    src = skill("emit", art=("x",))
-    dst = skill("takes-nothing")
-    with pytest.raises(AdapterTypeUnsatisfiable):
-        make_adapter_shim(src, dst)
+def test_built_plans_step_only_through_edges_or_registered_shims():
+    # a maintained library whose shims bridge thousands of dep-only pairs:
+    # every transition of a built plan holds dep and (comp or a shim), and
+    # each dep-only one carries exactly its registered shim's step
+    lib, _ = build_library(200, 0.0, 0)
+    out, _ = run_maintenance(lib, cfg=MaintenanceConfig(dep_mode="overlap",
+                                                        comp_threshold=0.6))
+    g = build_hseg(out.skills, 0.6, "overlap", out.adapters)
+    shim_ids = {a.contract.id for a in out.adapters}
+    adapter_steps = 0
+    for s in out.skills:
+        task = TaskSpec(id=s.id, goal_text=s.goal.replace("-", " "),
+                        state_facts=s.preconditions)
+        steps = build_plan(out, g, task).steps
+        walked = [i for i, step in enumerate(steps) if step.inserted is None]
+        for i, j in zip(walked, walked[1:]):
+            src, dst = steps[i].skill, steps[j].skill
+            assert g.edge_exists("dep", src, dst)
+            comp = g.edge_exists("comp", src, dst)
+            assert comp or g.is_bridged(src, dst)
+            adapters = [t.skill for t in steps[i + 1:j] if t.inserted == "adapter"]
+            assert adapters == ([] if comp else [g.bridge(src, dst).contract.id])
+        assert all(t.skill in shim_ids for t in steps if t.inserted == "adapter")
+        adapter_steps += sum(t.inserted == "adapter" for t in steps)
+    assert adapter_steps > 0
 
 
 # ---------------------------------------------------------------------------
