@@ -28,7 +28,12 @@ The matrix covers:
   load          the library and its probe trace written with
                 ``save_library``/``save_trace`` and read back with
                 ``load_library``/``load_trace``: the loaded library's
-                ``library_fingerprint``, and the ``run_maintenance`` output
+                ``library_fingerprint``; ``noncanonical``: the same
+                fingerprint after every saved SKILL.md is rewritten in a
+                layout ``save_library`` never writes (CRLF line ends, keys
+                in reverse order, a blank front matter line, trailing
+                spaces and a blank line in the body, ``- [x]`` boxes), so it
+                must equal the ``library`` line; the ``run_maintenance`` output
                 fingerprint plus report JSON built from the loaded inputs;
                 on the first library also ``adapters``: the overlap-mode,
                 threshold-0.6 maintenance output, which carries thousands
@@ -154,6 +159,30 @@ def _plan_tasks(lib, provenance, seed: int):
     ]
 
 
+def _noncanonical(text: str) -> str:
+    """A saved skill file rewritten into an equivalent layout that only the
+    line parser reads: CRLF line ends, the front matter keys reversed after
+    a blank line, two trailing spaces on each body line and a blank line
+    after the first, and checked checklist boxes."""
+    lines = text.split("\n")
+    close = lines.index("---", 1)
+    out = ["---", "", *reversed(lines[1:close]), "---"]
+    section = None
+    for line in lines[close + 1:]:
+        if line.startswith("## "):
+            section = line
+            out.append(line)
+        elif section == "## Operation" and line:
+            out.append(line + "  ")
+            if out[-2] == section:
+                out.append("")
+        elif section == "## Checklist":
+            out.append(line.replace("- [ ] ", "- [x] ", 1))
+        else:
+            out.append(line)
+    return "\r\n".join(out)
+
+
 def cases():
     """Yield (case name, sha256) for every case, in a fixed order."""
     from skillops.cgpd import CgpdConfig, propagate
@@ -192,6 +221,12 @@ def cases():
             loaded, _ = load_library(Path(tmp) / lib_name)
             loaded_trace = load_trace(path)
             yield f"load/{lib_name}/library", _digest(library_fingerprint(loaded))
+            rewritten = Path(tmp) / f"{lib_name}-noncanonical"
+            save_library(lib, rewritten)
+            for skill_file in sorted(rewritten.glob("skills/*/SKILL.md")):
+                skill_file.write_bytes(_noncanonical(skill_file.read_text()).encode())
+            yield (f"load/{lib_name}/noncanonical",
+                   _digest(library_fingerprint(load_library(rewritten)[0])))
             out, report = run_maintenance(loaded, loaded_trace, MaintenanceConfig())
             yield f"load/{lib_name}/maintain", _digest(library_fingerprint(out) + "\n"
                                                        + _json(report.as_dict()))

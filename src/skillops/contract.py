@@ -12,16 +12,25 @@ checklist boxes, empty optional keys omitted.  ``parse_skill_file`` composed
 with ``serialize_skill_file`` is the identity on valid contracts, and
 serializing the same contract twice yields byte-identical text.
 
-Cost: ``parse_skill_file`` is one pass over a file's lines, one
-``partition`` per front matter line, with the section regex run only on
-lines that start with ``## ``.  It checks validate()'s invariants once and
-skips re-normalizing the body it has just normalized.  It parses the 2000
-files of ``build_library(2000, 0.3, 42)`` in 88-94 ms (about 45 us a file;
-93-99 ms when the body was checked twice), in-process on a 2-vCPU VM.
-``harness.load_library`` passes one dict to every file it parses, so a
-preconditions, artifact.type or tags text seen before reuses its frozenset.
-That library holds 591, 207 and 1263 distinct such texts, and its 2000
-files parse that way in 63-84 ms.
+Cost: a file in the layout ``serialize_skill_file`` writes for a contract
+without extras, which is every skill file ``save_library`` writes for a
+library this package built, is read with one anchored match of
+``_CANONICAL_RE``.  The contract is built from the match's groups, and only
+validate()'s invariants run on it; the pattern has already shown the body
+normalized.  Any other file (CR line ends, extra or reordered keys, blank
+lines, trailing spaces, checked boxes, a Failure Modes section) and any file
+that breaks an invariant pays that failed match, then goes to the line
+parser: one pass over the lines, one ``partition`` per front matter line,
+the section regex run only on lines that start with ``## ``.  Only the line
+parser raises parse errors.  ``harness.load_library`` passes one
+``_ParseContext`` to every file it parses, so a preconditions,
+artifact.type or tags text seen before reuses its frozenset, and a set
+already seen passing the type-tag or token check is not checked again.
+``build_library(2000, 0.3, 42)`` holds 591, 207 and 1263 distinct such
+texts.  In-process on a shared 2-vCPU VM, its 2000 files parse that way in
+37 ms, about 18 us a file: 41 ms without the set checks shared, and 48 ms
+when every file took the line parser (each the median of six interleaved
+processes' medians of 30 parses).
 """
 
 from __future__ import annotations
@@ -194,20 +203,31 @@ class SkillContract:
         _check_invariants(self, body_normalized=False)
 
 
-def _check_invariants(c: SkillContract, body_normalized: bool) -> None:
+def _check_invariants(
+    c: SkillContract, body_normalized: bool, ctx: _ParseContext | None = None
+) -> None:
     """validate()'s checks in their order.  A caller that built the body
     with normalize_body passes body_normalized=True to skip re-normalizing
-    it only to compare."""
+    it only to compare.  With a parse context, the type-tag and token loops
+    skip the sets the context has seen pass them: a skipped loop is one
+    that cannot raise, so the first error is still the first error."""
     if not _ID_RE.fullmatch(c.id):
         raise ContractInvariantError(f"bad skill id: {c.id!r}")
     if not _is_token(c.goal):
         raise ContractInvariantError(f"goal must be a single token: {c.goal!r}")
-    for tag in c.preconditions | c.artifact_types:
-        if not _TAG_RE.fullmatch(tag):
-            raise ContractInvariantError(f"bad type tag: {tag!r}")
-    for tag in c.tags | c.failure_modes:
-        if not _is_token(tag):
-            raise ContractInvariantError(f"bad token: {tag!r}")
+    if ctx is None or not (c.preconditions in ctx.type_tags
+                           and c.artifact_types in ctx.type_tags):
+        for tag in c.preconditions | c.artifact_types:
+            if not _TAG_RE.fullmatch(tag):
+                raise ContractInvariantError(f"bad type tag: {tag!r}")
+        if ctx is not None:
+            ctx.type_tags.update((c.preconditions, c.artifact_types))
+    if ctx is None or not (c.tags in ctx.tokens and c.failure_modes in ctx.tokens):
+        for tag in c.tags | c.failure_modes:
+            if not _is_token(tag):
+                raise ContractInvariantError(f"bad token: {tag!r}")
+        if ctx is not None:
+            ctx.tokens.update((c.tags, c.failure_modes))
     if not body_normalized and c.body != normalize_body(c.body):
         raise ContractInvariantError(f"body of {c.id} is not normalized")
     if not c.body:
@@ -225,10 +245,10 @@ def _check_invariants(c: SkillContract, body_normalized: bool) -> None:
     for key, value in c.extras:
         if not _is_token(key) or "\n" in value:
             raise ContractInvariantError(f"bad extra entry: {key!r}")
-    for dirname in ARTIFACT_DIR_NAMES:
-        for name in c.artifact_dirs.get(dirname):
-            if not _is_token(name) or "/" in name:
-                raise ContractInvariantError(f"bad artifact file name: {name!r}")
+    dirs = c.artifact_dirs
+    for name in dirs.scripts + dirs.references + dirs.assets:
+        if not _is_token(name) or "/" in name:
+            raise ContractInvariantError(f"bad artifact file name: {name!r}")
 
 
 def body_hash(contract: SkillContract) -> str:
@@ -355,19 +375,32 @@ def serialize_skill_file(contract: SkillContract) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dir_names(fields: dict[str, str], key: str) -> tuple[str, ...]:
-    return tuple(sorted(_parse_list(fields[key], key))) if key in fields else ()
+def _dir_names(raw: str | None, key: str) -> tuple[str, ...]:
+    return tuple(sorted(_parse_list(raw, key))) if raw is not None else ()
 
 
-def _shared_set(
-    fields: dict[str, str], key: str, sets: dict[str, frozenset[str]]
-) -> frozenset[str]:
-    """The frozenset of a list-valued key, shared through `sets` by every
-    skill whose value has the same text."""
-    raw = fields[key]
-    found = sets.get(raw)
+class _ParseContext:
+    """What the files one call parses share.  `sets` maps the front matter
+    text of a preconditions, artifact.type or tags value to its frozenset,
+    so every skill with that text gets one object; `type_tags` and `tokens`
+    hold the frozensets that passed _check_invariants' type-tag and token
+    loops.  A caller that passes one context for many files builds each
+    distinct set once and checks it once."""
+
+    __slots__ = ("sets", "type_tags", "tokens")
+
+    def __init__(self) -> None:
+        self.sets: dict[str, frozenset[str]] = {}
+        self.type_tags: set[frozenset[str]] = set()
+        self.tokens: set[frozenset[str]] = set()
+
+
+def _shared_set(raw: str, key: str, ctx: _ParseContext) -> frozenset[str]:
+    """The frozenset of a list value with front matter text `raw`, shared
+    through ctx.sets by every skill whose value has the same text."""
+    found = ctx.sets.get(raw)
     if found is None:
-        found = sets[raw] = frozenset(_parse_list(raw, key))
+        found = ctx.sets[raw] = frozenset(_parse_list(raw, key))
     return found
 
 
@@ -383,14 +416,85 @@ def parse_skill_file(text: str) -> SkillContract:
     failure_modes, preconditions, artifact.type, tags, artifacts.*; then
     validate()'s invariants, raised as MalformedFrontMatter.
     """
-    return _parse_skill_file(text, {})
+    return _parse_skill_file(text, _ParseContext())
 
 
-def _parse_skill_file(text: str, sets: dict[str, frozenset[str]]) -> SkillContract:
-    """parse_skill_file, taking the preconditions, artifact.type and tags
-    sets from `sets`, keyed by their front matter text, and adding the ones
-    it builds.  A caller that passes one dict for many files builds each
-    distinct set once."""
+# The layout serialize_skill_file writes for a contract without extras: LF
+# line ends, the keys in their order (an optional one may be absent), a body
+# of non-blank lines that end in a non-space and do not start with "## " or
+# "---", unchecked checklist boxes, one final newline.  re's \S is exactly
+# "not str.isspace()", the test str.rstrip and str.split use.  Every line is
+# one run of [^\r\n] closed by \n, so no text matches two ways, and a failed
+# match backtracks at most once through each line.
+_LIST = r"(\[[^\r\n]*\])"
+_BODY_LINE = r"(?!## |---)[^\r\n]*\S"
+_CANONICAL_RE = re.compile(
+    r"---\n"
+    r"id: ([a-z0-9_\-]+)\n"
+    r"goal: (\S+)\n"
+    rf"preconditions: {_LIST}\n"
+    rf"artifact\.type: {_LIST}\n"
+    r"validator\.kind: (?:checklist|none)\n"
+    rf"(?:failure_modes: {_LIST}\n)?"
+    rf"(?:tags: {_LIST}\n)?"
+    rf"(?:artifacts\.scripts: {_LIST}\n)?"
+    rf"(?:artifacts\.references: {_LIST}\n)?"
+    rf"(?:artifacts\.assets: {_LIST}\n)?"
+    r"---\n"
+    r"## Operation\n"
+    rf"({_BODY_LINE}(?:\n{_BODY_LINE})*)\n"
+    r"(?:## Checklist\n((?:- \[ \] \S(?:[^\r\n]*\S)?\n)+))?"
+    r"\Z"
+)
+
+
+def _parse_canonical(text: str, ctx: _ParseContext) -> SkillContract | None:
+    """The contract of a file in serialize_skill_file's layout, built from
+    one match of _CANONICAL_RE; None when the text is laid out any other
+    way or breaks an invariant.  What it returns is what _parse_lines
+    returns for the same text: each list value is the stripped text after
+    its key's colon, the body is already normalized, and each checklist
+    line is "- [ ] " and its item."""
+    m = _CANONICAL_RE.match(text)
+    if m is None:
+        return None
+    (id_, goal, pre, art, failures, tags,
+     scripts, references, assets, body, checklist) = m.groups()
+    contract = SkillContract(
+        id=id_,
+        goal=goal,
+        preconditions=_shared_set(pre, "preconditions", ctx),
+        body=body,
+        artifact_types=_shared_set(art, "artifact.type", ctx),
+        checklist=tuple(line[6:] for line in checklist.split("\n")[:-1]) if checklist else (),
+        failure_modes=(frozenset(_parse_list(failures, "failure_modes"))
+                       if failures else frozenset()),
+        tags=_shared_set(tags, "tags", ctx) if tags else frozenset(),
+        artifact_dirs=ArtifactDirs(
+            scripts=_dir_names(scripts, "artifacts.scripts"),
+            references=_dir_names(references, "artifacts.references"),
+            assets=_dir_names(assets, "artifacts.assets"),
+        ),
+    )
+    try:
+        _check_invariants(contract, body_normalized=True, ctx=ctx)
+    except ContractInvariantError:
+        return None
+    return contract
+
+
+def _parse_skill_file(text: str, ctx: _ParseContext) -> SkillContract:
+    """parse_skill_file, sharing list sets and tag checks through `ctx`.
+    A file in serialize_skill_file's layout takes one regex match; any
+    other file, and every file that raises, goes through the line parser."""
+    contract = _parse_canonical(text, ctx)
+    return contract if contract is not None else _parse_lines(text, ctx)
+
+
+def _parse_lines(text: str, ctx: _ParseContext) -> SkillContract:
+    """The line parser behind parse_skill_file.  It reads every layout (any
+    line ends, extras, keys in any order, blank lines, checked boxes, a
+    Failure Modes section) and raises every error parse_skill_file raises."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
@@ -462,12 +566,12 @@ def _parse_skill_file(text: str, sets: dict[str, frozenset[str]]) -> SkillContra
         if item:
             failure_modes.add(item)
 
-    preconditions = _shared_set(fields, "preconditions", sets)
-    artifact_types = _shared_set(fields, "artifact.type", sets)
-    tags = _shared_set(fields, "tags", sets) if "tags" in fields else frozenset()
-    scripts = _dir_names(fields, "artifacts.scripts")
-    references = _dir_names(fields, "artifacts.references")
-    assets = _dir_names(fields, "artifacts.assets")
+    preconditions = _shared_set(fields["preconditions"], "preconditions", ctx)
+    artifact_types = _shared_set(fields["artifact.type"], "artifact.type", ctx)
+    tags = _shared_set(fields["tags"], "tags", ctx) if "tags" in fields else frozenset()
+    scripts = _dir_names(fields.get("artifacts.scripts"), "artifacts.scripts")
+    references = _dir_names(fields.get("artifacts.references"), "artifacts.references")
+    assets = _dir_names(fields.get("artifacts.assets"), "artifacts.assets")
     extras = tuple(sorted(
         (k, v) for k, v in fields.items() if k not in _KNOWN_KEYS
     ))
@@ -485,7 +589,7 @@ def _parse_skill_file(text: str, sets: dict[str, frozenset[str]]) -> SkillContra
         extras=extras,
     )
     try:
-        _check_invariants(contract, body_normalized=True)
+        _check_invariants(contract, body_normalized=True, ctx=ctx)
     except ContractInvariantError as exc:
         raise MalformedFrontMatter(str(exc)) from exc
     return contract

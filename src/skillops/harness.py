@@ -45,6 +45,7 @@ from skillops.contract import (
     SkillOpsError,
     SkillParseError,
     _ID_RE,
+    _ParseContext,
     _parse_skill_file,
     library_fingerprint,
     make_contract,
@@ -151,7 +152,8 @@ def _json_objects(path: str | Path, error: type[_MalformedLine]):
     A line is decoded with one raw_decode call from index 0.  A line that
     call does not consume whole (surrounding whitespace, extra data, a
     syntax error) goes through json.loads, so every line is accepted or
-    rejected, with the same message, as json.loads would."""
+    rejected, with the same message, as json.loads would.  So is an integer
+    longer than int's digit limit, which json raises as a bare ValueError."""
     text = _read_text(path, error)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -160,13 +162,15 @@ def _json_objects(path: str | Path, error: type[_MalformedLine]):
             continue
         try:
             obj, end = _DECODER.raw_decode(line)
-        except json.JSONDecodeError:
+        except ValueError:
             end = -1
         if end != len(line):
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise error(line_no, f"invalid JSON ({e.msg})") from None
+            except ValueError as e:
+                raise error(line_no, f"invalid JSON ({e})") from None
         if not isinstance(obj, dict):
             raise error(line_no, "expected an object")
         yield line_no, obj
@@ -330,13 +334,11 @@ class _LibraryFiles:
             raise OSError(e.errno, e.strerror, path) from None
 
 
-def _read_entry(
-    files: _LibraryFiles, entry, keys: tuple[str, ...], sets: dict[str, frozenset[str]]
-):
+def _read_entry(files: _LibraryFiles, entry, keys: tuple[str, ...], ctx: _ParseContext):
     """Parse the skill file a manifest entry names, sharing interface and
-    tag sets through `sets`.  The entry must carry `keys` as strings, and
-    its path must stay inside the library (see _LibraryFiles.read).  Parse
-    errors gain the entry's path.
+    tag sets, and their checks, through `ctx`.  The entry must carry `keys`
+    as strings, and its path must stay inside the library (see
+    _LibraryFiles.read).  Parse errors gain the entry's path.
 
     Line ends are not translated: parse_skill_file folds CR and CRLF itself."""
     if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in keys):
@@ -344,7 +346,7 @@ def _read_entry(
     rel = entry["path"]
     text = _decode(files.read(rel), SkillParseError, files.root, rel)
     try:
-        return _parse_skill_file(text, sets)
+        return _parse_skill_file(text, ctx)
     except SkillParseError as e:
         raise type(e)(f"{rel}: {e}") from None
 
@@ -359,14 +361,14 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
     directory.
 
     Skills whose preconditions, artifact.type or tags have the same front
-    matter text share one frozenset, built once per call; nothing is cached
-    across calls."""
+    matter text share one frozenset, built and checked once per call;
+    nothing is cached across calls."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     skills = []
     provenance: dict[str, str] = {}
     adapters = []
-    sets: dict[str, frozenset[str]] = {}
+    ctx = _ParseContext()
     with _LibraryFiles(root) as files:
         try:
             data = files.read("manifest.json")
@@ -374,17 +376,18 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
             raise ManifestError(f"{root} has no manifest.json") from None
         try:
             manifest = json.loads(_decode(data, ManifestError, manifest_path))
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a JSONDecodeError, or an over-long integer
             raise ManifestError(f"{manifest_path}: invalid JSON ({e})") from None
         version = manifest.get("format_version") if isinstance(manifest, dict) else None
-        if version != FORMAT_VERSION:
+        # type(), not ==: true and 1.0 both equal 1
+        if type(version) is not int or version != FORMAT_VERSION:
             raise ManifestError(f"unsupported format_version: {version!r}")
         sections = {key: manifest.get(key, []) for key in ("skills", "adapters")}
         for key, entries in sections.items():
             if not isinstance(entries, list):
                 raise ManifestError(f"manifest {key!r} must be a list, got {entries!r}")
         for entry in sections["skills"]:
-            contract = _read_entry(files, entry, ("id", "path"), sets)
+            contract = _read_entry(files, entry, ("id", "path"), ctx)
             if contract.id != entry["id"]:
                 raise ManifestError(
                     f"{entry['path']}: file declares id {contract.id!r},"
@@ -396,7 +399,7 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
             skills.append(contract)
             provenance[contract.id] = origin
         for entry in sections["adapters"]:
-            contract = _read_entry(files, entry, ("src", "dst", "path"), sets)
+            contract = _read_entry(files, entry, ("src", "dst", "path"), ctx)
             adapters.append(
                 AdapterShim(src=entry["src"], dst=entry["dst"], contract=contract)
             )
@@ -428,8 +431,12 @@ def load_trace(path: str | Path) -> ExecutionTrace:
     a JSON object, lacks a key, has a task_id or skill_id that is not a
     string, names an unknown outcome, has a step that is not an integer
     (JSON true and false included) or an error_code that is neither a
-    string nor null."""
+    string nor null.  Steps that do not strictly increase within a task
+    raise SkillOpsError, as ExecutionTrace.validate does, once every line
+    has parsed."""
     entries = []
+    last: dict[str, int] = {}
+    disorder = None  # the task of the first entry whose step does not increase
     for line_no, obj in _json_objects(path, MalformedTraceLine):
         try:
             task_id, skill, step, outcome = (
@@ -447,10 +454,14 @@ def load_trace(path: str | Path) -> ExecutionTrace:
         error_code = obj.get("error_code")
         if error_code is not None and not isinstance(error_code, str):
             raise MalformedTraceLine(line_no, "error_code must be a string or null")
+        before = last.get(task_id)
+        if before is not None and step <= before and disorder is None:
+            disorder = task_id
+        last[task_id] = step
         entries.append(TraceEntry(task_id, skill, step, outcome, error_code))
-    trace = ExecutionTrace(entries=tuple(entries))
-    trace.validate()
-    return trace
+    if disorder is not None:
+        raise SkillOpsError(f"step indices must strictly increase per task: {disorder}")
+    return ExecutionTrace(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +853,7 @@ def cmd_plan(args) -> int:
 def _read_action_list(path: str) -> list[str]:
     try:
         obj = json.loads(_read_text(path, ConfigInvalid))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an over-long integer
         raise ConfigInvalid(f"{path}: invalid JSON ({e})") from None
     if isinstance(obj, dict):
         obj = obj.get("actions")

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,10 @@ from skillops.contract import (
     _KNOWN_KEYS,
     _SECTION_RE,
     _TAG_RE,
+    _ParseContext,
     _is_token,
+    _parse_canonical,
+    _parse_skill_file,
     ArtifactDirs,
     ContractInvariantError,
     DuplicateSection,
@@ -28,7 +32,9 @@ from skillops.contract import (
     parse_skill_file,
     serialize_skill_file,
 )
+from skillops import contract as contract_module
 from skillops.debtgen import build_library
+from skillops.harness import load_library, save_library
 
 MINIMAL = """---
 id: a
@@ -494,8 +500,13 @@ _ODD_VALUES = (
     "", "[]", "[ ]", "[A]", "html", "[a b]", "[a\u00a0b]", "[a,\u2003b]", "[x, , y]",
     "[dir/x]", "[", "]", "[ok, Bad]", "a\u2003b", "two words", "Bad_ID", "[ok]", "ok",
 )
+# Whitespace that str.split("\n") keeps inside a line but str.strip and
+# re's \s both take; the canonical fast path relies on the two agreeing.
+_LINE_END_SPACES = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+_ODD_VALUES += tuple(f"[ok]{ch}" for ch in _LINE_END_SPACES) + ("ok\x85", "[a]\u2028[b]")
 _BODY_LINES = ("---", " --- ", "## Notes", "## Checklist", "## Operation", "## X y",
-               "", "  ", "\t", "- [ ] item", "body text  ")
+               "", "  ", "\t", "- [ ] item", "body text  ", "---x", "  ## X",
+               *(f"body text{ch}" for ch in _LINE_END_SPACES), "a\u2028b", "a\rb", "a\r")
 
 
 def _mutate(draw, lines):
@@ -550,8 +561,13 @@ def mutated_files(draw):
 @settings(max_examples=200, deadline=None)
 @given(mutated_files())
 def test_parser_matches_reference_on_mutated_files(texts):
+    ctx = _ParseContext()  # shared, as one load shares it across files
     for text in texts:
         assert_parsers_agree(text)
+        fast = _parse_canonical(text, _ParseContext())
+        assert fast is None or fast == reference_parse(text)
+        assert (_outcome(lambda t: _parse_skill_file(t, ctx), text)
+                == _outcome(reference_parse, text))
 
 
 @pytest.mark.parametrize("text", [
@@ -643,3 +659,113 @@ def test_validate_matches_reference(contract):
         except ContractInvariantError as exc:
             return str(exc)
     assert outcome(contract.validate) == outcome(lambda: reference_validate(contract))
+
+
+# ---------------------------------------------------------------------------
+# the canonical fast path
+
+@given(contracts().map(lambda c: replace(c, extras=())))
+def test_canonical_path_reads_every_serialized_contract(contract):
+    text = serialize_skill_file(contract)
+    fast = _parse_canonical(text, _ParseContext())
+    assert fast is not None
+    assert fast == reference_parse(text) == contract
+
+
+def test_canonical_path_falls_back_on_every_other_layout():
+    text = serialize_skill_file(_VALID)  # carries an extra key
+    assert _parse_canonical(text, _ParseContext()) is None
+    plain = serialize_skill_file(replace(_VALID, extras=()))
+    assert _parse_canonical(plain, _ParseContext()) == replace(_VALID, extras=())
+    for odd in (plain.replace("\n", "\r\n"), plain + "\n", plain.replace("- [ ]", "- [x]"),
+                plain.replace("do it", "do it "), plain.replace("do it", "do\n\nit"),
+                plain.replace("id: ok-id\ngoal: g", "goal: g\nid: ok-id"),
+                plain + "## Failure Modes\n- f\n"):
+        assert _parse_canonical(odd, _ParseContext()) is None
+        assert parse_skill_file(odd) == reference_parse(odd)
+
+
+def test_a_library_save_library_writes_never_reaches_the_line_parser(tmp_path, monkeypatch):
+    lib, prov = build_library(300, 0.5, 3)
+    save_library(lib, tmp_path / "lib", prov)
+    calls = []
+    line_parser = contract_module._parse_lines
+
+    def counting(text, ctx):
+        calls.append(text)
+        return line_parser(text, ctx)
+
+    monkeypatch.setattr(contract_module, "_parse_lines", counting)
+    loaded, _ = load_library(tmp_path / "lib")
+    assert loaded.by_id() == lib.by_id()
+    assert calls == []
+    # the counter does count: a file in CRLF layout takes the line parser
+    path = tmp_path / "lib" / "skills" / lib.skills[0].id / "SKILL.md"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_library(tmp_path / "lib")[0].by_id() == lib.by_id()
+    assert len(calls) == 1
+
+
+def test_the_load_context_shares_each_set_and_checks_it_once(monkeypatch):
+    ctx = _ParseContext()
+    texts = [serialize_skill_file(replace(_VALID, id=f"s{i}", extras=())) for i in range(3)]
+    first, *rest = [_parse_skill_file(text, ctx) for text in texts]
+    assert all(c.preconditions is first.preconditions for c in rest)
+    assert {first.preconditions, first.artifact_types} <= ctx.type_tags
+    assert {first.tags, first.failure_modes} <= ctx.tokens
+    # a set that failed is never recorded, so the next file raises again
+    bad = MINIMAL.replace("[html]", "[Bad]")
+    for _ in range(2):
+        with pytest.raises(MalformedFrontMatter, match="bad type tag"):
+            _parse_skill_file(bad, ctx)
+    checked = []
+
+    class RecordingTagRe:
+        def fullmatch(self, value):
+            checked.append(value)
+            return True
+
+    monkeypatch.setattr(contract_module, "_TAG_RE", RecordingTagRe())
+    monkeypatch.setattr(contract_module, "_is_token", lambda v: checked.append(v) or True)
+    _parse_skill_file(texts[0], ctx)
+    assert checked == ["g", "a.py"]  # the goal and file name: every set was seen passing
+    _parse_skill_file(texts[0], _ParseContext())
+    assert sorted(checked[2:]) == ["a.py", "f", "g", "t", "tag", "u"]
+
+
+_HEAD = serialize_skill_file(parse_skill_file(MINIMAL)).removesuffix("parse\n")
+
+
+@pytest.mark.parametrize("ch", [*_LINE_END_SPACES, "\r", "\t", "\x0b", "\x0c"])
+def test_canonical_path_and_line_parser_agree_on_line_end_whitespace(ch):
+    plain = serialize_skill_file(replace(_VALID, extras=()))
+    texts = [
+        _HEAD + f"body text{ch}\nmore\n", _HEAD + f"a{ch}b\nmore\n", _HEAD + f"more\nx{ch}\n",
+        plain.replace("goal: g\n", f"goal: g{ch}\n"),
+        plain.replace("[t]", f"[t]{ch}"), plain.replace("[tag]", f"[tag{ch}]"),
+        plain.replace("- [ ] item", f"- [ ] item{ch}"),
+        plain.replace("- [ ] item", f"- [ ] {ch}item"),
+    ]
+    for text in texts:
+        fast = _parse_canonical(text, _ParseContext())
+        assert fast is None or fast == reference_parse(text)
+        assert_parsers_agree(text)
+
+
+_LONG_BODIES = {
+    "one-line-trailing-space": ("a" * 1_000_000 + " ", False),  # the last character fails
+    "200k-lines": ("\n".join(["ab c"] * 200_000), True),
+    "200k-lines-trailing-space": ("\n".join(["ab c"] * 200_000) + " ", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_BODIES))
+def test_the_canonical_match_runs_in_linear_time(name):
+    body, canonical = _LONG_BODIES[name]
+    text = _HEAD + body + "\n"
+    start = time.perf_counter()
+    fast = _parse_canonical(text, _ParseContext())
+    assert time.perf_counter() - start < 5.0  # about 0.1 s; a quadratic match takes hours
+    assert (fast is not None) == canonical
+    if canonical:
+        assert fast == contract_module._parse_lines(text, _ParseContext())

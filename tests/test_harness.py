@@ -20,6 +20,7 @@ from skillops.contract import (
     ContractInvariantError,
     Library,
     MalformedFrontMatter,
+    SkillOpsError,
     SkillParseError,
     library_fingerprint,
     make_contract,
@@ -167,10 +168,14 @@ def test_load_rejects_bad_manifest(tmp_path, capsys):
     target = tmp_path / "lib"
     save_library(lib, target, prov)
     manifest = json.loads((target / "manifest.json").read_text())
-    manifest["format_version"] = 99
-    (target / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ManifestError):
-        load_library(target)
+    for version in (99, True, 1.0):  # true and 1.0 compare equal to 1
+        manifest["format_version"] = version
+        (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError) as err:
+            load_library(target)
+        assert str(err.value) == f"unsupported format_version: {version!r}"
+        assert main(["diagnose", "--lib", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
     (target / "manifest.json").write_text("[]")  # not an object at all
     with pytest.raises(ManifestError):
         load_library(target)
@@ -552,6 +557,23 @@ def test_truncated_manifest_names_the_file_and_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
+# json raises a bare ValueError, not a JSONDecodeError, past this many digits
+_LONG_INT = "9" * 5000
+
+
+def test_an_over_long_integer_in_the_manifest_names_the_file(tmp_path, capsys):
+    lib, prov = build_library(3, 0.0, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    path = target / "manifest.json"
+    path.write_text(path.read_text().replace('"format_version": 1', f'"format_version": {_LONG_INT}'))
+    with pytest.raises(ManifestError) as err:
+        load_library(target)
+    assert str(err.value).startswith(f"{path}: invalid JSON (Exceeds the limit")
+    assert main(["diagnose", "--lib", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
 def test_load_reads_a_manifest_with_a_byte_order_mark(tmp_path):
     lib, prov = build_library(3, 0.0, seed=2)
     target = tmp_path / "lib"
@@ -680,6 +702,36 @@ def test_trace_malformed_lines(tmp_path, line, fragment):
         load_trace(path)
     assert err.value.line_no == 2
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("error", [MalformedTraceLine, MalformedQueryLine])
+def test_an_over_long_integer_on_a_json_line_names_the_line(tmp_path, error):
+    path = tmp_path / "lines.jsonl"
+    path.write_text(f'{{"first": true}}\n{{"step": {_LONG_INT}}}\n')
+    with pytest.raises(error) as err:
+        list(_json_objects(path, error))
+    assert err.value.line_no == 2
+    assert str(err.value).startswith(f"{error.what} line 2: invalid JSON (Exceeds the limit")
+
+
+def test_trace_steps_must_increase_per_task_after_every_line_parses(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    lines = [
+        '{"task_id": "t", "skill_id": "a", "step": 1, "outcome": "success"}',
+        '{"task_id": "u", "skill_id": "a", "step": 0, "outcome": "success"}',
+        '{"task_id": "t", "skill_id": "a", "step": 1, "outcome": "success"}',
+        '{"task_id": "u", "skill_id": "a", "step": 0, "outcome": "success"}',
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SkillOpsError) as err:
+        load_trace(path)
+    assert type(err.value) is SkillOpsError
+    assert str(err.value) == "step indices must strictly increase per task: t"
+    # a malformed line anywhere wins, as it did when the whole trace was checked last
+    path.write_text("\n".join(lines) + '\n{"step": 2}\n')
+    with pytest.raises(MalformedTraceLine) as err:
+        load_trace(path)
+    assert err.value.line_no == 5
 
 
 def test_trace_error_code_may_be_null_and_bad_types_exit_two(tmp_path, capsys):
@@ -1136,6 +1188,12 @@ def test_cli_grade_names_a_json_file_it_cannot_parse(tmp_path, capsys, flag):
     assert str(err.value).startswith(f"{path}: invalid JSON (")
     argv = ["grade", flag, str(path)]
     argv += ["--gold-list", "a"] if flag == "--plan" else ["--actions", "a"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    path.write_text(f'{{"actions": [{_LONG_INT}]}}')
+    with pytest.raises(ConfigInvalid) as err:
+        _read_action_list(str(path))
+    assert str(err.value).startswith(f"{path}: invalid JSON (Exceeds the limit")
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
