@@ -33,7 +33,13 @@ The matrix covers:
                 layout ``save_library`` never writes (CRLF line ends, keys
                 in reverse order, a blank front matter line, trailing
                 spaces and a blank line in the body, ``- [x]`` boxes), so it
-                must equal the ``library`` line; the ``run_maintenance`` output
+                must equal the ``library`` line; ``trace``: the loaded probe
+                trace's entries; ``trace-noncanonical``: the same entries
+                after the saved trace is rewritten in a layout ``save_trace``
+                never writes (CRLF line ends, keys in reverse order,
+                ``"error_code": null`` where it was absent, a blank line), so
+                it must equal the ``trace`` line; ``trace-mixed``: the mixed
+                trace below saved and loaded back; the ``run_maintenance`` output
                 fingerprint plus report JSON built from the loaded inputs;
                 on the first library also ``adapters``: the overlap-mode,
                 threshold-0.6 maintenance output, which carries thousands
@@ -183,6 +189,20 @@ def _noncanonical(text: str) -> str:
     return "\r\n".join(out)
 
 
+def _noncanonical_trace(text: str) -> str:
+    """A saved trace rewritten into an equivalent layout that only the line
+    parser reads: each line's keys in reverse order, ``"error_code": null``
+    on every entry without an error code, a blank line after the first line,
+    and CRLF line ends."""
+    lines = []
+    for line in text.splitlines():
+        obj = json.loads(line)
+        obj.setdefault("error_code", None)
+        lines.append(json.dumps(dict(sorted(obj.items(), reverse=True))))
+    lines.insert(1, "")
+    return "\r\n".join(lines) + "\r\n"
+
+
 def cases():
     """Yield (case name, sha256) for every case, in a fixed order."""
     from skillops.cgpd import CgpdConfig, propagate
@@ -227,6 +247,15 @@ def cases():
                 skill_file.write_bytes(_noncanonical(skill_file.read_text()).encode())
             yield (f"load/{lib_name}/noncanonical",
                    _digest(library_fingerprint(load_library(rewritten)[0])))
+            yield f"load/{lib_name}/trace", _digest(_json(loaded_trace.entries))
+            odd_trace = Path(tmp) / f"{lib_name}-noncanonical.jsonl"
+            odd_trace.write_bytes(_noncanonical_trace(path.read_text()).encode())
+            yield (f"load/{lib_name}/trace-noncanonical",
+                   _digest(_json(load_trace(odd_trace).entries)))
+            mixed = _mixed_trace(lib, seed)
+            mixed_path = Path(tmp) / f"{lib_name}-mixed.jsonl"
+            save_trace(mixed, mixed_path)
+            yield f"load/{lib_name}/trace-mixed", _digest(_json(load_trace(mixed_path).entries))
             out, report = run_maintenance(loaded, loaded_trace, MaintenanceConfig())
             yield f"load/{lib_name}/maintain", _digest(library_fingerprint(out) + "\n"
                                                        + _json(report.as_dict()))
@@ -243,7 +272,6 @@ def cases():
                 yield f"load/{lib_name}/adapters-export", _digest(_json(shimmed.export()))
 
             g = build_hseg(lib.skills, adapters=lib.adapters)
-            mixed = _mixed_trace(lib, seed)
             for window, (trace_name, t) in product(
                 (3, 100), (("mixed", mixed), ("probe", trace))
             ):

@@ -239,11 +239,13 @@ def _check_invariants(
                 raise ContractInvariantError(
                     f"body of {c.id} contains a structural marker line: {line!r}"
                 )
+    # the line parser strips items and values and ends lines at CR and LF,
+    # so only what it reads back unchanged survives a save and load
     for item in c.checklist:
-        if not item.strip() or "\n" in item:
+        if not item or item != item.strip() or "\n" in item or "\r" in item:
             raise ContractInvariantError(f"bad checklist item: {item!r}")
     for key, value in c.extras:
-        if not _is_token(key) or "\n" in value:
+        if not _is_token(key) or value != value.strip() or "\n" in value or "\r" in value:
             raise ContractInvariantError(f"bad extra entry: {key!r}")
     dirs = c.artifact_dirs
     for name in dirs.scripts + dirs.references + dirs.assets:

@@ -27,6 +27,7 @@ import errno
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import sys
@@ -144,17 +145,16 @@ def _decode(data: bytes, error: type[SkillOpsError], *path: str | Path) -> str:
     raise error(reason)
 
 
-def _json_objects(path: str | Path, error: type[_MalformedLine]):
-    """(line number, object) for each non-blank line of a JSON-lines file;
-    a line that is not a JSON object, or a byte that is not UTF-8, raises
-    `error`.  A leading byte-order mark is dropped; CR and CRLF end lines.
+def _json_objects(text: str, error: type[_MalformedLine]):
+    """(line number, object) for each non-blank line of a JSON-lines file's
+    text, as _read_text returns it; a line that is not a JSON object raises
+    `error`.  CR and CRLF end lines.
 
     A line is decoded with one raw_decode call from index 0.  A line that
     call does not consume whole (surrounding whitespace, extra data, a
     syntax error) goes through json.loads, so every line is accepted or
     rejected, with the same message, as json.loads would.  So is an integer
     longer than int's digit limit, which json raises as a bare ValueError."""
-    text = _read_text(path, error)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     for line_no, line in enumerate(text.split("\n"), start=1):
@@ -426,18 +426,59 @@ def save_trace(trace: ExecutionTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def load_trace(path: str | Path) -> ExecutionTrace:
-    """Read a JSONL trace.  A line raises MalformedTraceLine when it is not
-    a JSON object, lacks a key, has a task_id or skill_id that is not a
-    string, names an unknown outcome, has a step that is not an integer
-    (JSON true and false included) or an error_code that is neither a
-    string nor null.  Steps that do not strictly increase within a task
-    raise SkillOpsError, as ExecutionTrace.validate does, once every line
-    has parsed."""
+# The lines save_trace writes: json.dumps(entry, sort_keys=True), so the
+# keys in sorted order after ", " and ": ", error_code only when it is not
+# None, and LF after each line.  A string free of escapes and control
+# characters is its own value.  A step is JSON integer syntax in ASCII
+# digits, at most 18 of them, so int() never meets its digit limit.  ^ and
+# the closing \n hold each match to one whole line, and no group can hold
+# a CR or LF, so a text matches one way or not at all.
+_TRACE_STR = r'"([^"\\\x00-\x1f]*)"'
+_TRACE_LINE_RE = re.compile(
+    rf'^\{{(?:"error_code": {_TRACE_STR}, )?'
+    rf'"outcome": "({"|".join(map(re.escape, OUTCOMES))})", '
+    rf'"skill_id": {_TRACE_STR}, '
+    r'"step": (-?(?:0|[1-9][0-9]{0,17})), '
+    rf'"task_id": {_TRACE_STR}\}}\n',
+    re.M,
+)
+
+
+def _canonical_entries(text: str) -> tuple[TraceEntry, ...] | None:
+    """The entries of a trace in save_trace's layout, built from one
+    finditer pass of _TRACE_LINE_RE; None unless every line matches and
+    steps strictly increase per task.  What it returns is what
+    _trace_lines returns for the same text.  Each line leaves one object
+    the cyclic collector tracks, its entry, built by tuple.__new__ without
+    the Python-level __new__ a NamedTuple call runs.  A text whose first
+    line does not match (a trace in another layout throughout, such as CRLF
+    line ends) returns before the pass, which would find no line start to
+    match and so try every position of the text."""
+    if text and (text[-1] != "\n" or _TRACE_LINE_RE.match(text) is None):
+        return None
+    entries = []
+    append = entries.append
+    last: dict[str, int] = {}
+    for m in _TRACE_LINE_RE.finditer(text):
+        error_code, outcome, skill, step, task_id = m.groups()
+        step = int(step)
+        before = last.get(task_id)
+        if before is not None and step <= before:
+            return None
+        last[task_id] = step
+        append(tuple.__new__(TraceEntry, (task_id, skill, step, outcome, error_code)))
+    if len(entries) != text.count("\n"):
+        return None
+    return tuple(entries)
+
+
+def _trace_lines(text: str) -> tuple[TraceEntry, ...]:
+    """The line parser behind load_trace: it reads every JSON-lines layout
+    and raises every error load_trace raises."""
     entries = []
     last: dict[str, int] = {}
     disorder = None  # the task of the first entry whose step does not increase
-    for line_no, obj in _json_objects(path, MalformedTraceLine):
+    for line_no, obj in _json_objects(text, MalformedTraceLine):
         try:
             task_id, skill, step, outcome = (
                 obj["task_id"], obj["skill_id"], obj["step"], obj["outcome"]
@@ -461,7 +502,28 @@ def load_trace(path: str | Path) -> ExecutionTrace:
         entries.append(TraceEntry(task_id, skill, step, outcome, error_code))
     if disorder is not None:
         raise SkillOpsError(f"step indices must strictly increase per task: {disorder}")
-    return ExecutionTrace(entries=tuple(entries))
+    return tuple(entries)
+
+
+def load_trace(path: str | Path) -> ExecutionTrace:
+    """Read a JSONL trace.  A line raises MalformedTraceLine when it is not
+    a JSON object, lacks a key, has a task_id or skill_id that is not a
+    string, names an unknown outcome, has a step that is not an integer
+    (JSON true and false included) or an error_code that is neither a
+    string nor null.  Steps that do not strictly increase within a task
+    raise SkillOpsError, as ExecutionTrace.validate does, once every line
+    has parsed.
+
+    The file is read once.  A trace in save_trace's layout whose strings
+    hold no escapes, which is every trace save_trace writes for ids and
+    error codes of printable ASCII, takes one regex pass
+    (_canonical_entries).  Any other text (CR line ends, blank lines, other
+    key orders or spacing, escapes, a null error_code, long steps) and
+    every text that raises pays at most that pass, then goes to the line
+    parser, which alone raises."""
+    text = _read_text(path, MalformedTraceLine)
+    entries = _canonical_entries(text)
+    return ExecutionTrace(entries=entries if entries is not None else _trace_lines(text))
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +943,8 @@ def cmd_grade(args) -> int:
 def cmd_eval_retrieval(args) -> int:
     lib, _ = load_library(args.lib)
     queries = []
-    for line_no, obj in _json_objects(args.queries, MalformedQueryLine):
+    text = _read_text(args.queries, MalformedQueryLine)
+    for line_no, obj in _json_objects(text, MalformedQueryLine):
         if "query" not in obj or "relevant" not in obj:
             raise MalformedQueryLine(line_no, "need query and relevant keys")
         if not isinstance(obj["query"], str):

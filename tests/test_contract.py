@@ -327,7 +327,9 @@ def _reference_parse_list(raw: str, key: str) -> tuple[str, ...]:
 
 
 def reference_validate(c: SkillContract) -> None:
-    """SkillContract.validate() as it was before the parser rewrite."""
+    """SkillContract.validate() as it was before the parser rewrite, plus the
+    refusal of checklist items and extras values that a save and load would
+    change: surrounding whitespace, or a CR."""
     def is_token(value):
         return bool(value) and not any(ch.isspace() for ch in value)
 
@@ -351,10 +353,10 @@ def reference_validate(c: SkillContract) -> None:
                 f"body of {c.id} contains a structural marker line: {line!r}"
             )
     for item in c.checklist:
-        if not item.strip() or "\n" in item:
+        if not item.strip() or item.strip() != item or "\n" in item or "\r" in item:
             raise ContractInvariantError(f"bad checklist item: {item!r}")
     for key, value in c.extras:
-        if not is_token(key) or "\n" in value:
+        if not is_token(key) or value.strip() != value or "\n" in value or "\r" in value:
             raise ContractInvariantError(f"bad extra entry: {key!r}")
     for dirname in ("scripts", "references", "assets"):
         for name in c.artifact_dirs.get(dirname):
@@ -659,6 +661,35 @@ def test_validate_matches_reference(contract):
         except ContractInvariantError as exc:
             return str(exc)
     assert outcome(contract.validate) == outcome(lambda: reference_validate(contract))
+
+
+_PLACEHOLDER = "zz-placeholder-zz"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("checklist", "extras")),
+       st.text(alphabet=st.sampled_from("ab \r\n\x85\u2028"), max_size=6))
+def test_validate_accepts_exactly_the_values_a_save_and_load_keeps(field, value):
+    def with_value(v):
+        if field == "checklist":
+            return replace(_VALID, checklist=(v,))
+        return replace(_VALID, extras=(("x-k", v),))
+
+    # the text serialize_skill_file would write, had it not refused the value
+    text = serialize_skill_file(with_value(_PLACEHOLDER)).replace(_PLACEHOLDER, value)
+    contract = with_value(value)
+    try:
+        contract.validate()
+        valid = True
+    except ContractInvariantError:
+        valid = False
+    try:
+        kept = parse_skill_file(text) == contract
+    except SkillParseError:
+        kept = False
+    assert valid == kept
+    if valid:
+        assert serialize_skill_file(contract) == text
 
 
 # ---------------------------------------------------------------------------

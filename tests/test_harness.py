@@ -2,6 +2,7 @@
 CLI entry point."""
 
 import codecs
+import importlib.util
 import json
 import os
 import shutil
@@ -27,14 +28,17 @@ from skillops.contract import (
     parse_skill_file,
     serialize_skill_file,
 )
-from skillops import harness
+from skillops import contract as contract_module, harness
 from skillops.debtgen import build_library
 from skillops.harness import (
     MalformedQueryLine,
     MalformedTraceLine,
     ManifestError,
+    _canonical_entries,
     _json_objects,
     _read_action_list,
+    _read_text,
+    _trace_lines,
     SimulatedExecutor,
     build_retrieval_scenario,
     exercise_library,
@@ -50,6 +54,7 @@ from skillops.harness import (
 from skillops.maint import MaintenanceConfig, make_adapter_shim, run_maintenance
 from skillops.planner import (
     EMPTY_TRACE,
+    OUTCOMES,
     ExecutionTrace,
     TaskSpec,
     TraceEntry,
@@ -632,6 +637,12 @@ def test_a_broken_skill_file_in_a_library_names_its_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # traces
 
+def json_lines(path, error):
+    """_json_objects over a file's text, read as load_trace and
+    eval-retrieval read it."""
+    return _json_objects(_read_text(path, error), error)
+
+
 def test_trace_roundtrip(tmp_path):
     trace = ExecutionTrace(
         entries=(
@@ -709,7 +720,7 @@ def test_an_over_long_integer_on_a_json_line_names_the_line(tmp_path, error):
     path = tmp_path / "lines.jsonl"
     path.write_text(f'{{"first": true}}\n{{"step": {_LONG_INT}}}\n')
     with pytest.raises(error) as err:
-        list(_json_objects(path, error))
+        list(json_lines(path, error))
     assert err.value.line_no == 2
     assert str(err.value).startswith(f"{error.what} line 2: invalid JSON (Exceeds the limit")
 
@@ -758,6 +769,179 @@ def test_trace_with_a_byte_order_mark_loads(tmp_path):
     assert load_trace(path) == trace
 
 
+# the fast path against the line parser
+
+def _trace_outcome(read):
+    """What read() returns, or the type and message of what it raised."""
+    try:
+        return read()
+    except SkillOpsError as e:
+        return type(e), str(e)
+
+
+def _line_parsed(path):
+    """What the line parser alone makes of a trace file."""
+    return _trace_outcome(lambda: ExecutionTrace(
+        entries=_trace_lines(_read_text(path, MalformedTraceLine))))
+
+
+_trace_text = st.text(alphabet=st.sampled_from('ab-"\\\x00\x1f\x7f\r\n\u00e9\u2028 '), max_size=4)
+_trace_step = st.one_of(st.integers(-3, 3), st.integers(-10**19, -10**17),
+                        st.integers(10**17, 10**19))
+
+
+@st.composite
+def traces(draw):
+    """A valid trace: a few tasks, odd ids and error codes, steps that
+    strictly increase per task from a start anywhere around the digit cap."""
+    last: dict[str, int] = {}
+    entries = []
+    for task_id, skill, step, outcome, error_code in draw(st.lists(st.tuples(
+        st.sampled_from(["t", "u", 'q"\\', "\u00e9"]), _trace_text, _trace_step,
+        st.sampled_from(OUTCOMES), st.none() | _trace_text,
+    ), max_size=8)):
+        if task_id in last:
+            step = last[task_id] + abs(step) + 1
+        last[task_id] = step
+        entries.append(TraceEntry(task_id, skill, step, outcome, error_code))
+    return ExecutionTrace(entries=tuple(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_saved_traces_load_back_and_match_the_line_parser(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    save_trace(trace, path)
+    assert load_trace(path) == trace
+    text = _read_text(path, MalformedTraceLine)
+    assert _trace_lines(text) == trace.entries
+    # save_trace escapes quotes, backslashes, control and non-ASCII
+    # characters; only a trace without escapes or long steps is canonical
+    canonical = "\\" not in text and all(len(str(abs(e.step))) <= 18 for e in trace.entries)
+    assert _canonical_entries(text) == (trace.entries if canonical else None)
+
+
+_BASE_TRACE = ExecutionTrace(entries=(
+    TraceEntry("t1", "a", 0, "success"),
+    TraceEntry("t1", "b", 1, "failure", "broken-link:scripts/x.sh"),
+    TraceEntry("t2", "a", 0, "success"),
+))
+_SUCCESS_LINE = '{"outcome": "success", "skill_id": "a", "step": 0, "task_id": "t2"}'
+
+
+def _with_line(line):
+    """A rewrite of the saved base trace whose last line becomes `line`."""
+    return lambda text: text.replace(_SUCCESS_LINE, line)
+
+
+def _last_step(step):
+    """The base trace with its last entry's step changed."""
+    return ExecutionTrace(entries=_BASE_TRACE.entries[:2] + (
+        _BASE_TRACE.entries[2]._replace(step=step),))
+
+
+def _step(value):
+    return _with_line(_SUCCESS_LINE.replace('"step": 0', f'"step": {value}'))
+
+
+@pytest.mark.parametrize("rewrite, expected", [
+    (lambda text: text.replace("\n", "\r\n"), _BASE_TRACE),
+    (lambda text: "\ufeff" + text, _BASE_TRACE),
+    (lambda text: text.replace("\n", "\n\n", 1), _BASE_TRACE),
+    (lambda text: text[:-1], _BASE_TRACE),
+    (_with_line('{"task_id": "t2", "step": 0, "skill_id": "a", "outcome": "success"}'),
+     _BASE_TRACE),
+    (_with_line('{"outcome":"success","skill_id":"a","step":0,"task_id":"t2"}'), _BASE_TRACE),
+    (_with_line('{"error_code": null, ' + _SUCCESS_LINE[1:]), _BASE_TRACE),
+    (_with_line('{"extra": 1, ' + _SUCCESS_LINE[1:]), _BASE_TRACE),
+    (_with_line('{"outcome": "failure", ' + _SUCCESS_LINE[1:]), _BASE_TRACE),
+    (_with_line(_SUCCESS_LINE.replace('"t2"', '"t\\u0032"')), _BASE_TRACE),
+    (_step("-7"), _last_step(-7)),
+    (_step("1" + "0" * 18), _last_step(10**18)),
+    (_step("0.0"), MalformedTraceLine),
+    (_step("true"), MalformedTraceLine),
+    (_step("\u0661"), MalformedTraceLine),
+    (_step("1\u0661"), MalformedTraceLine),
+    (_step("9" * 5000), MalformedTraceLine),
+    (_step("00"), MalformedTraceLine),
+    (_with_line(_SUCCESS_LINE.replace('"success"', '"maybe"')), MalformedTraceLine),
+    (_with_line(_SUCCESS_LINE.replace('"t2"', '"t1"')), SkillOpsError),
+    (_with_line(_SUCCESS_LINE.replace('"t2"', '"t\r2"')), MalformedTraceLine),
+    (_with_line("x" + _SUCCESS_LINE), MalformedTraceLine),
+    (_with_line(_SUCCESS_LINE + " " + _SUCCESS_LINE), MalformedTraceLine),
+], ids=["crlf", "bom", "blank-line", "no-final-newline", "reordered-keys",
+        "compact-separators", "null-error-code", "extra-key", "duplicate-key", "escape",
+        "negative-step", "step-over-the-digit-cap", "float-step", "true-step",
+        "arabic-indic-step", "trailing-arabic-indic-digit", "5000-digit-step",
+        "leading-zero-step", "unknown-outcome", "out-of-order-steps", "cr-in-a-string",
+        "leading-junk", "two-objects-on-a-line"])
+def test_every_other_layout_loads_as_the_line_parser_reads_it(tmp_path, rewrite, expected):
+    path = tmp_path / "trace.jsonl"
+    save_trace(_BASE_TRACE, path)
+    text = path.read_text()
+    assert _SUCCESS_LINE in text and _canonical_entries(text) == _BASE_TRACE.entries
+    path.write_bytes(rewrite(text).encode())
+    got = _trace_outcome(lambda: load_trace(path))
+    assert got == _line_parsed(path)
+    if isinstance(expected, ExecutionTrace):
+        assert got == expected
+    else:
+        assert got[0] is expected
+
+
+def test_a_trace_save_trace_writes_never_reaches_the_line_parser(tmp_path, monkeypatch):
+    trace = exercise_library(build_library(300, 0.5, 3)[0])
+    path = tmp_path / "trace.jsonl"
+    save_trace(trace, path)
+    calls = []
+    line_parser = harness._trace_lines
+
+    def counting(text):
+        calls.append(text)
+        return line_parser(text)
+
+    monkeypatch.setattr(harness, "_trace_lines", counting)
+    loaded = load_trace(path)
+    assert loaded == trace and {type(e) for e in loaded.entries} == {TraceEntry}
+    assert calls == []
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_trace(path) == trace
+    assert len(calls) == 1
+
+
+def _identity_digests():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "identity_digests.py"
+    spec = importlib.util.spec_from_file_location("identity_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_identity_matrix_rewrites_load_as_the_saved_files(tmp_path, monkeypatch):
+    """The `noncanonical` and `trace-noncanonical` lines of
+    scripts/identity_digests.py must equal their `library` and `trace`
+    lines: each rewrite reaches the line parser and reads back the same."""
+    script = _identity_digests()
+    lib, prov = build_library(200, 0.0, 0)
+    trace = exercise_library(lib)
+    save_library(lib, tmp_path / "lib", prov)
+    save_trace(trace, tmp_path / "trace.jsonl")
+    for path in (tmp_path / "lib").glob("skills/*/SKILL.md"):
+        path.write_bytes(script._noncanonical(path.read_text()).encode())
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(script._noncanonical_trace(path.read_text()).encode())
+
+    calls = []
+    for module, name in ((contract_module, "_parse_lines"), (harness, "_trace_lines")):
+        def counting(*args, _parse=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _parse(*args)
+        monkeypatch.setattr(module, name, counting)
+    assert library_fingerprint(load_library(tmp_path / "lib")[0]) == library_fingerprint(lib)
+    assert load_trace(path) == trace
+    assert calls == ["_parse_lines"] * len(lib) + ["_trace_lines"]
+
+
 def reference_json_objects(path, error):
     """_json_objects as it was before the single-call decode: json.loads on
     every line (a leading byte-order mark aside)."""
@@ -784,7 +968,7 @@ def _decoded(read, path, error):
 
 def _assert_decodes_like_json_loads(path):
     for error in (MalformedTraceLine, MalformedQueryLine):
-        assert (_decoded(_json_objects, path, error)
+        assert (_decoded(json_lines, path, error)
                 == _decoded(reference_json_objects, path, error))
 
 
@@ -794,7 +978,7 @@ def _assert_decodes_like_json_loads(path):
 def test_json_lines_with_json_whitespace_still_load(tmp_path, line):
     path = tmp_path / "lines.jsonl"
     path.write_text('{"first": true}\n' + line + "\n", newline="")
-    assert _decoded(_json_objects, path, MalformedTraceLine) == [
+    assert _decoded(json_lines, path, MalformedTraceLine) == [
         (1, {"first": True}), (2, json.loads(line))
     ]
     _assert_decodes_like_json_loads(path)
@@ -818,7 +1002,7 @@ def test_json_lines_keep_their_rejections(tmp_path, line, message):
     path.write_text('{"first": true}\n' + line + "\n", newline="")
     for error in (MalformedTraceLine, MalformedQueryLine):
         want = (2, f"{error.what} line 2: {message}", error)
-        assert _decoded(_json_objects, path, error) == want
+        assert _decoded(json_lines, path, error) == want
     _assert_decodes_like_json_loads(path)
 
 
@@ -1226,7 +1410,7 @@ def _not_utf8_input(tmp_path, kind):
         path = tmp_path / "queries.jsonl"
         path.write_bytes(codecs.BOM_UTF8 + b'\xff{}\n')
         return (path, ["eval-retrieval", "--lib", str(libdir), "--queries", str(path)],
-                lambda p: list(_json_objects(p, MalformedQueryLine)))
+                lambda p: list(json_lines(p, MalformedQueryLine)))
     if kind == "grade":
         path = tmp_path / "plan.json"
         path.write_bytes(b'["a", "\xff"]')
