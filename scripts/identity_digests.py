@@ -67,6 +67,16 @@ each on ``build_library`` at (200, 0.0, 0), (500, 0.6, 42) and
                 risks and the forced ``run_maintenance`` output fingerprint
                 plus report JSON, per dep mode x comp threshold {0, 0.3, 0.6}
 
+and last, on each ``build_library`` library above,
+
+  rank          ``repeated``: ``rank_candidates`` output at ``bm25_k`` 1, 10
+                and 50 for the 50 ``rank`` queries with each rare token (one
+                the library's index holds that some skill lacks) written
+                three times; ``random``: the same for 50 queries of 1 to 8
+                tokens drawn with replacement from the index's vocabulary,
+                which seldom hold both a rare and a common term and so are
+                mostly ranked by scoring every skill
+
 The generator is this checkout's, importing skillops from ``--src``.
 Output does not depend on ``PYTHONHASHSEED``.
 """
@@ -165,6 +175,37 @@ def _plan_tasks(lib, provenance, seed: int):
     ]
 
 
+def _rank_variants(lib, queries, seed: int) -> dict:
+    """The ``repeated`` and ``random`` query lists of a library (see the
+    module docstring)."""
+    from skillops.debtgen import Xorshift64Star, derive_seed
+    from skillops.planner import PlannerConfig, _library_index, tokenize
+
+    index = _library_index(lib, PlannerConfig())
+    rare = set(index.postings) - set(index._common_max)
+    repeated = [
+        " ".join(word for token in tokenize(q) for word in [token] * (3 if token in rare else 1))
+        for q in queries
+    ]
+    vocabulary = sorted(index.postings)
+    rng = Xorshift64Star(derive_seed(seed, 2626))
+    drawn = [
+        " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 8)))
+        for _ in range(RANK_QUERIES)
+    ]
+    return {"repeated": repeated, "random": drawn}
+
+
+def _rank_digest(lib, queries) -> str:
+    """The digest of ``rank_candidates`` output for queries at every k."""
+    from skillops.planner import PlannerConfig, rank_candidates
+
+    return _digest(_json([
+        [rank_candidates(lib, q, PlannerConfig(bm25_k=k, keep_top=1)) for q in queries]
+        for k in RANK_KS
+    ]))
+
+
 def _noncanonical(text: str) -> str:
     """A saved skill file rewritten into an equivalent layout that only the
     line parser reads: CRLF line ends, the front matter keys reversed after
@@ -223,6 +264,7 @@ def cases():
     from skillops.maint import MaintenanceConfig, run_maintenance
     from skillops.planner import EMPTY_TRACE, PlannerConfig, rank_candidates
 
+    rank_variants = []  # (library name, library, query lists), yielded last
     for scenario, seed in product(SCENARIOS, PIPELINE_SEEDS):
         report = run_pipeline(scenario, seed).as_dict()
         report.pop("timing_s")
@@ -308,6 +350,7 @@ def cases():
                 cfg = PlannerConfig(bm25_k=k, keep_top=1)
                 yield (f"rank/{lib_name}/k{k}",
                        _digest(_json([rank_candidates(lib, q, cfg) for q in queries])))
+            rank_variants.append((lib_name, lib, _rank_variants(lib, queries, seed)))
 
             for traced, dep_mode, threshold, cgpd, force in product(
                 (True, False), DEP_MODES, THRESHOLDS, (True, False), (True, False)
@@ -345,6 +388,10 @@ def cases():
         out, report = run_maintenance(lib, EMPTY_TRACE, cfg)
         yield f"{name}/maintain", _digest(library_fingerprint(out) + "\n"
                                           + _json(report.as_dict()))
+
+    for lib_name, lib, variants in rank_variants:
+        for variant, queries in variants.items():
+            yield f"rank/{lib_name}/{variant}", _rank_digest(lib, queries)
 
 
 def main() -> None:

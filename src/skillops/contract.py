@@ -247,6 +247,16 @@ def _check_invariants(
     for key, value in c.extras:
         if not _is_token(key) or value != value.strip() or "\n" in value or "\r" in value:
             raise ContractInvariantError(f"bad extra entry: {key!r}")
+    # each extra is saved as a "key: value" line, which a load splits at the
+    # first ":" and reads into a known key's field or refuses as a duplicate
+    if c.extras:
+        seen: set[str] = set()
+        for key, _ in c.extras:
+            if ":" in key or key in _KNOWN_KEYS:
+                raise ContractInvariantError(f"bad extra key: {key!r}")
+            if key in seen:
+                raise ContractInvariantError(f"duplicate extra key: {key!r}")
+            seen.add(key)
     dirs = c.artifact_dirs
     for name in dirs.scripts + dirs.references + dirs.assets:
         if not _is_token(name) or "/" in name:

@@ -40,6 +40,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 from typing import NamedTuple
 
 from skillops.contract import (
@@ -192,10 +194,7 @@ def _fnv1a(token: str) -> int:
 
 
 def _hash_vector(tokens) -> Counter:
-    vec: Counter = Counter()
-    for t in tokens:
-        vec[_fnv1a(t) % HASH_BUCKETS] += 1
-    return vec
+    return Counter([_fnv1a(t) % HASH_BUCKETS for t in tokens])
 
 
 class Bm25Index:
@@ -283,12 +282,18 @@ class Bm25Index:
     def _score_each(self, tokens: list[str], docs: list[int]) -> list[float]:
         """The scores of the docs at positions `docs`, each the float sum
         _accumulate gives it: the same weights added in the same token
-        order.  A common term's weight for doc pos is weights[pos]; a rare
-        term's is found by bisecting its positions."""
+        order.  A common term's weight for doc pos is weights[pos].  A rare
+        term's weights over the docs (its column) are found once per
+        distinct term, by bisecting its positions, with 0.0 for a doc that
+        lacks the term; each of its tokens then adds the whole column.
+        Every score is a sum of weights, so it is at least +0.0, and
+        x + 0.0 == x for every x >= +0.0: a doc's score takes exactly the
+        additions _accumulate makes for it."""
+        postings, common = self.postings, self._common_max
         scores = [0.0] * len(docs)
-        common = self._common_max
+        columns: dict[str, list[float]] = {}  # rare term -> its column
         for term in tokens:
-            entry = self.postings.get(term)
+            entry = postings.get(term)
             if entry is None:
                 continue
             positions, weights, _ = entry
@@ -296,11 +301,15 @@ class Bm25Index:
                 for i, pos in enumerate(docs):
                     scores[i] += weights[pos]
                 continue
-            n = len(positions)
-            for i, pos in enumerate(docs):
-                j = bisect_left(positions, pos)
-                if j < n and positions[j] == pos:
-                    scores[i] += weights[j]
+            column = columns.get(term)
+            if column is None:
+                n = len(positions)
+                column = columns[term] = []
+                for pos in docs:
+                    j = bisect_left(positions, pos)
+                    column.append(weights[j] if j < n and positions[j] == pos else 0.0)
+            for i, weight in enumerate(column):
+                scores[i] += weight
         return scores
 
     def top(self, tokens: list[str], k: int) -> list[tuple[int, float]]:
@@ -310,16 +319,21 @@ class Bm25Index:
         A query holding both common and rare terms takes three passes over
         the docs that hold a rare term (the candidates):
 
-        1. Each candidate's rare sum: the weights of its rare terms, added
-           from the rare postings alone, in token order with repeats.
+        1. Each candidate's rare sum, from one walk over the postings of
+           each distinct rare term, in first-occurrence order: a term that
+           occurs c times in the query adds c * weight (1 * weight is the
+           weight itself).
         2. theta is the k-th largest rare sum.  A candidate is kept when its
            rare sum plus `lift`, the fsum of the common tokens' largest
            weights (repeats included), reaches theta.  Both sides carry a
            relative slack of 2 * (len(tokens) + 4) units of roundoff: theta
            is divided by it and the kept side multiplied.  It covers the
-           rounding of fsum, of at most len(tokens) additions on either side
-           (each moves a nonnegative sum by a factor of at most 1 + 2**-53)
-           and of the sum, product and quotient here.  So a pruned
+           rounding of fsum, of at most len(tokens) roundings on either side
+           (each moves a nonnegative value by a factor of at most
+           1 + 2**-53; pass 3 rounds once per token, pass 1 once per
+           distinct term of multiplicity 1 and twice, for the product and
+           the addition, per term of multiplicity c >= 2 in place of c
+           additions) and of the sum, product and quotient here.  So a pruned
            candidate's score is strictly below the score of each of the k
            candidates with the largest rare sums: it can neither enter the
            top k nor tie into it.
@@ -334,13 +348,18 @@ class Bm25Index:
         k-th score at or below the bound, or a query without both kinds of
         term) every doc is scored."""
         postings, common = self.postings, self._common_max
-        rare = [postings[t] for t in tokens if t in postings and t not in common]
+        rare = [
+            (tokens.count(t), postings[t])
+            for t in dict.fromkeys(tokens)
+            if t in postings and t not in common
+        ]
         common_maxima = [common[t] for t in tokens if t in common]
         if rare and common_maxima and k > 0:
-            sums: dict[int, float] = {}
-            for positions, weights, _ in rare:
+            (count, (positions, weights, _)), *rest = rare
+            sums = dict(zip(positions, map(mul, repeat(count), weights)))
+            for count, (positions, weights, _) in rest:
                 for pos, weight in zip(positions, weights):
-                    sums[pos] = sums.get(pos, 0.0) + weight
+                    sums[pos] = sums.get(pos, 0.0) + count * weight
             if len(sums) >= k:
                 slack = 1.0 + (len(tokens) + 4) * 2.0 ** -52
                 lift = math.fsum(common_maxima)
@@ -361,25 +380,40 @@ class Bm25Index:
         best = heapq.nlargest(k, range(len(self.ids)), key=acc.__getitem__)
         return [(pos, acc[pos]) for pos in best]
 
-    def _cosine_at(self, pos: int, query_vec: Counter, query_norm: float) -> float:
-        """The cosine of query_vec with doc pos's hashed vector, clipped to
-        [0, 1], where query_norm is query_vec's norm: the integer dot product
-        of the bucket counts over the product of the two norms, 0.0 when
-        that product is zero."""
-        norm = query_norm * self.norms[pos]
-        if norm == 0.0:
-            return 0.0
-        dot = 0
+    def _cosines(self, query_vec: Counter, docs: list[int]) -> list[float]:
+        """The cosine of query_vec with the hashed vector of each doc at
+        positions `docs`, clipped to [0, 1]: the integer dot product of the
+        bucket counts over the product of the two norms, 0.0 when that
+        product is zero.  The query's buckets are looked up once, into the
+        (count, frequencies) of each common index term in them and the
+        (count, positions, frequencies) of each rare one; a doc's dot
+        product then reads a common term's frequency at its position and
+        bisects a rare term's positions."""
+        query_norm = math.sqrt(sum(c * c for c in query_vec.values()))
         n_docs = len(self.ids)
+        common: list[tuple[int, array]] = []
+        rare: list[tuple[int, array, array]] = []
         for bucket, count in query_vec.items():
             for positions, _, freqs in self._buckets.get(bucket, ()):
                 if len(positions) == n_docs:  # common term: positions 0..n-1
-                    dot += count * freqs[pos]
-                    continue
+                    common.append((count, freqs))
+                else:
+                    rare.append((count, positions, freqs))
+        cosines = []
+        for pos in docs:
+            norm = query_norm * self.norms[pos]
+            if norm == 0.0:
+                cosines.append(0.0)
+                continue
+            dot = 0
+            for count, freqs in common:
+                dot += count * freqs[pos]
+            for count, positions, freqs in rare:
                 i = bisect_left(positions, pos)
                 if i < len(positions) and positions[i] == pos:
                     dot += count * freqs[i]
-        return min(1.0, max(0.0, dot / norm))
+            cosines.append(min(1.0, max(0.0, dot / norm)))
+        return cosines
 
 
 def _library_index(lib: Library, cfg: PlannerConfig) -> Bm25Index:
@@ -427,12 +461,10 @@ def rank_candidates(
     lo = min(score for _, score in shortlist)
     hi = max(score for _, score in shortlist)
     span = hi - lo
-    query_vec = _hash_vector(tokens)
-    query_norm = math.sqrt(sum(c * c for c in query_vec.values()))
+    sems = index._cosines(_hash_vector(tokens), [pos for pos, _ in shortlist])
     rescored = []
-    for pos, raw in shortlist:
+    for (pos, raw), sem in zip(shortlist, sems):
         bm25_norm = (raw - lo) / span if span > 0 else 0.0
-        sem = index._cosine_at(pos, query_vec, query_norm)
         rescored.append((index.ids[pos], hybrid_score(cfg.lam, bm25_norm, sem)))
     rescored.sort(key=lambda pair: (-pair[1], pair[0]))
     return tuple(rescored)

@@ -329,7 +329,8 @@ def _reference_parse_list(raw: str, key: str) -> tuple[str, ...]:
 def reference_validate(c: SkillContract) -> None:
     """SkillContract.validate() as it was before the parser rewrite, plus the
     refusal of checklist items and extras values that a save and load would
-    change: surrounding whitespace, or a CR."""
+    change (surrounding whitespace, or a CR) and of extras keys that it
+    would change: a key holding ":", a known key, a repeated key."""
     def is_token(value):
         return bool(value) and not any(ch.isspace() for ch in value)
 
@@ -358,6 +359,12 @@ def reference_validate(c: SkillContract) -> None:
     for key, value in c.extras:
         if not is_token(key) or value.strip() != value or "\n" in value or "\r" in value:
             raise ContractInvariantError(f"bad extra entry: {key!r}")
+    keys = [key for key, _ in c.extras]
+    for i, key in enumerate(keys):
+        if ":" in key or key in _KNOWN_KEYS:
+            raise ContractInvariantError(f"bad extra key: {key!r}")
+        if key in keys[:i]:
+            raise ContractInvariantError(f"duplicate extra key: {key!r}")
     for dirname in ("scripts", "references", "assets"):
         for name in c.artifact_dirs.get(dirname):
             if not name or "/" in name or any(ch.isspace() for ch in name):
@@ -640,7 +647,8 @@ _ODD_FIELDS = {
     "tags": st.frozensets(_odd_text, max_size=2),
     "artifact_dirs": st.builds(ArtifactDirs, scripts=st.lists(_odd_text, max_size=2).map(tuple),
                                assets=st.lists(_odd_text, max_size=2).map(tuple)),
-    "extras": st.lists(st.tuples(_odd_text, _odd_text), max_size=2).map(tuple),
+    "extras": st.lists(st.tuples(st.one_of(_odd_text, st.sampled_from(("tags", "x:y", "x-k"))),
+                                 _odd_text), max_size=2).map(tuple),
 }
 
 
@@ -664,19 +672,26 @@ def test_validate_matches_reference(contract):
 
 
 _PLACEHOLDER = "zz-placeholder-zz"
+_TWIN = "zy-placeholder-zy"
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(("checklist", "extras")),
-       st.text(alphabet=st.sampled_from("ab \r\n\x85\u2028"), max_size=6))
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(("checklist", "extras", "extras-key", "extras-key-twice")),
+       st.one_of(st.text(alphabet=st.sampled_from("ab: \r\n\x85\u2028"), max_size=6),
+                 st.sampled_from(_KNOWN_KEYS + ("x:y", "x-k:", "x-k"))))
 def test_validate_accepts_exactly_the_values_a_save_and_load_keeps(field, value):
-    def with_value(v):
+    def with_value(v, twin=None):
         if field == "checklist":
             return replace(_VALID, checklist=(v,))
-        return replace(_VALID, extras=(("x-k", v),))
+        if field == "extras":
+            return replace(_VALID, extras=(("x-k", v),))
+        if field == "extras-key":
+            return replace(_VALID, extras=((v, "v"),))
+        return replace(_VALID, extras=((v, "v"), (twin or v, "w")))
 
     # the text serialize_skill_file would write, had it not refused the value
-    text = serialize_skill_file(with_value(_PLACEHOLDER)).replace(_PLACEHOLDER, value)
+    text = serialize_skill_file(with_value(_PLACEHOLDER, _TWIN))
+    text = text.replace(_TWIN, value).replace(_PLACEHOLDER, value)
     contract = with_value(value)
     try:
         contract.validate()

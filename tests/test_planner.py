@@ -3,6 +3,7 @@ import heapq
 import itertools
 import math
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -471,6 +472,65 @@ def test_pruned_top_equals_full_scan(docs, query, k, k1b):
     index = Bm25Index(docs, k1=k1b[0], b=k1b[1])
     got = [(index.ids[pos], score) for pos, score in index.top(tokenize(query), k)]
     assert got == dense_top(docs, query, k1b, k)
+
+
+# Pass 1 gives doc a the rare sum w_beta + 3 * w_alpha, where a loop over
+# the tokens adds ((w_beta + w_alpha) + w_alpha) + w_alpha: the two differ
+# in the last bit.  Every doc holds a rare query term, and b is pruned.
+THRICE = (
+    {"a": "the alpha beta beta and", "b": "the beta and", "c": "the and alpha"},
+    "the beta alpha alpha alpha",
+    2,
+)
+# one to six copies of each of one to three rare tokens among common ones
+repeated_rare_queries = st.tuples(
+    st.lists(st.sampled_from(COMMON), min_size=1, max_size=4),
+    st.lists(st.tuples(st.sampled_from(RARE + ("absent",)), st.integers(1, 6)),
+             min_size=1, max_size=3),
+).flatmap(
+    lambda t: st.permutations(t[0] + [token for token, n in t[1] for _ in range(n)])
+).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.from_regex(r"[a-z]{1,3}", fullmatch=True), common_docs,
+                       min_size=2, max_size=14),
+       repeated_rare_queries, st.integers(1, 5), params)
+@example(*THRICE, (1.2, 0.75))
+def test_top_with_repeated_rare_terms_equals_full_scan(docs, query, k, k1b):
+    index = Bm25Index(docs, k1=k1b[0], b=k1b[1])
+    got = [(index.ids[pos], score) for pos, score in index.top(tokenize(query), k)]
+    assert got == dense_top(docs, query, k1b, k)
+
+
+def test_pass_one_walks_each_distinct_rare_term_once(monkeypatch, exact_passes):
+    docs, query, k = THRICE
+    index = Bm25Index(docs)
+    walks = Counter()
+
+    class Walked(array):
+        """A weights array that counts every walk over it."""
+
+        def __iter__(self):
+            walks[self.term] += 1
+            return super().__iter__()
+
+    for term, (positions, weights, freqs) in index.postings.items():
+        walked = Walked("d", weights)
+        walked.term = term
+        index.postings[term] = (positions, walked, freqs)
+    alpha, beta = (dict(zip(*index.postings[t][:2])) for t in ("alpha", "beta"))
+    assert beta[0] + 3 * alpha[0] != ((beta[0] + alpha[0]) + alpha[0]) + alpha[0]
+    walks.clear()
+
+    def refuse(self, *args):
+        raise AssertionError("the query scored every doc")
+
+    monkeypatch.setattr(Bm25Index, "_top_of_all", refuse)
+    got = [(index.ids[pos], score) for pos, score in index.top(tokenize(query), k)]
+    assert got == dense_top(docs, query, (1.2, 0.75), k)
+    assert walks == {"beta": 1, "alpha": 1}
+    assert [[index.ids[pos] for pos in kept] for kept in exact_passes] == [["a", "c"]]
 
 
 @settings(max_examples=100, deadline=None)
