@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
 """Print one ``case sha256`` line per output of a fixed byte-identity matrix.
 
-Run it against two checkouts and diff the output; a change that is meant to
-keep every output byte-identical must print the same lines::
+The expected lines are committed next to this script as
+``identity_digests.txt``.  A change that is meant to keep every output
+byte-identical must print exactly that file::
 
-    python3 scripts/identity_digests.py --src /path/to/parent/src > before.txt
-    python3 scripts/identity_digests.py > after.txt
-    diff before.txt after.txt
+    python3 scripts/identity_digests.py | diff scripts/identity_digests.txt -
+
+and a change that is meant to move outputs edits the file in the same diff.
+``--only PREFIX`` (repeatable) prints the cases whose names start with a
+prefix, in the same order, and skips the work of the others;
+``tests/test_identity_digests.py`` runs a subset that way.  To compare two
+checkouts instead, pass ``--src /path/to/other/src``.
 
 The matrix covers:
 
@@ -97,6 +102,7 @@ WIDE_LIBRARY = (2000, 0.3, 42)
 PLAN_TASKS = 25
 RANK_QUERIES = 50
 RANK_KS = (1, 10, 50)
+KINDS = ("trace", "load", "diagnose", "maintain", "plan", "rank")  # per-library cases
 
 
 def _digest(data) -> str:
@@ -244,8 +250,18 @@ def _noncanonical_trace(text: str) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-def cases():
-    """Yield (case name, sha256) for every case, in a fixed order."""
+def _selector(prefixes):
+    """wanted(stem): whether a case whose name starts with stem can also
+    start with one of prefixes; always true without prefixes."""
+    if not prefixes:
+        return lambda stem: True
+    return lambda stem: any(stem.startswith(p) or p.startswith(stem) for p in prefixes)
+
+
+def cases(prefixes=()):
+    """Yield (case name, sha256) for every case, in a fixed order.  With
+    prefixes, a case or block of cases that no prefix can select is not
+    computed; the caller still filters what is yielded by name."""
     from skillops.cgpd import CgpdConfig, propagate
     from skillops.contract import library_fingerprint
     from skillops.debtgen import build_library
@@ -264,44 +280,53 @@ def cases():
     from skillops.maint import MaintenanceConfig, run_maintenance
     from skillops.planner import EMPTY_TRACE, PlannerConfig, rank_candidates
 
+    wanted = _selector(prefixes)
     rank_variants = []  # (library name, library, query lists), yielded last
     for scenario, seed in product(SCENARIOS, PIPELINE_SEEDS):
-        report = run_pipeline(scenario, seed).as_dict()
-        report.pop("timing_s")
-        yield f"pipeline/{scenario}/seed{seed}", _digest(_json(report))
+        name = f"pipeline/{scenario}/seed{seed}"
+        if wanted(name):
+            report = run_pipeline(scenario, seed).as_dict()
+            report.pop("timing_s")
+            yield name, _digest(_json(report))
 
     with tempfile.TemporaryDirectory() as tmp:
         for n, noise, seed in LIBRARIES:
             lib_name = f"lib{n}-{noise}-{seed}"
+            if not any(wanted(f"{kind}/{lib_name}") for kind in KINDS):
+                continue
+            first, second = (n, noise, seed) == LIBRARIES[0], (n, noise, seed) == LIBRARIES[1]
             lib, provenance = build_library(n, noise, seed)
             trace = exercise_library(lib)
             path = Path(tmp) / f"{lib_name}.jsonl"
             save_trace(trace, path)
             yield f"trace/{lib_name}", _digest(path.read_bytes())
-
-            save_library(lib, Path(tmp) / lib_name)
-            loaded, _ = load_library(Path(tmp) / lib_name)
-            loaded_trace = load_trace(path)
-            yield f"load/{lib_name}/library", _digest(library_fingerprint(loaded))
-            rewritten = Path(tmp) / f"{lib_name}-noncanonical"
-            save_library(lib, rewritten)
-            for skill_file in sorted(rewritten.glob("skills/*/SKILL.md")):
-                skill_file.write_bytes(_noncanonical(skill_file.read_text()).encode())
-            yield (f"load/{lib_name}/noncanonical",
-                   _digest(library_fingerprint(load_library(rewritten)[0])))
-            yield f"load/{lib_name}/trace", _digest(_json(loaded_trace.entries))
-            odd_trace = Path(tmp) / f"{lib_name}-noncanonical.jsonl"
-            odd_trace.write_bytes(_noncanonical_trace(path.read_text()).encode())
-            yield (f"load/{lib_name}/trace-noncanonical",
-                   _digest(_json(load_trace(odd_trace).entries)))
             mixed = _mixed_trace(lib, seed)
-            mixed_path = Path(tmp) / f"{lib_name}-mixed.jsonl"
-            save_trace(mixed, mixed_path)
-            yield f"load/{lib_name}/trace-mixed", _digest(_json(load_trace(mixed_path).entries))
-            out, report = run_maintenance(loaded, loaded_trace, MaintenanceConfig())
-            yield f"load/{lib_name}/maintain", _digest(library_fingerprint(out) + "\n"
-                                                       + _json(report.as_dict()))
-            if (n, noise, seed) == LIBRARIES[0]:
+
+            if wanted(f"load/{lib_name}/"):
+                save_library(lib, Path(tmp) / lib_name)
+                loaded, _ = load_library(Path(tmp) / lib_name)
+                loaded_trace = load_trace(path)
+                yield f"load/{lib_name}/library", _digest(library_fingerprint(loaded))
+                rewritten = Path(tmp) / f"{lib_name}-noncanonical"
+                save_library(lib, rewritten)
+                for skill_file in sorted(rewritten.glob("skills/*/SKILL.md")):
+                    skill_file.write_bytes(_noncanonical(skill_file.read_text()).encode())
+                yield (f"load/{lib_name}/noncanonical",
+                       _digest(library_fingerprint(load_library(rewritten)[0])))
+                yield f"load/{lib_name}/trace", _digest(_json(loaded_trace.entries))
+                odd_trace = Path(tmp) / f"{lib_name}-noncanonical.jsonl"
+                odd_trace.write_bytes(_noncanonical_trace(path.read_text()).encode())
+                yield (f"load/{lib_name}/trace-noncanonical",
+                       _digest(_json(load_trace(odd_trace).entries)))
+                mixed_path = Path(tmp) / f"{lib_name}-mixed.jsonl"
+                save_trace(mixed, mixed_path)
+                yield (f"load/{lib_name}/trace-mixed",
+                       _digest(_json(load_trace(mixed_path).entries)))
+                out, report = run_maintenance(loaded, loaded_trace, MaintenanceConfig())
+                yield f"load/{lib_name}/maintain", _digest(library_fingerprint(out) + "\n"
+                                                           + _json(report.as_dict()))
+            if first and (wanted(f"load/{lib_name}/adapters")
+                          or wanted(f"plan/{lib_name}/adapters")):
                 cfg = MaintenanceConfig(dep_mode="overlap", comp_threshold=0.6)
                 bridged, _ = run_maintenance(lib, trace, cfg)
                 saved = Path(tmp) / f"{lib_name}-adapters"
@@ -314,47 +339,59 @@ def cases():
                 yield f"load/{lib_name}/adapters-export", _digest(_json(shimmed.export()))
 
             g = build_hseg(lib.skills, adapters=lib.adapters)
-            for window, (trace_name, t) in product(
-                (3, 100), (("mixed", mixed), ("probe", trace))
+            if wanted(f"diagnose/{lib_name}/"):
+                for window, (trace_name, t) in product(
+                    (3, 100), (("mixed", mixed), ("probe", trace))
+                ):
+                    health = library_health(lib, g, t, window=window)
+                    yield (f"diagnose/{lib_name}/health-{trace_name}-w{window}",
+                           _digest(_json(health.as_dict())))
+                health = library_health(lib, g, trace)
+                result = propagate(g, health.local_risks(), CgpdConfig())
+                yield f"diagnose/{lib_name}/cgpd", _digest(_json({
+                    "risk": result.risk,
+                    "iterations": result.iterations_used,
+                    "converged": result.converged,
+                }))
+                yield f"diagnose/{lib_name}/export", _digest(_json(g.export()))
+                overlap = build_hseg(lib.skills, dep_mode="overlap", adapters=lib.adapters)
+                yield (f"diagnose/{lib_name}/health-overlap",
+                       _digest(_json(library_health(lib, overlap, trace).as_dict())))
+
+            if wanted(f"plan/{lib_name}/") or (
+                second and wanted(f"maintain/{lib_name}/restrict-export")
             ):
-                health = library_health(lib, g, t, window=window)
-                yield (f"diagnose/{lib_name}/health-{trace_name}-w{window}",
-                       _digest(_json(health.as_dict())))
-            health = library_health(lib, g, trace)
-            result = propagate(g, health.local_risks(), CgpdConfig())
-            yield f"diagnose/{lib_name}/cgpd", _digest(_json({
-                "risk": result.risk,
-                "iterations": result.iterations_used,
-                "converged": result.converged,
-            }))
-            yield f"diagnose/{lib_name}/export", _digest(_json(g.export()))
-            overlap = build_hseg(lib.skills, dep_mode="overlap", adapters=lib.adapters)
-            yield (f"diagnose/{lib_name}/health-overlap",
-                   _digest(_json(library_health(lib, overlap, trace).as_dict())))
+                maintained, _ = run_maintenance(lib, trace, MaintenanceConfig())
+                if second:
+                    derived = g._restrict(maintained.skills, maintained.adapters)
+                    yield (f"maintain/{lib_name}/restrict-export",
+                           _digest(_json(derived.export())))
+                tasks = _plan_tasks(lib, provenance, seed)
+                for plan_name, plan_lib in (("raw", lib), ("maintained", maintained)):
+                    name = f"plan/{lib_name}/{plan_name}"
+                    if wanted(name):
+                        yield name, _digest(_json(_plan_payloads(plan_lib, tasks)))
+                if first and wanted(f"plan/{lib_name}/adapters"):
+                    yield (f"plan/{lib_name}/adapters",
+                           _digest(_json(_plan_payloads(shim_lib, tasks, shimmed))))
 
-            tasks = _plan_tasks(lib, provenance, seed)
-            maintained, _ = run_maintenance(lib, trace, MaintenanceConfig())
-            if (n, noise, seed) == LIBRARIES[1]:
-                derived = g._restrict(maintained.skills, maintained.adapters)
-                yield f"maintain/{lib_name}/restrict-export", _digest(_json(derived.export()))
-            for plan_name, plan_lib in (("raw", lib), ("maintained", maintained)):
-                yield (f"plan/{lib_name}/{plan_name}",
-                       _digest(_json(_plan_payloads(plan_lib, tasks))))
-            if (n, noise, seed) == LIBRARIES[0]:
-                yield (f"plan/{lib_name}/adapters",
-                       _digest(_json(_plan_payloads(shim_lib, tasks, shimmed))))
-
-            queries = [text for text, _ in _library_queries(lib, provenance, seed,
-                                                            RANK_QUERIES)]
-            for k in RANK_KS:
-                cfg = PlannerConfig(bm25_k=k, keep_top=1)
-                yield (f"rank/{lib_name}/k{k}",
-                       _digest(_json([rank_candidates(lib, q, cfg) for q in queries])))
-            rank_variants.append((lib_name, lib, _rank_variants(lib, queries, seed)))
+            if wanted(f"rank/{lib_name}/"):
+                queries = [text for text, _ in _library_queries(lib, provenance, seed,
+                                                                RANK_QUERIES)]
+                for k in RANK_KS:
+                    cfg = PlannerConfig(bm25_k=k, keep_top=1)
+                    yield (f"rank/{lib_name}/k{k}",
+                           _digest(_json([rank_candidates(lib, q, cfg) for q in queries])))
+                rank_variants.append((lib_name, lib, _rank_variants(lib, queries, seed)))
 
             for traced, dep_mode, threshold, cgpd, force in product(
                 (True, False), DEP_MODES, THRESHOLDS, (True, False), (True, False)
             ):
+                name = (f"maintain/{lib_name}/{'trace' if traced else 'notrace'}"
+                        f"/{dep_mode}/t{threshold}/{'cgpd' if cgpd else 'nocgpd'}"
+                        f"/{'force' if force else 'noforce'}")
+                if not wanted(name):
+                    continue
                 cfg = MaintenanceConfig(
                     force=force,
                     comp_threshold=threshold,
@@ -362,32 +399,34 @@ def cases():
                     cgpd=CgpdConfig() if cgpd else None,
                 )
                 out, report = run_maintenance(lib, trace if traced else EMPTY_TRACE, cfg)
-                name = (f"maintain/{lib_name}/{'trace' if traced else 'notrace'}"
-                        f"/{dep_mode}/t{threshold}/{'cgpd' if cgpd else 'nocgpd'}"
-                        f"/{'force' if force else 'noforce'}")
                 yield name, _digest(library_fingerprint(out) + "\n"
                                     + _json(report.as_dict()))
 
             for window in (3, 100):
-                out, report = run_maintenance(lib, mixed, MaintenanceConfig(window=window))
-                yield (f"maintain/{lib_name}/mixed-w{window}",
-                       _digest(library_fingerprint(out) + "\n" + _json(report.as_dict())))
+                name = f"maintain/{lib_name}/mixed-w{window}"
+                if wanted(name):
+                    out, report = run_maintenance(lib, mixed, MaintenanceConfig(window=window))
+                    yield name, _digest(library_fingerprint(out) + "\n"
+                                        + _json(report.as_dict()))
 
-    from widegen import build_wide_library
+    if wanted("wide/"):
+        from widegen import build_wide_library
 
-    lib = build_wide_library(*WIDE_LIBRARY)
-    lib_name = "wide{}-{}-{}".format(*WIDE_LIBRARY)
-    for dep_mode, threshold in product(DEP_MODES, THRESHOLDS):
-        name = f"wide/{lib_name}/{dep_mode}/t{threshold}"
-        g = build_hseg(lib.skills, threshold, dep_mode, lib.adapters)
-        health = library_health(lib, g)
-        yield f"{name}/health", _digest(_json(health.as_dict()))
-        result = propagate(g, health.local_risks(), CgpdConfig())
-        yield f"{name}/cgpd", _digest(_json(result.risk))
-        cfg = MaintenanceConfig(force=True, comp_threshold=threshold, dep_mode=dep_mode)
-        out, report = run_maintenance(lib, EMPTY_TRACE, cfg)
-        yield f"{name}/maintain", _digest(library_fingerprint(out) + "\n"
-                                          + _json(report.as_dict()))
+        lib = build_wide_library(*WIDE_LIBRARY)
+        lib_name = "wide{}-{}-{}".format(*WIDE_LIBRARY)
+        for dep_mode, threshold in product(DEP_MODES, THRESHOLDS):
+            name = f"wide/{lib_name}/{dep_mode}/t{threshold}"
+            if not wanted(name):
+                continue
+            g = build_hseg(lib.skills, threshold, dep_mode, lib.adapters)
+            health = library_health(lib, g)
+            yield f"{name}/health", _digest(_json(health.as_dict()))
+            result = propagate(g, health.local_risks(), CgpdConfig())
+            yield f"{name}/cgpd", _digest(_json(result.risk))
+            cfg = MaintenanceConfig(force=True, comp_threshold=threshold, dep_mode=dep_mode)
+            out, report = run_maintenance(lib, EMPTY_TRACE, cfg)
+            yield f"{name}/maintain", _digest(library_fingerprint(out) + "\n"
+                                              + _json(report.as_dict()))
 
     for lib_name, lib, variants in rank_variants:
         for variant, queries in variants.items():
@@ -404,6 +443,11 @@ def main() -> None:
         help="directory holding the skillops package to import "
              "(default: this checkout's src/)",
     )
+    ap.add_argument(
+        "--only", action="append", default=[], metavar="PREFIX",
+        help="print only the cases whose names start with PREFIX, and compute "
+             "no other case where it can be skipped; repeat for more prefixes",
+    )
     args = ap.parse_args()
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -413,8 +457,9 @@ def main() -> None:
         sys.exit(f"imported skillops from {skillops.__file__}, not from {src}")
     # after src, so the generator's own skillops imports resolve to it too
     sys.path.append(str(Path(__file__).resolve().parent.parent / "skillbench"))
-    for name, digest in cases():
-        print(name, digest, flush=True)
+    for name, digest in cases(args.only):
+        if not args.only or name.startswith(tuple(args.only)):
+            print(name, digest, flush=True)
 
 
 if __name__ == "__main__":

@@ -55,7 +55,7 @@ class CgpdConfig:
     max_iters: int = 64
     tau: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.alpha < 1.0:
             raise ConfigInvalid(f"alpha must be in [0, 1), got {self.alpha}")
         if not 0.0 < self.eps < math.inf:  # NaN fails both comparisons
@@ -134,7 +134,6 @@ def propagate(
     float operation is the per-skill formula's, so risk, iterations_used
     and converged equal a per-skill walk's exactly.
     """
-    cfg.validate()
     ids = list(g.nodes)
     _check_cover(r_loc, ids, "r_loc")
     if initial is not None:

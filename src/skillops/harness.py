@@ -46,8 +46,10 @@ from skillops.contract import (
     SkillOpsError,
     SkillParseError,
     _ID_RE,
+    _TAG_RE,
     _ParseContext,
     _parse_skill_file,
+    body_hash,
     library_fingerprint,
     make_contract,
     parse_skill_file,  # unused here; skillbench/tracing.py wraps harness.parse_skill_file
@@ -446,27 +448,22 @@ _TRACE_LINE_RE = re.compile(
 
 def _canonical_entries(text: str) -> tuple[TraceEntry, ...] | None:
     """The entries of a trace in save_trace's layout, built from one
-    finditer pass of _TRACE_LINE_RE; None unless every line matches and
-    steps strictly increase per task.  What it returns is what
-    _trace_lines returns for the same text.  Each line leaves one object
-    the cyclic collector tracks, its entry, built by tuple.__new__ without
-    the Python-level __new__ a NamedTuple call runs.  A text whose first
-    line does not match (a trace in another layout throughout, such as CRLF
-    line ends) returns before the pass, which would find no line start to
-    match and so try every position of the text."""
+    finditer pass of _TRACE_LINE_RE; None unless every line matches.  What
+    it returns is what _trace_lines returns for the same text.  Neither
+    judges step order: the ExecutionTrace built from them does.  Each line
+    leaves one object the cyclic collector tracks, its entry, built by
+    tuple.__new__ without the Python-level __new__ a NamedTuple call runs.
+    A text whose first line does not match (a trace in another layout
+    throughout, such as CRLF line ends) returns before the pass, which
+    would find no line start to match and so try every position of the
+    text."""
     if text and (text[-1] != "\n" or _TRACE_LINE_RE.match(text) is None):
         return None
     entries = []
     append = entries.append
-    last: dict[str, int] = {}
     for m in _TRACE_LINE_RE.finditer(text):
         error_code, outcome, skill, step, task_id = m.groups()
-        step = int(step)
-        before = last.get(task_id)
-        if before is not None and step <= before:
-            return None
-        last[task_id] = step
-        append(tuple.__new__(TraceEntry, (task_id, skill, step, outcome, error_code)))
+        append(tuple.__new__(TraceEntry, (task_id, skill, int(step), outcome, error_code)))
     if len(entries) != text.count("\n"):
         return None
     return tuple(entries)
@@ -474,10 +471,10 @@ def _canonical_entries(text: str) -> tuple[TraceEntry, ...] | None:
 
 def _trace_lines(text: str) -> tuple[TraceEntry, ...]:
     """The line parser behind load_trace: it reads every JSON-lines layout
-    and raises every error load_trace raises."""
+    and raises every MalformedTraceLine load_trace raises.  It does not
+    judge step order; the ExecutionTrace built from its entries does, so a
+    malformed line anywhere wins over a step out of order."""
     entries = []
-    last: dict[str, int] = {}
-    disorder = None  # the task of the first entry whose step does not increase
     for line_no, obj in _json_objects(text, MalformedTraceLine):
         try:
             task_id, skill, step, outcome = (
@@ -495,13 +492,7 @@ def _trace_lines(text: str) -> tuple[TraceEntry, ...]:
         error_code = obj.get("error_code")
         if error_code is not None and not isinstance(error_code, str):
             raise MalformedTraceLine(line_no, "error_code must be a string or null")
-        before = last.get(task_id)
-        if before is not None and step <= before and disorder is None:
-            disorder = task_id
-        last[task_id] = step
         entries.append(TraceEntry(task_id, skill, step, outcome, error_code))
-    if disorder is not None:
-        raise SkillOpsError(f"step indices must strictly increase per task: {disorder}")
     return tuple(entries)
 
 
@@ -510,17 +501,17 @@ def load_trace(path: str | Path) -> ExecutionTrace:
     a JSON object, lacks a key, has a task_id or skill_id that is not a
     string, names an unknown outcome, has a step that is not an integer
     (JSON true and false included) or an error_code that is neither a
-    string nor null.  Steps that do not strictly increase within a task
-    raise SkillOpsError, as ExecutionTrace.validate does, once every line
-    has parsed.
+    string nor null.  Once every line has parsed, the ExecutionTrace built
+    from the entries raises SkillOpsError if steps do not strictly increase
+    within a task.
 
     The file is read once.  A trace in save_trace's layout whose strings
     hold no escapes, which is every trace save_trace writes for ids and
     error codes of printable ASCII, takes one regex pass
     (_canonical_entries).  Any other text (CR line ends, blank lines, other
     key orders or spacing, escapes, a null error_code, long steps) and
-    every text that raises pays at most that pass, then goes to the line
-    parser, which alone raises."""
+    every text with a malformed line pays at most that pass, then goes to
+    the line parser, which alone raises MalformedTraceLine."""
     text = _read_text(path, MalformedTraceLine)
     entries = _canonical_entries(text)
     return ExecutionTrace(entries=entries if entries is not None else _trace_lines(text))
@@ -602,9 +593,7 @@ def exercise_library(lib: Library, calls: int = 4) -> ExecutionTrace:
         ok, err = ex.verdict(s.id)
         task_id, outcome = f"probe-{s.id}", "success" if ok else "failure"
         entries.extend(TraceEntry(task_id, s.id, i, outcome, err) for i in range(calls))
-    trace = ExecutionTrace(entries=tuple(entries))
-    trace.validate()
-    return trace
+    return ExecutionTrace(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +714,6 @@ class EvalReport:
 def _library_queries(lib: Library, provenance: dict[str, str], seed: int, count: int):
     """(text, relevant) queries sampled from clean skills; relevant = the
     skill's whole body-hash class, so merged survivors still count."""
-    from skillops.contract import body_hash
-
     clean_ids = sorted(sid for sid, p in provenance.items() if p == "clean")
     rng = Xorshift64Star(derive_seed(seed, 7777))
     picked = rng.sample(clean_ids, min(count, len(clean_ids)))
@@ -890,10 +877,14 @@ def cmd_maintain(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    facts = [f for f in (args.state or "").split(",") if f]
+    for fact in facts:
+        # a fact no type tag can equal, such as " logs", would satisfy nothing
+        if not _TAG_RE.fullmatch(fact):
+            raise ConfigInvalid(f"--state fact {fact!r} is not a type tag")
     lib, _ = load_library(args.lib)
     g = build_hseg(lib.skills, adapters=lib.adapters)
-    facts = frozenset(f for f in (args.state or "").split(",") if f)
-    task = TaskSpec(id=args.task_id, goal_text=args.goal, state_facts=facts)
+    task = TaskSpec(id=args.task_id, goal_text=args.goal, state_facts=frozenset(facts))
     try:
         plan = build_plan(lib, g, task, PlannerConfig())
     except NoFeasiblePlan as e:

@@ -66,7 +66,7 @@ class HealthWeights:
     w_f: float = 0.2
     w_g: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         weights = (self.w_u, self.w_r, self.w_c, self.w_f, self.w_g)
         if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails this too
             raise ValueError(f"health weights must lie in [0, 1], got {weights}")
@@ -189,7 +189,6 @@ def library_health(
 ) -> LibraryHealthReport:
     """Diagnose every skill with one pass over the trace and one over the
     graph's interface groups."""
-    weights.validate()
     _check_window(window)
     skills = lib.skills
     if not skills:

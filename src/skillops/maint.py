@@ -163,7 +163,7 @@ class MaintenanceConfig:
     weights: HealthWeights = UNIFORM_WEIGHTS
     window: int = DEFAULT_WINDOW
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("debt_gate", "theta_r", "theta_f", "theta_u",
                      "theta_risk", "comp_threshold"):
             v = getattr(self, name)
@@ -173,9 +173,6 @@ class MaintenanceConfig:
             raise ConfigInvalid(f"unknown dep_mode: {self.dep_mode!r}")
         if self.window < 1:
             raise ConfigInvalid("window must be positive")
-        self.weights.validate()
-        if self.cgpd is not None:
-            self.cgpd.validate()
 
 
 @dataclass(frozen=True)
@@ -552,7 +549,6 @@ def _plan(
       still in ascending id order.  A cluster's crowding is its R in the
       health report.
     """
-    cfg.validate()
     g = build_hseg(lib.skills, cfg.comp_threshold, cfg.dep_mode, lib.adapters)
     health = library_health(lib, g, trace, cfg.weights, cfg.window)
     risk = health.local_risks()

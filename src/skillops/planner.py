@@ -104,7 +104,7 @@ class PlannerConfig:
     k1: float = 1.2
     b: float = 0.75
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigInvalid(f"lam must be in [0, 1], got {self.lam}")
         # a negative or NaN k1, or b outside [0, 1], turns BM25 weights
@@ -148,18 +148,24 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class ExecutionTrace:
+    """A logged run, valid by construction: building one raises
+    SkillOpsError at the first entry whose outcome is not in OUTCOMES or
+    whose step does not exceed the step of its task's previous entry.  This
+    is the one place that states the per-task step rule; load_trace's
+    readers only parse, and the trace they build judges the order."""
+
     entries: tuple[TraceEntry, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         last: dict[str, int] = {}
-        for e in self.entries:
-            if e.outcome not in OUTCOMES:
-                raise SkillOpsError(f"unknown outcome: {e.outcome!r}")
-            if e.task_id in last and e.step <= last[e.task_id]:
+        for task_id, _, step, outcome, _ in self.entries:
+            if outcome not in OUTCOMES:
+                raise SkillOpsError(f"unknown outcome: {outcome!r}")
+            if task_id in last and step <= last[task_id]:
                 raise SkillOpsError(
-                    f"step indices must strictly increase per task: {e.task_id}"
+                    f"step indices must strictly increase per task: {task_id}"
                 )
-            last[e.task_id] = e.step
+            last[task_id] = step
 
 
 EMPTY_TRACE = ExecutionTrace()
@@ -259,7 +265,7 @@ class Bm25Index:
                 idf * freq * (k1 + 1) / (freq + denom_norm[pos])
                 for pos, freq in zip(positions, freqs)
             ])
-            # a k1 that validate() accepts can still overflow a weight to inf
+            # a k1 that PlannerConfig accepts can still overflow a weight to inf
             # or nan, which would zero the BM25 half of every ranking
             if not all(map(math.isfinite, weights)):
                 raise ConfigInvalid(f"k1={k1!r} with b={b!r} overflows the BM25 weights")
@@ -452,7 +458,6 @@ def rank_candidates(
     shortlisted skills' term frequencies and norms come from the index, so
     no skill is tokenized or hashed per query.
     """
-    cfg.validate()
     if not lib.skills:
         raise EmptyLibrary("cannot rank over an empty library")
     index = _library_index(lib, cfg)
@@ -512,7 +517,6 @@ def stitch(
     path found does not depend on the order paths are visited.  A single
     best candidate is a valid plan when nothing can follow it.
     """
-    cfg.validate()
     candidates = tuple(candidates)
     if not candidates:
         raise NoFeasiblePlan("empty candidate set")
@@ -659,9 +663,7 @@ def execute_with_repair(
                 break
         if not recovered:
             break
-    trace = ExecutionTrace(entries=tuple(entries))
-    trace.validate()
-    return trace
+    return ExecutionTrace(entries=tuple(entries))
 
 
 def grade_plan(predicted, gold) -> bool:

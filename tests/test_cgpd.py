@@ -187,14 +187,14 @@ def test_missing_entry_and_bad_config():
     with pytest.raises(ConfigInvalid):
         propagate(g, {"s0": 0.5, "s1": 0.0, "s2": 1.5})
     with pytest.raises(ConfigInvalid):
-        CgpdConfig(alpha=1.0).validate()
+        CgpdConfig(alpha=1.0)
     for eps in (0.0, -1e-9, float("nan"), float("inf")):
         with pytest.raises(ConfigInvalid, match="eps must be positive and finite"):
-            CgpdConfig(eps=eps).validate()
+            CgpdConfig(eps=eps)
     with pytest.raises(ConfigInvalid, match="max_iters must be at least 1, got 0"):
-        CgpdConfig(max_iters=0).validate()
+        CgpdConfig(max_iters=0)
     with pytest.raises(ConfigInvalid, match=r"tau must be in \[0, 1\], got 1.5"):
-        CgpdConfig(tau=1.5).validate()
+        CgpdConfig(tau=1.5)
 
 
 def test_empty_graph_propagates_to_an_empty_converged_result():
@@ -227,7 +227,6 @@ def reference_propagate(g, r_loc, cfg=CgpdConfig(), initial=None):
     signature's parent groups, using a group's runner-up where the skill
     itself is the group's (first) maximum.  propagate must match it bit for
     bit."""
-    cfg.validate()
     ids = sorted(g.nodes)
     r = {s: (initial or r_loc)[s] for s in ids}
     if not ids:

@@ -5,6 +5,7 @@ import codecs
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -909,6 +910,90 @@ def test_a_trace_save_trace_writes_never_reaches_the_line_parser(tmp_path, monke
     assert len(calls) == 1
 
 
+@st.composite
+def _plain_traces(draw):
+    """A valid trace whose strings need no escapes, so save_trace writes it
+    in the layout _canonical_entries reads."""
+    last: dict[str, int] = {}
+    entries = []
+    for task_id, skill, step, outcome, error_code in draw(st.lists(st.tuples(
+        st.sampled_from(["t", "u", "v"]), st.sampled_from(["a", "b-1", "c_2"]),
+        st.integers(0, 3), st.sampled_from(OUTCOMES), st.sampled_from([None, "e:x"]),
+    ), min_size=1, max_size=8)):
+        if task_id in last:
+            step += last[task_id] + 1
+        last[task_id] = step
+        entries.append(TraceEntry(task_id, skill, step, outcome, error_code))
+    return ExecutionTrace(entries=tuple(entries))
+
+
+_ESCAPES = ("\\n", "\\\\", '\\"', "\\/", "\\u0041", "\\u2028", "\\ud800", "\\x")
+_STEP_TEXT = st.one_of(
+    st.integers(-10**20, 10**20).map(str),
+    st.text(alphabet="0123456789-+.e x\u0661", max_size=6),
+)
+
+
+def _mutate_trace(draw, text: str) -> str:
+    """One to four of: swap, duplicate or drop lines; put CRLF on one line;
+    edit a step's digits; insert an escape; and last, maybe drop the final
+    LF."""
+    lines = text.split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(
+            ("swap", "duplicate", "drop", "crlf", "step", "escape-letter", "escape")))
+        if kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "crlf":
+            lines[i] += "\r"
+        elif kind == "step":
+            lines[i] = re.sub(r'(?<="step": )[^,}]*', lambda _: draw(_STEP_TEXT), lines[i])
+        elif kind == "escape-letter":
+            # the same JSON value, spelled with a \u escape
+            k = draw(st.integers(0, len(lines[i]) - 1))
+            letter = lines[i][k]
+            if letter.isalpha():
+                lines[i] = lines[i][:k] + f"\\u{ord(letter):04x}" + lines[i][k + 1:]
+        else:
+            k = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:k] + draw(st.sampled_from(_ESCAPES)) + lines[i][k:]
+    mutated = "".join(line + "\n" for line in lines)
+    if mutated and draw(st.booleans()):
+        mutated = mutated[:-1]
+    return mutated
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_plain_traces(), traces()), st.data())
+def test_the_trace_fast_path_agrees_with_the_line_parser_on_mutated_traces(
+    tmp_path_factory, trace, data
+):
+    """Neither reader judges step order, so on any text the fast path gives
+    up (None) or reads what the line parser reads, and gives up whenever the
+    line parser raises; load_trace then ends as a trace built from the line
+    parser's entries does, step-order errors included."""
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    save_trace(trace, path)
+    text = _mutate_trace(data.draw, path.read_text())
+    canonical = _canonical_entries(text)
+    try:
+        parsed = _trace_lines(text)
+    except SkillOpsError:
+        assert canonical is None
+    else:
+        assert canonical is None or canonical == parsed
+    path.write_bytes(text.encode())
+    assert _trace_outcome(lambda: load_trace(path)) == _line_parsed(path)
+
+
 def _identity_digests():
     path = Path(__file__).resolve().parent.parent / "scripts" / "identity_digests.py"
     spec = importlib.util.spec_from_file_location("identity_digests", path)
@@ -1053,7 +1138,7 @@ def test_exercise_library_traces_every_skill():
     lib, prov = build_library(20, 0.5, seed=8)
     trace = exercise_library(lib, calls=4)
     assert len(trace.entries) == 4 * len(lib)
-    trace.validate()
+    assert ExecutionTrace(trace.entries) == trace  # the entries form a valid trace
     by_skill = {}
     for e in trace.entries:
         by_skill.setdefault(e.skill, []).append(e.outcome)
@@ -1621,6 +1706,46 @@ def test_cli_refuses_cgpd_flags_without_cgpd(tmp_path, capsys, command, flag, va
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} needs --cgpd" in captured.err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "maintain"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--alpha", "1.0", "alpha must be in [0, 1), got 1.0"),
+    ("--tau", "1.5", "tau must be in [0, 1], got 1.5"),
+    ("--eps", "0", "eps must be positive and finite, got 0.0"),
+    ("--max-iters", "0", "max_iters must be at least 1, got 0"),
+])
+def test_cli_refuses_invalid_cgpd_settings_before_reading_the_library(
+    tmp_path, capsys, command, flag, value, message
+):
+    """The CGPD config checks itself when the flags build it, so the library,
+    which does not exist here, is never read."""
+    assert main([command, "--lib", str(tmp_path / "missing"), "--cgpd", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_plan_refuses_a_state_fact_that_is_not_a_type_tag(tmp_path, capsys):
+    a = _skill("step-one", ["raw"], ["clean"], body="Normalize the raw batch input.")
+    b = _skill("step-two", ["clean"], ["loaded"], body="Load the clean batch into the store.")
+    libdir = str(tmp_path / "lib")
+    save_library(Library(skills=(a, b)), libdir)
+    plan = ["plan", "--lib", libdir, "--goal", "normalize and load the batch"]
+    # a space after the comma once made " clean" a fact no tag equals, so
+    # step-two never matched
+    assert main(plan + ["--state", "raw, clean"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --state fact ' clean' is not a type tag\n"
+    # it is refused before the library is read
+    missing = ["plan", "--lib", str(tmp_path / "missing"), "--goal", "g", "--state", "A"]
+    assert main(missing) == 2
+    assert capsys.readouterr().err == "error: --state fact 'A' is not a type tag\n"
+    # empty items are still skipped
+    code, payload = _run(capsys, plan + ["--state", ",raw,,clean,"])
+    assert code == 0
+    assert [s["skill"] for s in payload["steps"]] == ["step-one", "step-two"]
 
 
 def test_cli_plans_through_the_shim_maintain_saved(tmp_path, capsys):

@@ -282,14 +282,14 @@ def test_weights_shift_the_score():
 
 def test_bad_weights_rejected():
     with pytest.raises(ValueError):
-        HealthWeights(w_u=0.5, w_r=0.5, w_c=0.5, w_f=0.0, w_g=0.0).validate()
+        HealthWeights(w_u=0.5, w_r=0.5, w_c=0.5, w_f=0.0, w_g=0.0)
     with pytest.raises(ValueError):
-        HealthWeights(w_u=-0.2, w_r=0.6, w_c=0.2, w_f=0.2, w_g=0.2).validate()
+        HealthWeights(w_u=-0.2, w_r=0.6, w_c=0.2, w_f=0.2, w_g=0.2)
     nan, inf = float("nan"), float("inf")
-    for bad in (HealthWeights(w_u=nan), HealthWeights(w_u=inf, w_r=-inf),
-                HealthWeights(w_u=1.0, w_r=nan, w_c=0.0, w_f=0.0, w_g=0.0)):
+    for bad in ({"w_u": nan}, {"w_u": inf, "w_r": -inf},
+                {"w_u": 1.0, "w_r": nan, "w_c": 0.0, "w_f": 0.0, "w_g": 0.0}):
         with pytest.raises(ValueError, match="must lie in"):
-            bad.validate()
+            HealthWeights(**bad)
 
 
 def test_empty_library_rejected():

@@ -606,12 +606,12 @@ def test_report_as_dict_round_trips_to_json():
 
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
-        MaintenanceConfig(theta_u=1.5).validate()
+        MaintenanceConfig(theta_u=1.5)
     with pytest.raises(ConfigInvalid):
-        MaintenanceConfig(dep_mode="sideways").validate()
+        MaintenanceConfig(dep_mode="sideways")
     with pytest.raises(ConfigInvalid):
-        MaintenanceConfig(window=0).validate()
-    MaintenanceConfig(cgpd=CgpdConfig()).validate()
+        MaintenanceConfig(window=0)
+    MaintenanceConfig(cgpd=CgpdConfig())
 
 
 def replayed(lib, actions):

@@ -231,16 +231,15 @@ def test_match_score_threshold():
 
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
-        PlannerConfig(lam=1.5).validate()
+        PlannerConfig(lam=1.5)
     with pytest.raises(ConfigInvalid):
-        PlannerConfig(bm25_k=3, keep_top=5).validate()
+        PlannerConfig(bm25_k=3, keep_top=5)
     with pytest.raises(ConfigInvalid):
-        PlannerConfig(beam_width=0).validate()
-    PlannerConfig().validate()
+        PlannerConfig(beam_width=0)
+    PlannerConfig()
     # BM25 weights at their bounds
-    for cfg in (PlannerConfig(k1=0.0), PlannerConfig(b=0.0), PlannerConfig(b=1.0),
-                PlannerConfig(theta_score=-1.0)):
-        cfg.validate()
+    for fields in ({"k1": 0.0}, {"b": 0.0}, {"b": 1.0}, {"theta_score": -1.0}):
+        PlannerConfig(**fields)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -249,12 +248,11 @@ def test_config_validation():
     ("theta_score", math.nan), ("theta_score", math.inf), ("theta_score", -math.inf),
 ])
 def test_config_rejects_weights_that_break_bm25(field, value):
-    cfg = PlannerConfig(**{field: value})
     with pytest.raises(ConfigInvalid, match=field):
-        cfg.validate()
-    lib = Library(skills=(skill("a", body="alpha"),))
+        PlannerConfig(**{field: value})
+    # so no such config can reach rank_candidates, even through replace
     with pytest.raises(ConfigInvalid, match=field):
-        rank_candidates(lib, "alpha", cfg)
+        dataclasses.replace(PlannerConfig(), **{field: value})
 
 
 @pytest.mark.parametrize("docs", [
@@ -267,12 +265,11 @@ def test_index_refuses_a_k1_that_overflows_its_weights(docs):
 
 
 def test_overflowing_k1_fails_every_query_and_is_not_memoized():
-    # validate() accepts this finite k1, but 458 of the library's weights
+    # PlannerConfig accepts this finite k1, but 458 of the library's weights
     # overflow; ranking on would leave only the semantic half
     lib, provenance = build_library(100, 0.6, 1)
     query = _library_queries(lib, provenance, 1, 1)[0][0]
     cfg = PlannerConfig(k1=1e308)
-    cfg.validate()
     for _ in range(2):
         with pytest.raises(ConfigInvalid, match=r"k1=.* b="):
             rank_candidates(lib, query, cfg)
@@ -920,7 +917,6 @@ def reference_stitch(candidates, g, cfg=PlannerConfig()):
     the beam covers the candidate set, else a level-by-level beam that keeps
     the best path per (last skill, visited set).  The one-loop stitch must
     return the same plan on every input."""
-    cfg.validate()
     candidates = tuple(candidates)
     if not candidates:
         raise NoFeasiblePlan("empty candidate set")
@@ -1211,21 +1207,21 @@ def test_execute_alt_then_original_recovery():
 
 def test_trace_validation():
     with pytest.raises(Exception):
-        ExecutionTrace((TraceEntry("t", "s", 0, "exploded"),)).validate()
+        ExecutionTrace((TraceEntry("t", "s", 0, "exploded"),))
     with pytest.raises(Exception):
         ExecutionTrace(
             (
                 TraceEntry("t", "s", 1, "success"),
                 TraceEntry("t", "s", 1, "success"),
             )
-        ).validate()
+        )
     ExecutionTrace(
         (
             TraceEntry("t1", "s", 0, "success"),
             TraceEntry("t2", "s", 0, "failure", "e"),
             TraceEntry("t1", "s", 3, "success"),
         )
-    ).validate()
+    )
 
 
 def test_trace_entry_is_an_immutable_record():
