@@ -11,7 +11,8 @@ and a change that is meant to move outputs edits the file in the same diff.
 ``--only PREFIX`` (repeatable) prints the cases whose names start with a
 prefix, in the same order, and skips the work of the others;
 ``tests/test_identity_digests.py`` runs a subset that way.  To compare two
-checkouts instead, pass ``--src /path/to/other/src``.
+checkouts instead, pass ``--src /path/to/other/src``; that checkout's
+``skillops.harness`` must define ``diagnose_payload`` and ``plan_payload``.
 
 The matrix covers:
 
@@ -29,7 +30,10 @@ The matrix covers:
                 probe trace and on a mixed trace (pseudo-random outcomes,
                 interleaved skills, ids outside the library), the CGPD
                 risks, iterations and convergence, and ``Hseg.export()``;
-                and the probe-trace health of the overlap-mode graph
+                the probe-trace health of the overlap-mode graph; and
+                ``cli``: the bytes ``skillops diagnose --cgpd`` prints for
+                the probe trace, ``harness.diagnose_payload`` through the
+                CLI's indent-2 JSON
   load          the library and its probe trace written with
                 ``save_library``/``save_trace`` and read back with
                 ``load_library``/``load_trace``: the loaded library's
@@ -52,10 +56,13 @@ The matrix covers:
                 fingerprint plus the saved ``manifest.json``, and
                 ``adapters-export``: ``Hseg.export()`` of that loaded
                 library's overlap-mode, threshold-0.6 graph with its shims
-  plan          the ``skillops plan`` payload of ``build_plan``, or
-                ``{"feasible": false}``, for 25 seeded clean skills' goal
-                text and preconditions, on the library (``raw``) and on its
-                ``run_maintenance`` output (``maintained``); on the first
+  plan          the ``skillops plan`` payload (``harness.plan_payload``)
+                for 25 seeded clean skills' goal text and preconditions, on
+                the library (``raw``) and on its ``run_maintenance`` output
+                (``maintained``); ``stateless``: the same tasks with no
+                state facts, on the library, where every skill has
+                preconditions, so no task finds a plan and the line pins
+                the infeasible payload with its ``reason``; on the first
                 library also ``adapters``: the same tasks planned on the
                 loaded overlap-mode, threshold-0.6 output above over its own
                 graph, so dep-only transitions plan through its shims
@@ -91,6 +98,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -133,36 +141,15 @@ def _mixed_trace(lib, seed: int):
 
 
 def _plan_payloads(lib, tasks, g=None) -> list:
-    """The ``skillops plan`` JSON payload of each task, ``{"feasible": false}``
-    where no plan exists, planned over g (by default the library's graph at
-    the default settings, as ``skillops plan`` builds it)."""
+    """The ``skillops plan`` JSON payload of each task, planned over g (by
+    default the library's graph at the default settings, as ``skillops
+    plan`` builds it)."""
+    from skillops.harness import plan_payload
     from skillops.hseg import build_hseg
-    from skillops.planner import (
-        NoFeasiblePlan,
-        PlannerConfig,
-        build_plan,
-        plan_action_strings,
-    )
 
     if g is None:
         g = build_hseg(lib.skills, adapters=lib.adapters)
-    payloads = []
-    for task in tasks:
-        try:
-            plan = build_plan(lib, g, task, PlannerConfig())
-        except NoFeasiblePlan:
-            payloads.append({"feasible": False})
-            continue
-        payloads.append({
-            "feasible": True,
-            "total_score": plan.total_score,
-            "steps": [
-                {"skill": s.skill, "inserted": s.inserted, "bindings": dict(s.bindings)}
-                for s in plan.steps
-            ],
-            "actions": list(plan_action_strings(plan)),
-        })
-    return payloads
+    return [plan_payload(lib, g, task) for task in tasks]
 
 
 def _plan_tasks(lib, provenance, seed: int):
@@ -267,7 +254,9 @@ def cases(prefixes=()):
     from skillops.debtgen import build_library
     from skillops.harness import (
         SCENARIOS,
+        _json_text,
         _library_queries,
+        diagnose_payload,
         exercise_library,
         load_library,
         load_trace,
@@ -357,6 +346,8 @@ def cases(prefixes=()):
                 overlap = build_hseg(lib.skills, dep_mode="overlap", adapters=lib.adapters)
                 yield (f"diagnose/{lib_name}/health-overlap",
                        _digest(_json(library_health(lib, overlap, trace).as_dict())))
+                yield (f"diagnose/{lib_name}/cli",
+                       _digest(_json_text(diagnose_payload(lib, g, trace, 100, CgpdConfig()))))
 
             if wanted(f"plan/{lib_name}/") or (
                 second and wanted(f"maintain/{lib_name}/restrict-export")
@@ -367,10 +358,13 @@ def cases(prefixes=()):
                     yield (f"maintain/{lib_name}/restrict-export",
                            _digest(_json(derived.export())))
                 tasks = _plan_tasks(lib, provenance, seed)
-                for plan_name, plan_lib in (("raw", lib), ("maintained", maintained)):
+                stateless = [replace(task, state_facts=frozenset()) for task in tasks]
+                for plan_name, plan_lib, plan_tasks in (("raw", lib, tasks),
+                                                        ("maintained", maintained, tasks),
+                                                        ("stateless", lib, stateless)):
                     name = f"plan/{lib_name}/{plan_name}"
                     if wanted(name):
-                        yield name, _digest(_json(_plan_payloads(plan_lib, tasks)))
+                        yield name, _digest(_json(_plan_payloads(plan_lib, plan_tasks)))
                 if first and wanted(f"plan/{lib_name}/adapters"):
                     yield (f"plan/{lib_name}/adapters",
                            _digest(_json(_plan_payloads(shim_lib, tasks, shimmed))))

@@ -41,7 +41,6 @@ from skillops.contract import (
     AdapterShim,
     ArtifactDirs,
     ConfigInvalid,
-    ContractInvariantError,
     Library,
     SkillOpsError,
     SkillParseError,
@@ -61,8 +60,8 @@ from skillops.debtgen import (
     derive_seed,
     extract_artifact_links,
 )
-from skillops.health import library_health
-from skillops.hseg import build_hseg
+from skillops.health import _check_window, library_health
+from skillops.hseg import Hseg, build_hseg
 from skillops.maint import MaintenanceConfig, run_maintenance
 from skillops.planner import (
     EMPTY_TRACE,
@@ -87,10 +86,12 @@ __all__ = [
     "FORMAT_VERSION",
     "SEED_ENV_VAR",
     "build_retrieval_scenario",
+    "diagnose_payload",
     "exercise_library",
     "load_library",
     "load_trace",
     "main",
+    "plan_payload",
     "precision_at_k",
     "run_pipeline",
     "save_library",
@@ -210,14 +211,14 @@ def _adapter_paths(adapters) -> dict[str, AdapterShim]:
 
 def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | None = None) -> None:
     """Write a library directory, replacing a previous library at the same
-    path.  A non-library directory is never deleted, and neither is a
-    library when a skill id could not name a directory or an adapter could
-    not be written (see _adapter_paths)."""
+    path.  A non-library directory is never deleted.  Every file's text is
+    built first, so a contract that fails validate() or an adapter that
+    could not be written (see _adapter_paths) raises before a library is."""
     root = Path(path)
-    for s in lib.skills:
-        if not _ID_RE.fullmatch(s.id):
-            raise ContractInvariantError(f"bad skill id: {s.id!r}")
+    skills = sorted(lib.skills, key=lambda s: s.id)
+    skill_texts = [serialize_skill_file(s) for s in skills]
     adapter_paths = _adapter_paths(lib.adapters)
+    adapter_texts = [serialize_skill_file(shim.contract) for shim in adapter_paths.values()]
     if root.exists():
         if not (root / "manifest.json").exists() and any(root.iterdir()):
             raise ManifestError(
@@ -226,11 +227,11 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
         shutil.rmtree(root)
     provenance = provenance or {}
     skills_meta = []
-    for s in sorted(lib.skills, key=lambda s: s.id):
+    for s, text in zip(skills, skill_texts):
         rel = f"skills/{s.id}/SKILL.md"
         skill_dir = root / "skills" / s.id
         skill_dir.mkdir(parents=True)
-        (root / rel).write_text(serialize_skill_file(s), encoding="utf-8")
+        (root / rel).write_text(text, encoding="utf-8")
         for dirname in ARTIFACT_DIR_NAMES:
             names = s.artifact_dirs.get(dirname)
             if not names:
@@ -247,9 +248,9 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
             }
         )
     adapters_meta = []
-    for rel, shim in adapter_paths.items():
+    for (rel, shim), text in zip(adapter_paths.items(), adapter_texts):
         (root / rel).parent.mkdir(parents=True)
-        (root / rel).write_text(serialize_skill_file(shim.contract), encoding="utf-8")
+        (root / rel).write_text(text, encoding="utf-8")
         adapters_meta.append({"src": shim.src, "dst": shim.dst, "path": rel})
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -781,6 +782,39 @@ def run_pipeline(scenario: str, seed: int = 0, k: int = 5) -> EvalReport:
 # ---------------------------------------------------------------------------
 # command line interface
 
+def diagnose_payload(lib: Library, g: Hseg, trace: ExecutionTrace, window: int,
+                     cgpd: CgpdConfig | None) -> dict:
+    """What `skillops diagnose` prints: library_health over g, plus CGPD's
+    risks, iterations, convergence and triggered skills when cgpd is given."""
+    report = library_health(lib, g, trace, window=window)
+    payload = report.as_dict()
+    if cgpd is not None:
+        result = propagate(g, report.local_risks(), cgpd)
+        payload["risk"] = {sid: result.risk[sid] for sid in sorted(result.risk)}
+        payload["risk_iterations"] = result.iterations_used
+        payload["risk_converged"] = result.converged
+        payload["triggered"] = sorted(trigger_set(g, result.risk, lib, cgpd.tau))
+    return payload
+
+
+def plan_payload(lib: Library, g: Hseg, task: TaskSpec) -> dict:
+    """What `skillops plan` prints for task over g: the plan's score, steps
+    and gradeable actions, or the reason no plan exists."""
+    try:
+        plan = build_plan(lib, g, task, PlannerConfig())
+    except NoFeasiblePlan as e:
+        return {"feasible": False, "reason": str(e), "steps": []}
+    return {
+        "feasible": True,
+        "total_score": plan.total_score,
+        "steps": [
+            {"skill": s.skill, "inserted": s.inserted, "bindings": dict(s.bindings)}
+            for s in plan.steps
+        ],
+        "actions": list(plan_action_strings(plan)),
+    }
+
+
 def _resolve_seed(args) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
@@ -843,22 +877,15 @@ def cmd_diagnose(args) -> int:
     cgpd_cfg = _cgpd_config(args)
     if args.strict and cgpd_cfg is None:
         raise ConfigInvalid("--strict needs --cgpd")
+    _check_window(args.window)
     lib, _ = load_library(args.lib)
     trace = load_trace(args.trace) if args.trace else EMPTY_TRACE
     g = build_hseg(lib.skills, adapters=lib.adapters)
-    report = library_health(lib, g, trace, window=args.window)
-    payload = report.as_dict()
-    converged = True
-    if cgpd_cfg is not None:
-        result = propagate(g, report.local_risks(), cgpd_cfg)
-        payload["risk"] = {sid: result.risk[sid] for sid in sorted(result.risk)}
-        payload["risk_iterations"] = result.iterations_used
-        payload["risk_converged"] = converged = result.converged
-        payload["triggered"] = sorted(trigger_set(g, result.risk, lib, cgpd_cfg.tau))
+    payload = diagnose_payload(lib, g, trace, args.window, cgpd_cfg)
     if args.dump_graph:
         Path(args.dump_graph).write_text(_json_text(g.export()), encoding="utf-8")
     _emit(payload, args.out)
-    return 1 if args.strict and not converged else 0
+    return 1 if args.strict and not payload.get("risk_converged", True) else 0
 
 
 def cmd_maintain(args) -> int:
@@ -876,8 +903,24 @@ def cmd_maintain(args) -> int:
     return 0
 
 
+def _flag_items(value: str) -> list[str]:
+    """The items of a comma-separated flag value, empty ones skipped."""
+    return [x for x in value.split(",") if x]
+
+
+def _action_items(flag: str, value: str) -> list[str]:
+    """The actions of a comma-separated --actions or --gold-list value.  An
+    item with surrounding whitespace, such as " invoke:b", could never equal
+    an action a plan emits, so it is refused."""
+    items = _flag_items(value)
+    for item in items:
+        if item != item.strip():
+            raise ConfigInvalid(f"{flag} action {item!r} has surrounding whitespace")
+    return items
+
+
 def cmd_plan(args) -> int:
-    facts = [f for f in (args.state or "").split(",") if f]
+    facts = _flag_items(args.state)
     for fact in facts:
         # a fact no type tag can equal, such as " logs", would satisfy nothing
         if not _TAG_RE.fullmatch(fact):
@@ -885,22 +928,9 @@ def cmd_plan(args) -> int:
     lib, _ = load_library(args.lib)
     g = build_hseg(lib.skills, adapters=lib.adapters)
     task = TaskSpec(id=args.task_id, goal_text=args.goal, state_facts=frozenset(facts))
-    try:
-        plan = build_plan(lib, g, task, PlannerConfig())
-    except NoFeasiblePlan as e:
-        _emit({"feasible": False, "reason": str(e), "steps": []}, args.out)
-        return 1
-    payload = {
-        "feasible": True,
-        "total_score": plan.total_score,
-        "steps": [
-            {"skill": s.skill, "inserted": s.inserted, "bindings": dict(s.bindings)}
-            for s in plan.steps
-        ],
-        "actions": list(plan_action_strings(plan)),
-    }
+    payload = plan_payload(lib, g, task)
     _emit(payload, args.out)
-    return 0
+    return 0 if payload["feasible"] else 1
 
 
 def _read_action_list(path: str) -> list[str]:
@@ -919,12 +949,12 @@ def cmd_grade(args) -> int:
     predicted = (
         _read_action_list(args.plan)
         if args.plan is not None
-        else [x for x in args.actions.split(",") if x]
+        else _action_items("--actions", args.actions)
     )
     gold = (
         _read_action_list(args.gold)
         if args.gold is not None
-        else [x for x in args.gold_list.split(",") if x]
+        else _action_items("--gold-list", args.gold_list)
     )
     ok = grade_plan(predicted, gold)
     _emit({"exact_match": ok, "predicted": predicted, "gold": gold}, args.out)

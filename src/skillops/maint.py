@@ -52,6 +52,7 @@ from skillops.health import (
     UNIFORM_WEIGHTS,
     HealthWeights,
     LibraryHealthReport,
+    _check_window,
     _rediagnosed,
     library_health,
 )
@@ -171,8 +172,7 @@ class MaintenanceConfig:
                 raise ConfigInvalid(f"{name} must be in [0, 1], got {v}")
         if self.dep_mode not in ("subset", "overlap"):
             raise ConfigInvalid(f"unknown dep_mode: {self.dep_mode!r}")
-        if self.window < 1:
-            raise ConfigInvalid("window must be positive")
+        _check_window(self.window)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from skillops.contract import (
     serialize_skill_file,
 )
 from skillops import contract as contract_module, harness
+from skillops.cgpd import CgpdConfig
 from skillops.debtgen import build_library
 from skillops.harness import (
     MalformedQueryLine,
@@ -37,21 +38,25 @@ from skillops.harness import (
     ManifestError,
     _canonical_entries,
     _json_objects,
+    _json_text,
     _read_action_list,
     _read_text,
     _trace_lines,
     SimulatedExecutor,
     build_retrieval_scenario,
+    diagnose_payload,
     exercise_library,
     load_library,
     load_trace,
     main,
+    plan_payload,
     precision_at_k,
     run_pipeline,
     save_library,
     save_trace,
     wilson_ci,
 )
+from skillops.hseg import build_hseg
 from skillops.maint import MaintenanceConfig, make_adapter_shim, run_maintenance
 from skillops.planner import (
     EMPTY_TRACE,
@@ -274,6 +279,30 @@ def test_save_refuses_adapters_it_cannot_write_and_keeps_the_old_library(
     for s, d in pairs:
         assert f"{s!r} -> {d!r}" in str(e.value)
     assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("spoil", ["skill-body", "adapter-goal"])
+def test_save_validates_every_contract_before_deleting_the_old_library(tmp_path, spoil):
+    """A contract that fails validate() raises before the old library is
+    deleted: a skill whose body, built with replace, is not normalized, or
+    an adapter whose contract is invalid."""
+    emit, need = _skill("emit", [], ["x"]), _skill("need", ["x", "y"], [])
+    shim = make_adapter_shim(emit, need)
+    target = tmp_path / "out" / "lib"
+    save_library(Library(skills=(emit, need), adapters=(shim,)), target)
+    fingerprint = library_fingerprint(load_library(target)[0])
+    before = _tree_bytes(tmp_path)
+    if spoil == "skill-body":
+        bad = Library(skills=(emit, replace(need, body=need.body + "  ")), adapters=(shim,))
+        message = "body of need is not normalized"
+    else:
+        contract = replace(shim.contract, goal="two words")
+        bad = Library(skills=(emit, need), adapters=(replace(shim, contract=contract),))
+        message = "goal must be a single token"
+    with pytest.raises(ContractInvariantError, match=message):
+        save_library(bad, target)
+    assert _tree_bytes(tmp_path) == before
+    assert library_fingerprint(load_library(target)[0]) == fingerprint
 
 
 def test_maintain_refuses_adapter_repros_and_leaves_the_output(tmp_path, capsys):
@@ -1746,6 +1775,53 @@ def test_cli_plan_refuses_a_state_fact_that_is_not_a_type_tag(tmp_path, capsys):
     code, payload = _run(capsys, plan + ["--state", ",raw,,clean,"])
     assert code == 0
     assert [s["skill"] for s in payload["steps"]] == ["step-one", "step-two"]
+
+
+@pytest.mark.parametrize("facts,code", [(("raw", "clean"), 0), ((), 1)])
+def test_cli_plan_prints_the_plan_payload(tmp_path, capsys, facts, code):
+    a = _skill("step-one", ["raw"], ["clean"], body="Normalize the raw batch input.")
+    b = _skill("step-two", ["clean"], ["loaded"], body="Load the clean batch into the store.")
+    lib = Library(skills=(a, b))
+    libdir = str(tmp_path / "lib")
+    save_library(lib, libdir)
+    goal = "normalize and load the batch"
+    assert main(["plan", "--lib", libdir, "--goal", goal, "--state", ",".join(facts)]) == code
+    task = TaskSpec(id="cli-task", goal_text=goal, state_facts=frozenset(facts))
+    payload = plan_payload(lib, build_hseg(lib.skills), task)
+    assert payload["feasible"] is (code == 0)
+    assert capsys.readouterr().out == _json_text(payload)
+
+
+@pytest.mark.parametrize("flags,cgpd", [([], None), (["--cgpd"], CgpdConfig())])
+def test_cli_diagnose_prints_the_diagnose_payload(tmp_path, capsys, flags, cgpd):
+    lib, prov = build_library(40, 0.5, seed=8)
+    libdir, trace_path = tmp_path / "lib", tmp_path / "trace.jsonl"
+    save_library(lib, libdir, prov)
+    trace = exercise_library(lib)
+    save_trace(trace, trace_path)
+    argv = ["diagnose", "--lib", str(libdir), "--trace", str(trace_path), "--window", "3"]
+    assert main(argv + flags) == 0
+    g = build_hseg(lib.skills, adapters=lib.adapters)
+    assert capsys.readouterr().out == _json_text(diagnose_payload(lib, g, trace, 3, cgpd))
+
+
+def test_cli_diagnose_refuses_the_window_before_reading_the_library(tmp_path, capsys):
+    assert main(["diagnose", "--lib", str(tmp_path / "missing"), "--window", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: window must be positive, got 0\n"
+
+
+@pytest.mark.parametrize("spaced", ["--actions", "--gold-list"])
+def test_cli_grade_refuses_an_action_with_surrounding_whitespace(capsys, spaced):
+    # " invoke:b" once kept its space, so it never equalled "invoke:b"
+    argv = ["grade"]
+    for flag in ("--actions", "--gold-list"):
+        argv += [flag, "invoke:a, invoke:b" if flag == spaced else "invoke:a,invoke:b"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {spaced} action ' invoke:b' has surrounding whitespace\n"
 
 
 def test_cli_plans_through_the_shim_maintain_saved(tmp_path, capsys):

@@ -15,7 +15,7 @@ def test_a_subset_of_the_identity_matrix_prints_the_committed_lines():
         line for line in (SCRIPTS / "identity_digests.txt").read_text().splitlines()
         if line.startswith(PREFIXES)
     ]
-    assert len(expected) == 23
+    assert len(expected) == 25
     argv = [sys.executable, str(SCRIPTS / "identity_digests.py")]
     for prefix in PREFIXES:
         argv += ["--only", prefix]

@@ -53,7 +53,7 @@ INVALID = [
      "comp_threshold must be in [0, 1], got nan"),
     (MaintenanceConfig, {"dep_mode": "sideways"}, ConfigInvalid,
      "unknown dep_mode: 'sideways'"),
-    (MaintenanceConfig, {"window": 0}, ConfigInvalid, "window must be positive"),
+    (MaintenanceConfig, {"window": 0}, ConfigInvalid, "window must be positive, got 0"),
     (MaintenanceConfig, {"debt_gate": -1.0, "window": 0}, ConfigInvalid,
      "debt_gate must be in [0, 1], got -1.0"),
     (ExecutionTrace, {"entries": _trace(("t", "s", 0, "exploded"))}, SkillOpsError,
