@@ -22,6 +22,27 @@ where a walk of each skill's parent list costs O(sum of their lengths).
 The shared max differs from a skill's own only when its artifact group
 feeds its own preconditions and its risk is that max; those skills alone
 are recomputed with themselves left out.
+
+Risks live in a list indexed by position, the rank in id order that the
+graph numbers skills by.  The gathers are built once per call straight
+from the graph's arrays: the feeding artifact groups' member positions,
+each fed precondition signature's parents as group indices, one slot per
+position from its precondition number, and the self-fed positions from
+the per-interface flag.  Every max walks the same members in the same
+order as a per-skill walk (ascending id, parents in artifact-number
+order), so ties resolve the same way.  A sweep blends once per signature
+(the rootless skills' values are blended once, before the first sweep),
+gathers the blended values into positions and adds each skill's base
+term.
+
+The stop test needs the largest change of the sweep only when it could be
+below the threshold.  A witness skill's change is tested first: when it
+is at or above the threshold the sweep cannot have converged, and no other
+change is taken.  Otherwise every change is taken; if the largest is below
+the threshold the run has converged, and if not, the skill that moved most
+becomes the witness.  So the O(N) scan of changes runs only when the
+witness has settled, and iterations_used, converged and every risk equal
+those of a full scan per sweep exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from operator import add, itemgetter, mul, sub
 
 from skillops.contract import ConfigInvalid, Library, SkillOpsError
@@ -129,10 +149,11 @@ def propagate(
     convergence from different starts can be compared.
 
     Risks live in a list indexed by position in id order, and each sweep
-    reads it through gathers built once per call (see the module
-    docstring for the per-sweep cost and the self-exclusion rule).  Every
-    float operation is the per-skill formula's, so risk, iterations_used
-    and converged equal a per-skill walk's exactly.
+    reads it through gathers built once per call from the graph's arrays
+    (see the module docstring for the per-sweep cost, the self-exclusion
+    rule and the witness).  Every float operation is the per-skill
+    formula's, so risk, iterations_used and converged equal a per-skill
+    walk's exactly.
     """
     ids = list(g.nodes)
     _check_cover(r_loc, ids, "r_loc")
@@ -141,64 +162,79 @@ def propagate(
     if not ids:
         return PropagationResult(risk={}, iterations_used=0, converged=True)
 
-    pos = {s: i for i, s in enumerate(ids)}
-    feeding = list(dict.fromkeys(chain.from_iterable(g._parent_sigs.values())))
-    members = [[pos[m] for m in g._a_groups[a_sig]] for a_sig in feeding]
+    # the artifact groups that feed anything, and each fed precondition
+    # signature's parents as indices into them, read from the graph's CSRs
+    a_start, a_members = g._a_start, g._a_members
+    p_start, p_parents = g._parent_start, g._parents
+    feeding = sorted(set(p_parents))
+    members = [a_members[a_start[a]:a_start[a + 1]] for a in feeding]
     order, group_blocks = _columns(members)
     members = [members[k] for k in order]
-    group_of = {feeding[k]: j for j, k in enumerate(order)}
-    fed = [p_sig for p_sig, a_sigs in g._parent_sigs.items() if a_sigs]
-    parents = [list(map(group_of.__getitem__, g._parent_sigs[p_sig])) for p_sig in fed]
+    group_of = [-1] * len(g._a_sigs)
+    for j, k in enumerate(order):
+        group_of[feeding[k]] = j
+    fed = [q for q in range(len(g._p_sigs)) if p_start[q] < p_start[q + 1]]
+    parents = [[group_of[a] for a in p_parents[p_start[q]:p_start[q + 1]]] for q in fed]
     order, sig_blocks = _columns(parents)
     parents = [parents[k] for k in order]
+    slot_of = [-1] * len(g._p_sigs)
+    for j, k in enumerate(order):
+        slot_of[fed[k]] = j
 
     # each skill's slot in [signature maxima..., local risks of skills
     # nothing feeds]
     local = [r_loc[s] for s in ids]
-    slots = [0] * len(ids)
+    iface_p = g._iface_p
+    slots = []
     rootless = []
-    slot_of = {fed[k]: j for j, k in enumerate(order)}
-    for p_sig, group in g._p_groups.items():
-        slot = slot_of.get(p_sig)
-        for s in group:
-            i = pos[s]
-            if slot is None:
-                slots[i] = len(parents) + len(rootless)
-                rootless.append(local[i])
-            else:
-                slots[i] = slot
+    for i, k in enumerate(g._iface):
+        slot = slot_of[iface_p[k]]
+        if slot < 0:
+            slot = len(parents) + len(rootless)
+            rootless.append(local[i])
+        slots.append(slot)
     # (position, slot, own group) of each skill whose group feeds itself
     self_fed = []
-    for (p_sig, a_sig), group in g._iface_groups.items():
-        if g._dep_sig(a_sig, p_sig):
-            self_fed.extend((pos[s], slot_of[p_sig], group_of[a_sig]) for s in group)
+    i_start, i_members = g._iface_start, g._iface_members
+    for k, flag in enumerate(g._self_fed):
+        if flag:
+            slot, own = slot_of[iface_p[k]], group_of[g._iface_a[k]]
+            self_fed.extend((i, slot, own) for i in i_members[i_start[k]:i_start[k + 1]])
     gather_incoming = _gather(slots)
 
     alpha = cfg.alpha
     blend = partial(mul, alpha)
     base = [(1.0 - alpha) * v for v in local]
+    rootless = list(map(blend, rootless))
     threshold = cfg.eps * min(1.0, (1.0 - alpha) / alpha) if alpha > 0 else cfg.eps
     r = [(initial or r_loc)[s] for s in ids]
+    witness = 0
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
         group_max = _maxima(group_blocks, r)
-        incoming = list(gather_incoming(_maxima(sig_blocks, group_max) + rootless))
+        sig_max = _maxima(sig_blocks, group_max)
+        nxt = list(map(add, base, gather_incoming(list(map(blend, sig_max)) + rootless)))
         redone: dict[tuple[int, int], float | None] = {}
         for i, slot, own in self_fed:
-            if r[i] != incoming[i]:
+            if r[i] != sig_max[slot]:
                 continue
             key = (slot, own)
             if key not in redone:
                 redone[key] = _max_without_top(r, group_max, members[own], parents[slot], own)
             v = redone[key]
-            incoming[i] = local[i] if v is None else v
-        nxt = list(map(add, base, map(blend, incoming)))
-        delta = max(map(abs, map(sub, nxt, r)))
+            nxt[i] = base[i] + alpha * (local[i] if v is None else v)
+        # the witness's change alone can show the sweep has not converged;
+        # only when it has settled is every change taken
+        if abs(nxt[witness] - r[witness]) < threshold:
+            diffs = list(map(abs, map(sub, nxt, r)))
+            delta = max(diffs)
+            if delta < threshold:
+                r = nxt
+                converged = True
+                break
+            witness = diffs.index(delta)
         r = nxt
-        if delta < threshold:
-            converged = True
-            break
     return PropagationResult(
         risk=dict(zip(ids, r)), iterations_used=iterations, converged=converged
     )

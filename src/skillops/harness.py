@@ -317,11 +317,18 @@ class _LibraryFiles:
             parent = chain[-1][1] if chain else self._root_fd
             fd = os.open(name, self._file_flags, dir_fd=parent)
             try:
-                if not stat.S_ISREG(os.fstat(fd).st_mode):
+                st = os.fstat(fd)
+                if not stat.S_ISREG(st.st_mode):
                     raise ManifestError(
                         f"{os.path.join(self.root, rel)} is not a regular file"
                     )
-                chunks = []
+                # one read of a byte past the fstat size returns a file of
+                # that size whole; one that grew or shrank since reads on
+                # to its end
+                data = os.read(fd, st.st_size + 1)
+                if len(data) == st.st_size:
+                    return data
+                chunks = [data]
                 while chunk := os.read(fd, 1 << 16):
                     chunks.append(chunk)
                 return b"".join(chunks)
@@ -908,15 +915,19 @@ def _flag_items(value: str) -> list[str]:
     return [x for x in value.split(",") if x]
 
 
-def _action_items(flag: str, value: str) -> list[str]:
-    """The actions of a comma-separated --actions or --gold-list value.  An
-    item with surrounding whitespace, such as " invoke:b", could never equal
-    an action a plan emits, so it is refused."""
-    items = _flag_items(value)
+def _checked_actions(where: str, items: list[str]) -> list[str]:
+    """items, from a flag or a file named by `where`.  An item with
+    surrounding whitespace, such as " invoke:b", could never equal an action
+    a plan emits, so it is refused."""
     for item in items:
         if item != item.strip():
-            raise ConfigInvalid(f"{flag} action {item!r} has surrounding whitespace")
+            raise ConfigInvalid(f"{where} action {item!r} has surrounding whitespace")
     return items
+
+
+def _action_items(flag: str, value: str) -> list[str]:
+    """The actions of a comma-separated --actions or --gold-list value."""
+    return _checked_actions(flag, _flag_items(value))
 
 
 def cmd_plan(args) -> int:
@@ -942,7 +953,7 @@ def _read_action_list(path: str) -> list[str]:
         obj = obj.get("actions")
     if not isinstance(obj, list) or not all(isinstance(x, str) for x in obj):
         raise ConfigInvalid(f"{path}: expected a JSON list of action strings")
-    return obj
+    return _checked_actions(f"{path}:", obj)
 
 
 def cmd_grade(args) -> int:

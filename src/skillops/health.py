@@ -14,7 +14,8 @@ counts each skill's successes and calls until its window is full.  They
 depend on nothing but the skill's id, so a maintained library, whose skills
 keep their ids, reuses them from the input's diagnosis.  R and C depend only
 on the skill's interface, bridging aside, so they are computed once per
-interface group of the graph; C is redone for the skills a shim bridges.
+interface number of the graph and read through each skill's interface
+number; C is redone for the skills a shim bridges.
 
 Library health H is the weighted per-skill score averaged over the library,
 debt is 1 - H.  Under uniform weights H equals 1 minus the mean local risk.
@@ -123,26 +124,24 @@ def _usage_rates(trace: ExecutionTrace, skills, window: int):
 
 def _vectors(skills, g: Hseg, rates) -> dict[str, HealthVector]:
     """Each skill's vector over g, with (U, F) taken from `rates` in skill
-    order.  R and the unbridged C are computed once per interface, as every
-    member shares them; C is computed again for the skills that shims
-    bridge, from their own incident counts."""
-    r_of: dict[str, float] = {}
-    c_of: dict[str, float] = {}
+    order.  R and the unbridged C are computed once per interface number,
+    as every member shares them, and each skill reads them through its
+    interface number; C is computed again for the skills that shims bridge,
+    from their own incident counts."""
     denom = max(1, len(g.nodes) - 1)
-    for key, group in g._iface_groups.items():
-        dep_total, dep_ok = g._iface_counts[key]
-        r = (len(group) - 1) / denom
-        c = dep_ok / dep_total if dep_total else 1.0
-        for sid in group:
-            r_of[sid] = r
-            c_of[sid] = c
-    for sid in g._bridged_counts:
-        dep_total, dep_ok = g.incident_dep_counts(sid)
-        c_of[sid] = dep_ok / dep_total if dep_total else 1.0
-    return {
-        s.id: HealthVector(u, r_of[s.id], c_of[s.id], f, 0.0 if s.checklist else 1.0)
-        for s, (u, f) in zip(skills, rates)
+    start = g._iface_start
+    r_of = [(hi - lo - 1) / denom for lo, hi in zip(start, start[1:])]
+    c_of = [ok / dep if dep else 1.0 for dep, ok in zip(g._dep_counts, g._ok_counts)]
+    iface, pos = g._iface, g._pos
+    vectors = {
+        s.id: HealthVector(u, r_of[k], c_of[k], f, 0.0 if s.checklist else 1.0)
+        for s, (u, f), k in zip(skills, rates, [iface[pos[s.id]] for s in skills])
     }
+    for sid in g._bridged_counts:
+        if sid in vectors:
+            dep_total, dep_ok = g.incident_dep_counts(sid)
+            vectors[sid] = vectors[sid]._replace(C=dep_ok / dep_total if dep_total else 1.0)
+    return vectors
 
 
 @dataclass(frozen=True)

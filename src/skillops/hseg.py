@@ -10,25 +10,35 @@ Four directed edge kinds connect skills i -> j:
 
 Self edges never exist.  Because libraries are clone-heavy, the graph keeps
 interface-signature groups instead of a materialized edge set and answers
-pair predicates from the contracts, kept once by id.  The skills are grouped
-once, by interface; the artifact and precondition signature groups are
-derived from those interface groups, and the goal groups, which only alt
-neighborhoods and listings read, are built on first use.  The dep relation
-is built once between signatures by a set-containment join over token ->
-precondition-signature posting sets (a dep pair always shares a token);
-CGPD's parent lists and dep-only pairs are read from it, and each
-interface's dep/comp counts are summed from it once, by _tally, which a
-fresh build and a restriction share.  Edge listings for export or
-brute-force checks are generated on demand; above a comp threshold of 0 they
-too visit only signature pairs that share a token.
+pair predicates from the contracts, kept once by id.
+
+The graph is numbered once.  A skill's position is its rank in `nodes`
+(ascending id).  Interfaces, artifact signatures and precondition
+signatures are numbered in order of their first member, and every group is
+held in compressed sparse row (CSR) form: an `array('i')` of member
+positions, ascending, and one of offsets, so group k is
+members[start[k]:start[k + 1]].  Columns map each position to its interface
+and each interface to its artifact and precondition signature numbers.  The
+dep relation is a CSR too: the parent artifact numbers of each precondition
+number, ascending.  It is built once between signatures by a
+set-containment join over token -> precondition-number posting sets (a dep
+pair always shares a token).  _tally sums each interface's dep/comp counts
+from it once and flags the interfaces whose artifacts feed their own
+preconditions; a fresh build and a restriction share it.  Health and CGPD
+read these arrays directly.  Id views (clusters, counts by id, edge
+listings) decode them on demand; the goal groups and the id tuples per
+interface are built on first use and kept outside the dataclass fields.
+Above a comp threshold of 0, edge listings visit only signature pairs that
+share a token.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 from skillops.contract import (
     AdapterShim,
@@ -49,32 +59,48 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
+def _ints() -> array:
+    return array("i")
+
+
 @dataclass
 class Hseg:
     """Built by build_hseg, or derived from another graph by _restrict;
     treat as immutable once constructed.  `nodes` maps each skill id to its
     contract in ascending id order, and `adapters` holds the shims the
-    graph was built with, in the order given.  Both ways set the signature
-    groups and the dep relation (_parent_sigs), then tally the counts and
-    register the adapters the same way.  Every group lists its members in
-    ascending id order; in a fresh build each map's groups also come in the
-    order of their first members.  The goal groups are not a field: they
-    are built from `nodes` on first use, so eq, repr and dataclasses.fields
-    never see them."""
+    graph was built with, in the order given.  Both ways lay out the same
+    numbered arrays (see the module docstring), then tally the counts and
+    register the adapters the same way, so a derived graph equals a fresh
+    build of its skills field for field.  The goal groups, the id tuples
+    per interface and the id -> position map are not fields: they are built
+    on first use, so eq, repr and dataclasses.fields never see them."""
 
     nodes: dict[str, SkillContract]
     comp_threshold: float
     dep_mode: str
     adapters: tuple[AdapterShim, ...] = ()
 
-    _a_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
-    _p_groups: dict[frozenset, tuple[str, ...]] = field(default_factory=dict)
-    _iface_groups: dict[tuple, tuple[str, ...]] = field(default_factory=dict)
-    # per distinct precondition signature, the artifact signatures that feed it
-    _parent_sigs: dict[frozenset, tuple[frozenset, ...]] = field(default_factory=dict)
-    # per interface, keyed as in _iface_groups: (incident dep edges, those
-    # that are also comp) of any one member, its self pair taken out
-    _iface_counts: dict[tuple, tuple[int, int]] = field(default_factory=dict)
+    # per position: its interface number
+    _iface: array = field(default_factory=_ints)
+    # per interface number: its artifact and precondition signature numbers
+    _iface_a: array = field(default_factory=_ints)
+    _iface_p: array = field(default_factory=_ints)
+    # each signature once, by number
+    _a_sigs: tuple[frozenset, ...] = ()
+    _p_sigs: tuple[frozenset, ...] = ()
+    # CSR member positions of each interface and each artifact signature
+    _iface_start: array = field(default_factory=_ints)
+    _iface_members: array = field(default_factory=_ints)
+    _a_start: array = field(default_factory=_ints)
+    _a_members: array = field(default_factory=_ints)
+    # CSR dep relation: the artifact numbers that feed each precondition number
+    _parent_start: array = field(default_factory=_ints)
+    _parents: array = field(default_factory=_ints)
+    # per interface: (incident dep edges, those that are also comp) of any
+    # one member, its self pair taken out; and 1 when it feeds itself
+    _dep_counts: array = field(default_factory=_ints)
+    _ok_counts: array = field(default_factory=_ints)
+    _self_fed: array = field(default_factory=lambda: array("b"))
     _bridged_counts: dict[str, int] = field(default_factory=dict)
     _bridges: dict[tuple[str, str], AdapterShim] = field(default_factory=dict)
 
@@ -84,6 +110,27 @@ class Hseg:
         for sid, s in self.nodes.items():
             groups.setdefault(s.goal, []).append(sid)
         return {goal: tuple(members) for goal, members in groups.items()}
+
+    @cached_property
+    def _pos(self) -> dict[str, int]:
+        return {sid: i for i, sid in enumerate(self.nodes)}
+
+    @cached_property
+    def _iface_ids(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(self._id_rows(self._iface_start, self._iface_members))
+
+    def _id_rows(self, start, members) -> list[tuple[str, ...]]:
+        """The CSR rows of (start, members) as id tuples."""
+        ids = list(map(list(self.nodes).__getitem__, members))
+        return [tuple(ids[lo:hi]) for lo, hi in zip(start, start[1:])]
+
+    def _p_ids(self) -> list[list[str]]:
+        """The members of each precondition signature, ascending, by number."""
+        rows: list[list[str]] = [[] for _ in self._p_sigs]
+        iface_p = self._iface_p
+        for sid, k in zip(self.nodes, self._iface):
+            rows[iface_p[k]].append(sid)
+        return rows
 
     # ---- pair predicates -------------------------------------------------
 
@@ -141,43 +188,43 @@ class Hseg:
 
     def red_clusters(self) -> tuple[tuple[str, ...], ...]:
         """Partition of the nodes into maximal interface-equal groups, each
-        sorted ascending, clusters ordered by their smallest member (the
-        order build_hseg creates them in)."""
-        return tuple(self._iface_groups.values())
+        sorted ascending, clusters ordered by their smallest member."""
+        return self._iface_ids
 
     def red_cluster_of(self, skill_id: str) -> tuple[str, ...]:
-        s = self.nodes[skill_id]
-        return self._iface_groups[(s.preconditions, s.artifact_types)]
+        return self._iface_ids[self._iface[self._pos[skill_id]]]
 
     # ---- aggregate dep/comp counts for health ----------------------------
 
     def incident_dep_counts(self, skill_id: str) -> tuple[int, int]:
         """(incident dep edges, incident dep edges that are compatible or
         adapter-bridged) counting both directions, self pairs excluded."""
-        s = self.nodes[skill_id]
-        dep, ok = self._iface_counts[(s.preconditions, s.artifact_types)]
-        return dep, ok + self._bridged_counts.get(skill_id, 0)
+        k = self._iface[self._pos[skill_id]]
+        return self._dep_counts[k], self._ok_counts[k] + self._bridged_counts.get(skill_id, 0)
 
     # ---- listings (on-demand; can be quadratic on clone-heavy graphs) ----
 
     def iter_edges(self, kinds=EDGE_KINDS):
         """Every edge of the given kinds as (src, dst, kind), each once."""
         if "dep" in kinds or "comp" in kinds:
+            p_sigs = self._p_sigs
+            p_ids = self._p_ids()
             # a dep pair shares a token, and so does a comp pair above
             # threshold 0; at 0 every pair is comp, so every pair is walked
-            postings = _token_postings(self._p_groups) if self.comp_threshold > 0 else None
-            for a_sig, srcs in self._a_groups.items():
-                p_sigs = self._p_groups if postings is None else dict.fromkeys(
-                    p_sig for token in a_sig for p_sig in postings.get(token, ())
+            postings = _token_postings(p_sigs) if self.comp_threshold > 0 else None
+            a_ids = self._id_rows(self._a_start, self._a_members)
+            for a_sig, srcs in zip(self._a_sigs, a_ids):
+                qs = range(len(p_sigs)) if postings is None else dict.fromkeys(
+                    q for token in a_sig for q in postings.get(token, ())
                 )
-                for p_sig in p_sigs:
-                    dsts = self._p_groups[p_sig]
+                for q in qs:
+                    p_sig = p_sigs[q]
                     dep = self._dep_sig(a_sig, p_sig)
                     comp = self._comp_sig(a_sig, p_sig)
                     if not dep and not comp:
                         continue
                     for s in srcs:
-                        for d in dsts:
+                        for d in p_ids[q]:
                             if s == d:
                                 continue
                             if dep and "dep" in kinds:
@@ -185,7 +232,7 @@ class Hseg:
                             if comp and "comp" in kinds:
                                 yield (s, d, "comp")
         if "red" in kinds:
-            for cluster in self._iface_groups.values():
+            for cluster in self._iface_ids:
                 for s, d in combinations(cluster, 2):
                     yield (s, d, "red")
                     yield (d, s, "red")
@@ -198,51 +245,88 @@ class Hseg:
 
     def dep_not_comp_pairs(self):
         """Ordered (src, dst) pairs holding a dep edge without comp."""
+        a_sigs, start, parents = self._a_sigs, self._parent_start, self._parents
+        found = [
+            (a, q)
+            for q, p_sig in enumerate(self._p_sigs)
+            for a in parents[start[q]:start[q + 1]]
+            if not self._dep_comp(a_sigs[a], p_sig)
+        ]
+        if not found:
+            return []
+        a_ids, p_ids = self._id_rows(self._a_start, self._a_members), self._p_ids()
         pairs = []
-        for p_sig, a_sigs in self._parent_sigs.items():
-            dsts = self._p_groups[p_sig]
-            for a_sig in a_sigs:
-                if not self._dep_comp(a_sig, p_sig):
-                    pairs.extend(
-                        (s, d) for s in self._a_groups[a_sig] for d in dsts if s != d
-                    )
+        for a, q in found:
+            pairs.extend((s, d) for s in a_ids[a] for d in p_ids[q] if s != d)
         return sorted(pairs)
 
     # ---- derivation ------------------------------------------------------
 
+    def _lay_out(self, col: array, a_keys: list, p_keys: list) -> tuple[list, list]:
+        """Set the columns and member CSRs from each position's interface
+        number (col, interfaces numbered in order of first member) and each
+        interface's artifact and precondition keys.  Equal keys share a
+        number, given in order of first interface, which is the order of
+        first member.  Returns the distinct keys of each side by number."""
+        a_of: dict = {}
+        p_of: dict = {}
+        self._iface = col
+        self._iface_a = iface_a = array("i", [a_of.setdefault(k, len(a_of)) for k in a_keys])
+        self._iface_p = array("i", [p_of.setdefault(k, len(p_of)) for k in p_keys])
+        iface_rows: list[list[int]] = [[] for _ in a_keys]
+        a_rows: list[list[int]] = [[] for _ in a_of]
+        for i, k in enumerate(col):
+            iface_rows[k].append(i)
+            a_rows[iface_a[k]].append(i)
+        self._iface_start, self._iface_members = _csr(iface_rows)
+        self._a_start, self._a_members = _csr(a_rows)
+        return list(a_of), list(p_of)
+
     def _tally(self) -> None:
         """Sum each interface's incident dep and comp counts from the dep
-        relation and the group sizes.  A dep pair of signatures adds the
-        destination group's size to the artifact signature's out-counts and
-        the source group's size to the precondition signature's in-counts;
-        an interface's counts are its two signatures' sums less its self
-        pair, counted once on each side."""
-        a_groups, p_groups = self._a_groups, self._p_groups
-        out_dep = dict.fromkeys(a_groups, 0)
-        out_ok = dict.fromkeys(a_groups, 0)
-        in_dep, in_ok = {}, {}
-        for p_sig, parents in self._parent_sigs.items():
-            n_dst = len(p_groups[p_sig])
+        relation and the group sizes, and flag the interfaces that feed
+        themselves.  A dep pair of signatures adds the destination group's
+        size to the artifact signature's out-counts and the source group's
+        size to the precondition signature's in-counts; an interface's
+        counts are its two signatures' sums less its self pair, counted
+        once on each side."""
+        a_sigs, p_sigs = self._a_sigs, self._p_sigs
+        iface_a, iface_p = self._iface_a, self._iface_p
+        a_start = self._a_start
+        a_size = [hi - lo for lo, hi in zip(a_start, a_start[1:])]
+        p_size = [0] * len(p_sigs)
+        i_start = self._iface_start
+        for q, lo, hi in zip(iface_p, i_start, i_start[1:]):
+            p_size[q] += hi - lo
+        out_dep = [0] * len(a_sigs)
+        out_ok = [0] * len(a_sigs)
+        in_dep = [0] * len(p_sigs)
+        in_ok = [0] * len(p_sigs)
+        start, parents = self._parent_start, self._parents
+        for q, p_sig in enumerate(p_sigs):
+            n_dst = p_size[q]
             dep = ok = 0
-            for a_sig in parents:
-                n_src = len(a_groups[a_sig])
-                out_dep[a_sig] += n_dst
+            for a in parents[start[q]:start[q + 1]]:
+                n_src = a_size[a]
+                out_dep[a] += n_dst
                 dep += n_src
-                if self._dep_comp(a_sig, p_sig):
-                    out_ok[a_sig] += n_dst
+                if self._dep_comp(a_sigs[a], p_sig):
+                    out_ok[a] += n_dst
                     ok += n_src
-            in_dep[p_sig] = dep
-            in_ok[p_sig] = ok
-        tally = {}
-        for key in self._iface_groups:
-            p, a = key
-            dep, ok = out_dep[a] + in_dep[p], out_ok[a] + in_ok[p]
-            if self._dep_sig(a, p):
+            in_dep[q] = dep
+            in_ok[q] = ok
+        dep_counts, ok_counts, self_fed = array("i"), array("i"), array("b")
+        for a, q in zip(iface_a, iface_p):
+            dep, ok = out_dep[a] + in_dep[q], out_ok[a] + in_ok[q]
+            fed = self._dep_sig(a_sigs[a], p_sigs[q])
+            if fed:
                 dep -= 2
-                if self._dep_comp(a, p):
+                if self._dep_comp(a_sigs[a], p_sigs[q]):
                     ok -= 2
-            tally[key] = (dep, ok)
-        self._iface_counts = tally
+            dep_counts.append(dep)
+            ok_counts.append(ok)
+            self_fed.append(fed)
+        self._dep_counts, self._ok_counts, self._self_fed = dep_counts, ok_counts, self_fed
 
     def _register(self, adapters) -> None:
         """Keep the shims as given and map each skill pair they bridge to the
@@ -270,36 +354,44 @@ class Hseg:
 
     def _restrict(self, survivors, adapters) -> Hseg:
         """The graph build_hseg(survivors, ..., adapters) returns, derived
-        from this one.  Each survivor must be a node here with the same
-        interface and goal, as every maintenance action guarantees.
+        from this one, equal to it field for field.  Each survivor must be a
+        node here with the same interface and goal, as every maintenance
+        action guarantees.
 
         Dep and comp hold between signatures whatever skills carry them, so
-        this filters the groups that lost a skill, drops the signatures left
-        without skills and keeps the parent lists minus those signatures;
-        _tally then sums the counts from the new group sizes.  It builds no
-        postings, runs no subset test and hashes no body, and the goal
-        groups are built from the survivors only if something reads them.
-        Groups and parent lists keep this graph's order, which can differ
-        from a fresh build's; their contents are equal."""
+        this keeps the surviving positions, renumbers the interfaces and
+        signatures that keep a member in order of first surviving member,
+        and keeps each parent list minus the dropped signatures, renumbered
+        and sorted; _tally then sums the counts from the new group sizes.
+        It builds no postings, runs no subset test and hashes no body."""
         alive = {s.id: s for s in survivors}
-        gone = [s for sid, s in self.nodes.items() if sid not in alive]
-        g = Hseg(
-            nodes={sid: alive[sid] for sid in self.nodes if sid in alive},
-            comp_threshold=self.comp_threshold,
-            dep_mode=self.dep_mode,
+        nodes = {}
+        new_k = [-1] * len(self._iface_a)
+        old_ks: list[int] = []  # new interface number -> old
+        col = array("i")
+        for sid, k in zip(self.nodes, self._iface):
+            s = alive.get(sid)
+            if s is None:
+                continue
+            nodes[sid] = s
+            if new_k[k] < 0:
+                new_k[k] = len(old_ks)
+                old_ks.append(k)
+            col.append(new_k[k])
+        g = Hseg(nodes=nodes, comp_threshold=self.comp_threshold, dep_mode=self.dep_mode)
+        old_as, old_ps = g._lay_out(
+            col, [self._iface_a[k] for k in old_ks], [self._iface_p[k] for k in old_ks]
         )
-        g._a_groups = _kept(self._a_groups, {s.artifact_types for s in gone}, alive)
-        g._p_groups = _kept(self._p_groups, {s.preconditions for s in gone}, alive)
-        g._iface_groups = _kept(
-            self._iface_groups, {(s.preconditions, s.artifact_types) for s in gone}, alive
-        )
-
-        dropped = self._a_groups.keys() - g._a_groups.keys()
-        for p_sig in g._p_groups:
-            parents = self._parent_sigs[p_sig]
-            if not dropped.isdisjoint(parents):
-                parents = tuple(a for a in parents if a not in dropped)
-            g._parent_sigs[p_sig] = parents
+        g._a_sigs = tuple([self._a_sigs[a] for a in old_as])
+        g._p_sigs = tuple([self._p_sigs[q] for q in old_ps])
+        new_a = [-1] * len(self._a_sigs)
+        for j, a in enumerate(old_as):
+            new_a[a] = j
+        start, parents = self._parent_start, self._parents
+        g._parent_start, g._parents = _csr([
+            sorted([new_a[a] for a in parents[start[q]:start[q + 1]] if new_a[a] >= 0])
+            for q in old_ps
+        ])
         g._tally()
         g._register(adapters)
         return g
@@ -325,67 +417,43 @@ class Hseg:
         }
 
 
-def _kept(groups: dict, touched: set, alive) -> dict:
-    """groups with the members of each touched group filtered to `alive`,
-    and groups left empty dropped."""
-    kept = dict(groups)
-    for key in touched:
-        left = tuple(filter(alive.__contains__, groups[key]))
-        if left:
-            kept[key] = left
-        else:
-            del kept[key]
-    return kept
+def _csr(rows) -> tuple[array, array]:
+    """(offsets, members) of a list of int lists: row k is
+    members[offsets[k]:offsets[k + 1]]."""
+    offsets = array("i", [0])
+    offsets.extend(accumulate(map(len, rows)))
+    return offsets, array("i", chain.from_iterable(rows))
 
 
-def _token_postings(p_sigs) -> dict[str, list[frozenset]]:
-    """token -> the precondition signatures holding it, in p_sigs order."""
-    postings: dict[str, list[frozenset]] = {}
-    for p_sig in p_sigs:
+def _token_postings(p_sigs) -> dict[str, list[int]]:
+    """token -> the numbers of the precondition signatures holding it,
+    ascending."""
+    postings: dict[str, list[int]] = {}
+    for q, p_sig in enumerate(p_sigs):
         for token in p_sig:
-            postings.setdefault(token, []).append(p_sig)
+            postings.setdefault(token, []).append(q)
     return postings
 
 
-def _side_groups(iface_groups: dict, side: int) -> dict:
-    """The groups of one side of the interface keys (0: preconditions,
-    1: artifact types), members ascending, keys in order of first member.
-    A signature that one interface holds reuses that interface's tuple; one
-    that several hold joins their tuples once and sorts."""
-    groups: dict = {}
-    parts: dict = {}
-    for key, members in iface_groups.items():
-        sig = key[side]
-        first = groups.get(sig)
-        if first is None:
-            groups[sig] = members
-        elif sig in parts:
-            parts[sig].append(members)
-        else:
-            parts[sig] = [first, members]
-    for sig, tuples in parts.items():
-        groups[sig] = tuple(sorted(chain.from_iterable(tuples)))
-    return groups
-
-
-def _dep_parents(a_groups, p_groups, subset: bool) -> dict:
-    """p_sig -> the artifact signatures that feed it, in a_groups order.
+def _dep_parents(a_sigs, p_sigs, subset: bool) -> list[list[int]]:
+    """Per precondition number, the artifact numbers that feed it,
+    ascending.
 
     A set-containment join (Helmer & Moerkotte, VLDB 1997; Mamoulis, SIGMOD
-    2003) over token -> precondition-signature posting sets: under "subset"
+    2003) over token -> precondition-number posting sets: under "subset"
     an artifact signature feeds exactly the intersection of its tokens'
     posting sets, taken rarest first, and under "overlap" their union.  No
     pair outside the output is tested."""
     postings: dict[str, set] = {}
-    for p_sig in p_groups:
+    for q, p_sig in enumerate(p_sigs):
         for token in p_sig:
             holders = postings.get(token)
             if holders is None:
-                postings[token] = {p_sig}
+                postings[token] = {q}
             else:
-                holders.add(p_sig)
-    parents: dict = dict.fromkeys(p_groups, ())
-    for a_sig in a_groups:
+                holders.add(q)
+    parents: list[list[int]] = [[] for _ in p_sigs]
+    for a, a_sig in enumerate(a_sigs):
         held = [postings[token] for token in a_sig if token in postings]
         if not held or (subset and len(held) < len(a_sig)):
             continue  # no artifacts, or a token no precondition holds
@@ -396,15 +464,8 @@ def _dep_parents(a_groups, p_groups, subset: bool) -> dict:
             deps = held[0].intersection(*held[1:])
         else:
             deps = held[0].union(*held[1:])
-        for p_sig in deps:
-            fed = parents[p_sig]
-            if fed:
-                fed.append(a_sig)
-            else:
-                parents[p_sig] = [a_sig]
-    for p_sig, fed in parents.items():
-        if fed:
-            parents[p_sig] = tuple(fed)
+        for q in deps:
+            parents[q].append(a)
     return parents
 
 
@@ -416,13 +477,13 @@ def build_hseg(
 ) -> Hseg:
     """Construct the graph for a collection of contracts.
 
-    One pass groups the skills by interface; the artifact and precondition
-    groups are derived from the interface groups, so a library of N skills
-    over I interfaces builds I group tuples plus one per signature that
-    several interfaces share.  The dep relation is a join over distinct
-    signatures, not skills, that visits only the pairs it keeps (see
-    _dep_parents).  The cost is O(N + I + dep signature pairs) instead of
-    O(N^2) on libraries full of clones.
+    One pass numbers the skills' interfaces in id order, with a dict keyed
+    by interface that lives only during the build; the signatures are
+    numbered from the interfaces, and the member lists are laid out from the
+    numbers.  The dep relation is a join over distinct signatures, not
+    skills, that visits only the pairs it keeps (see _dep_parents).  The
+    cost is O(N + I + dep signature pairs) for N skills over I interfaces
+    instead of O(N^2) on libraries full of clones.
     """
     if dep_mode not in ("subset", "overlap"):
         raise ValueError(f"dep_mode must be subset or overlap, got {dep_mode!r}")
@@ -433,21 +494,19 @@ def build_hseg(
         raise DuplicateSkillId(", ".join(sorted(i for i, n in counts.items() if n > 1)))
 
     g = Hseg(nodes=nodes, comp_threshold=comp_threshold, dep_mode=dep_mode)
-    iface_groups: dict[tuple, list] = {}
-    for sid, s in nodes.items():
+    iface_of: dict[tuple, int] = {}
+    col = []
+    for s in nodes.values():
         key = (s.preconditions, s.artifact_types)
-        members = iface_groups.get(key)
-        if members is None:
-            iface_groups[key] = [sid]
-        else:
-            members.append(sid)
-    for key, members in iface_groups.items():
-        iface_groups[key] = tuple(members)
-    g._iface_groups = iface_groups
-    g._a_groups = _side_groups(iface_groups, 1)
-    g._p_groups = _side_groups(iface_groups, 0)
-    # walking _a_groups in order fixes the order of every parent list
-    g._parent_sigs = _dep_parents(g._a_groups, g._p_groups, dep_mode == "subset")
+        k = iface_of.get(key)
+        if k is None:
+            k = iface_of[key] = len(iface_of)
+        col.append(k)
+    a_sigs, p_sigs = g._lay_out(
+        array("i", col), [a for _, a in iface_of], [p for p, _ in iface_of]
+    )
+    g._a_sigs, g._p_sigs = tuple(a_sigs), tuple(p_sigs)
+    g._parent_start, g._parents = _csr(_dep_parents(a_sigs, p_sigs, dep_mode == "subset"))
 
     g._tally()
     g._register(adapters)

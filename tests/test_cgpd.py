@@ -225,19 +225,28 @@ def test_trigger_set_flags_unvalidated_risky_skills():
 def reference_propagate(g, r_loc, cfg=CgpdConfig(), initial=None):
     """Per-skill synchronous sweep: each skill walks its precondition
     signature's parent groups, using a group's runner-up where the skill
-    itself is the group's (first) maximum.  propagate must match it bit for
-    bit."""
+    itself is the group's (first) maximum.  The groups are read from the
+    contracts, members ascending and groups in order of first member, and
+    each signature's parent groups are found by testing every artifact
+    signature, in that order.  propagate must match it bit for bit."""
     ids = sorted(g.nodes)
     r = {s: (initial or r_loc)[s] for s in ids}
     if not ids:
         return PropagationResult(risk={}, iterations_used=0, converged=True)
+    a_groups = {}
+    for s in ids:
+        a_groups.setdefault(g.nodes[s].artifact_types, []).append(s)
+    parent_sigs = {
+        p: [a for a in a_groups if g._dep_sig(a, p)]
+        for p in {g.nodes[s].preconditions for s in ids}
+    }
     alpha = cfg.alpha
     threshold = cfg.eps * min(1.0, (1.0 - alpha) / alpha) if alpha > 0 else cfg.eps
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
         stats = {}
-        for a_sig, members in g._a_groups.items():
+        for a_sig, members in a_groups.items():
             best_id, best, second = None, float("-inf"), float("-inf")
             for m in members:
                 v = r[m]
@@ -250,10 +259,10 @@ def reference_propagate(g, r_loc, cfg=CgpdConfig(), initial=None):
         nxt = {}
         for s in ids:
             incoming = None
-            for a_sig in g._parent_sigs[g.nodes[s].preconditions]:
+            for a_sig in parent_sigs[g.nodes[s].preconditions]:
                 best_id, best, second = stats[a_sig]
                 if best_id == s:
-                    if len(g._a_groups[a_sig]) == 1:
+                    if len(a_groups[a_sig]) == 1:
                         continue
                     v = second
                 else:
@@ -332,3 +341,33 @@ def test_self_fed_skill_is_left_out_of_its_own_group():
     res = propagate(g, r_loc, cfg)
     assert res.risk == {"x1": 0.5, "x2": 0.5, "lone": 0.5, "sink": 0.5}
     assert res.risk == reference_propagate(g, r_loc, cfg).risk
+
+
+@pytest.mark.parametrize("start", ["r_loc", "other"])
+@pytest.mark.parametrize("max_iters, converges", [(500, True), (30, False)])
+def test_settled_first_skill_does_not_end_or_skip_a_sweep(start, max_iters, converges):
+    # "a-root" is first and nothing feeds it, so from r_loc its change is 0
+    # from sweep 1 (from another start, from sweep 2), while the c1/c2
+    # cycle and the self-fed pair need hundreds of sweeps at alpha 0.9.  A
+    # sweep whose first skill has settled must still take every change.
+    sks = [
+        skill("a-root", art=("z",)),
+        skill("c1", pre=("y",), art=("x",)),
+        skill("c2", pre=("x",), art=("y",)),
+        skill("c3", pre=("x", "z")),
+        skill("s1", pre=("s",), art=("s",)),
+        skill("s2", pre=("s",), art=("s",)),
+    ]
+    g = build_hseg(sks)
+    r_loc = {"a-root": 0.25, "c1": 1.0, "c2": 0.0, "c3": 0.5, "s1": 0.75, "s2": 0.0}
+    initial = None if start == "r_loc" else {
+        "a-root": 1.0, "c1": 0.0, "c2": 1.0, "c3": 0.0, "s1": 0.0, "s2": 1.0,
+    }
+    cfg = CgpdConfig(alpha=0.9, max_iters=max_iters)
+    got = propagate(g, r_loc, cfg, initial=initial)
+    want = reference_propagate(g, r_loc, cfg, initial=initial)
+    assert list(got.risk.items()) == list(want.risk.items())
+    assert (got.iterations_used, got.converged) == (want.iterations_used, want.converged)
+    assert got.converged == converges
+    assert got.iterations_used > 30 if converges else got.iterations_used == 30
+    assert got.risk["a-root"] == r_loc["a-root"]

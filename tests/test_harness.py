@@ -473,6 +473,31 @@ def test_cli_refuses_a_file_that_is_not_regular(tmp_path, kind):
     assert proc.stderr == f"error: {odd} is not a regular file\n"
 
 
+@pytest.mark.parametrize("reported", [0, 10, 1 << 16, "true", "over"])
+def test_a_file_whose_size_changed_after_its_fstat_is_read_whole(
+    tmp_path, monkeypatch, reported
+):
+    # fstat reports a size other than the file's, as when the file grows or
+    # shrinks between the fstat and the read; the bytes still come back whole
+    lib, prov = build_library(3, 0.0, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    big = target / "skills" / lib.skills[0].id / "big.bin"
+    big.write_bytes(bytes(range(256)) * 1024)  # four 64 KiB chunks
+    real_fstat = os.fstat
+
+    def fstat(fd):
+        st = real_fstat(fd)
+        size = {"true": st.st_size, "over": st.st_size + 100}.get(reported, reported)
+        return os.stat_result((*st[:6], size, *st[7:10]))
+
+    monkeypatch.setattr(harness.os, "fstat", fstat)
+    with harness._LibraryFiles(target) as files:
+        assert files.read(f"skills/{lib.skills[0].id}/big.bin") == big.read_bytes()
+    big.unlink()
+    assert library_fingerprint(load_library(target)[0]) == library_fingerprint(lib)
+
+
 @pytest.mark.parametrize("path", ["./skills/{sid}/SKILL.md", "skills//{sid}/SKILL.md",
                                   "skills/{sid}/./SKILL.md", "skills/{sid}/SKILL.md/"])
 def test_load_refuses_unclean_manifest_paths(tmp_path, path):
@@ -1504,6 +1529,20 @@ def test_cli_grade_names_a_json_file_that_is_not_an_action_list(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: expected a JSON list of action strings\n"
+
+
+@pytest.mark.parametrize("flag", ["--plan", "--gold"])
+def test_cli_grade_refuses_a_json_action_with_surrounding_whitespace(tmp_path, capsys, flag):
+    # the file's " invoke:b" once kept its space, so it never equalled the
+    # other side's "invoke:b" and grade printed exact_match false
+    path = tmp_path / "actions.json"
+    path.write_text('{"actions": ["invoke:a", " invoke:b"]}')
+    argv = ["grade", flag, str(path)]
+    argv += ["--gold-list" if flag == "--plan" else "--actions", "invoke:a,invoke:b"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: action ' invoke:b' has surrounding whitespace\n"
 
 
 TRACE_LINE = b'{"task_id": "t", "skill_id": "a", "step": 0, "outcome": "success"}'

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,12 +23,44 @@ def skill(sid, pre=(), art=(), goal="g", body=None, **kw):
     )
 
 
+def decoded(g):
+    """The graph's numbered arrays read back as id-level groups, each a list
+    of (key, members) pairs in number order: interfaces keyed by
+    (preconditions, artifact types), artifact and precondition groups by
+    their signature, and the dep relation as each precondition signature's
+    parent artifact signatures."""
+    ids = list(g.nodes)
+
+    def rows(start, members):
+        return [
+            tuple(ids[m] for m in members[start[k]:start[k + 1]])
+            for k in range(len(start) - 1)
+        ]
+
+    ifaces = [(g._p_sigs[p], g._a_sigs[a]) for p, a in zip(g._iface_p, g._iface_a)]
+    p_rows = [[] for _ in g._p_sigs]
+    for sid, k in zip(ids, g._iface):
+        p_rows[g._iface_p[k]].append(sid)
+    start = g._parent_start
+    return {
+        "iface": list(zip(ifaces, rows(g._iface_start, g._iface_members))),
+        "a": list(zip(g._a_sigs, rows(g._a_start, g._a_members))),
+        "p": [(p, tuple(members)) for p, members in zip(g._p_sigs, p_rows)],
+        "parents": [
+            (p, tuple(g._a_sigs[a] for a in g._parents[start[q]:start[q + 1]]))
+            for q, p in enumerate(g._p_sigs)
+        ],
+    }
+
+
 def reference_parents(g, skill_id):
     """Skills whose artifacts feed skill_id's preconditions (dep in-edges)."""
+    groups = decoded(g)
+    a_groups = dict(groups["a"])
     p = g.nodes[skill_id].preconditions
     out = set()
-    for a_sig in g._parent_sigs[p]:
-        out.update(g._a_groups[a_sig])
+    for a_sig in dict(groups["parents"])[p]:
+        out.update(a_groups[a_sig])
     out.discard(skill_id)
     return frozenset(out)
 
@@ -448,11 +479,7 @@ def test_restrict_equals_a_fresh_build_of_the_survivors(lib, dep_mode, threshold
     assert list(derived.nodes) == list(fresh.nodes)
     assert all(derived.nodes[s.id] is s for s in survivors)
     for f in dataclasses.fields(Hseg):
-        got, want = getattr(derived, f.name), getattr(fresh, f.name)
-        if f.name == "_parent_sigs":  # contents, not order
-            got = {k: Counter(v) for k, v in got.items()}
-            want = {k: Counter(v) for k, v in want.items()}
-        assert got == want, f.name
+        assert getattr(derived, f.name) == getattr(fresh, f.name), f.name
     assert reference_edge_set(derived) == reference_edge_set(fresh)
 
 
@@ -490,13 +517,20 @@ def rarest_token_parents(a_sigs, p_sigs, dep_mode):
 def test_groups_and_parents_match_a_per_skill_reference(lib, dep_mode, data):
     shuffled = data.draw(st.permutations(lib))
     g = build_hseg(shuffled, dep_mode=dep_mode)
-    assert list(g._iface_groups.items()) == reference_groups(
+    groups = decoded(g)
+    assert groups["iface"] == reference_groups(
         lib, lambda s: (s.preconditions, s.artifact_types))
-    assert list(g._a_groups.items()) == reference_groups(lib, lambda s: s.artifact_types)
-    assert list(g._p_groups.items()) == reference_groups(lib, lambda s: s.preconditions)
-    # the join keeps each parent list in _a_groups order, keyed as _p_groups
-    want = rarest_token_parents(list(g._a_groups), list(g._p_groups), dep_mode)
-    assert list(g._parent_sigs.items()) == list(want.items())
+    assert groups["a"] == reference_groups(lib, lambda s: s.artifact_types)
+    assert groups["p"] == reference_groups(lib, lambda s: s.preconditions)
+    # each position's column names its own interface, and an interface is
+    # flagged self-fed exactly when its artifacts feed its preconditions
+    assert [(g._p_sigs[g._iface_p[k]], g._a_sigs[g._iface_a[k]]) for k in g._iface] == [
+        (s.preconditions, s.artifact_types) for s in g.nodes.values()]
+    assert list(g._self_fed) == [g._dep_sig(a, p) for p, a in dict(groups["iface"])]
+    # the join keeps each parent list in artifact-number order, keyed in
+    # precondition-number order
+    want = rarest_token_parents(list(g._a_sigs), list(g._p_sigs), dep_mode)
+    assert groups["parents"] == list(want.items())
 
     # goal groups are no field and are built on first use, here and on a
     # derived graph, as a fresh walk over its nodes would build them

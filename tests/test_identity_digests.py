@@ -1,5 +1,6 @@
 """scripts/identity_digests.py against its committed expected lines, on the
-first library's load, plan, rank and diagnose cases."""
+first library's load, plan, rank and diagnose cases and on the wide
+library's health, CGPD and maintain cases in both dep modes."""
 
 import os
 import subprocess
@@ -7,7 +8,9 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-PREFIXES = tuple(f"{kind}/lib200-0.0-0/" for kind in ("load", "plan", "rank", "diagnose"))
+PREFIXES = tuple(
+    f"{kind}/lib200-0.0-0/" for kind in ("load", "plan", "rank", "diagnose")
+) + ("wide/wide2000-0.3-42/",)
 
 
 def test_a_subset_of_the_identity_matrix_prints_the_committed_lines():
@@ -15,7 +18,7 @@ def test_a_subset_of_the_identity_matrix_prints_the_committed_lines():
         line for line in (SCRIPTS / "identity_digests.txt").read_text().splitlines()
         if line.startswith(PREFIXES)
     ]
-    assert len(expected) == 25
+    assert len(expected) == 43
     argv = [sys.executable, str(SCRIPTS / "identity_digests.py")]
     for prefix in PREFIXES:
         argv += ["--only", prefix]
