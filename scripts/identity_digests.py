@@ -23,9 +23,9 @@ The matrix covers:
                 over trace on/off x dep mode x comp threshold {0, 0.3, 0.6}
                 x CGPD on/off x force on/off; and with default settings on
                 the mixed trace below at windows 3 and 100; on the second
-                library also ``restrict-export``: ``Hseg.export()`` of the
-                graph ``Hseg._restrict`` derives for the default
-                maintenance output, whose goal groups it builds on use
+                library also ``restrict-export``: ``Hseg.export()`` of a
+                fresh ``build_hseg`` of the default maintenance output,
+                its shims included
   diagnose      the ``library_health`` JSON at windows 100 and 3, on the
                 probe trace and on a mixed trace (pseudo-random outcomes,
                 interleaved skills, ids outside the library), the CGPD
@@ -352,11 +352,13 @@ def cases(prefixes=()):
             if wanted(f"plan/{lib_name}/") or (
                 second and wanted(f"maintain/{lib_name}/restrict-export")
             ):
-                maintained, _ = run_maintenance(lib, trace, MaintenanceConfig())
+                default = MaintenanceConfig()
+                maintained, _ = run_maintenance(lib, trace, default)
                 if second:
-                    derived = g._restrict(maintained.skills, maintained.adapters)
+                    after = build_hseg(maintained.skills, default.comp_threshold,
+                                       default.dep_mode, maintained.adapters)
                     yield (f"maintain/{lib_name}/restrict-export",
-                           _digest(_json(derived.export())))
+                           _digest(_json(after.export())))
                 tasks = _plan_tasks(lib, provenance, seed)
                 stateless = [replace(task, state_facts=frozenset()) for task in tasks]
                 for plan_name, plan_lib, plan_tasks in (("raw", lib, tasks),

@@ -668,6 +668,9 @@ def _eval_condition(lib: Library, queries, k: int) -> dict:
     query's text, its top k ids and whether one of them is relevant, so a
     miss can be traced to its query.
     """
+    # checked once here, so an empty query list refuses a bad k too
+    if k < 1:
+        raise ConfigInvalid("k must be positive")
     # the shortlist bounds the ranking, so it must hold at least k ids
     cfg = PlannerConfig(bm25_k=max(k, PlannerConfig().bm25_k))
     per_query, reciprocal_ranks, recalls, entries = [], [], [], []

@@ -10,12 +10,10 @@ Each skill gets five signals in [0, 1]:
   G  1 exactly when the skill has no validator checklist
 
 U and F come from one pass over the trace from its newest entry back, which
-counts each skill's successes and calls until its window is full.  They
-depend on nothing but the skill's id, so a maintained library, whose skills
-keep their ids, reuses them from the input's diagnosis.  R and C depend only
-on the skill's interface, bridging aside, so they are computed once per
-interface number of the graph and read through each skill's interface
-number; C is redone for the skills a shim bridges.
+counts each skill's successes and calls until its window is full.  R and C
+depend only on the skill's interface, bridging aside, so they are computed
+once per interface number of the graph and read through each skill's
+interface number; C is redone for the skills a shim bridges.
 
 Library health H is the weighted per-skill score averaged over the library,
 debt is 1 - H.  Under uniform weights H equals 1 minus the mean local risk.
@@ -193,25 +191,7 @@ def library_health(
     if not skills:
         raise EmptyLibrary("cannot diagnose an empty library")
     per_skill = _vectors(skills, g, _usage_rates(trace, skills, window))
-    return _report(per_skill, weights, window)
-
-
-def _rediagnosed(lib: Library, g: Hseg, before: LibraryHealthReport) -> LibraryHealthReport:
-    """library_health(lib, g, trace, before.weights, before.window) for a
-    library whose every skill `before` diagnosed against the same trace.
-    A skill's U and F read only its own window of the trace, so they are
-    taken from `before`; R, C and G are computed afresh over g."""
-    old = before.per_skill
-    rates = ((old[s.id].U, old[s.id].F) for s in lib.skills)
-    return _report(_vectors(lib.skills, g, rates), before.weights, before.window)
-
-
-def _report(
-    per_skill: dict[str, HealthVector], weights: HealthWeights, window: int
-) -> LibraryHealthReport:
-    h = math.fsum(skill_score(hv, weights) for hv in per_skill.values()) / len(
-        per_skill
-    )
+    h = math.fsum(skill_score(hv, weights) for hv in per_skill.values()) / len(per_skill)
     return LibraryHealthReport(
         per_skill=per_skill, H=h, debt=1.0 - h, weights=weights, window=window
     )

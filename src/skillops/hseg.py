@@ -24,12 +24,11 @@ number, ascending.  It is built once between signatures by a
 set-containment join over token -> precondition-number posting sets (a dep
 pair always shares a token).  _tally sums each interface's dep/comp counts
 from it once and flags the interfaces whose artifacts feed their own
-preconditions; a fresh build and a restriction share it.  Health and CGPD
-read these arrays directly.  Id views (clusters, counts by id, edge
-listings) decode them on demand; the goal groups and the id tuples per
-interface are built on first use and kept outside the dataclass fields.
-Above a comp threshold of 0, edge listings visit only signature pairs that
-share a token.
+preconditions.  build_hseg is the only builder of these arrays; health and
+CGPD read them directly.  Id views (clusters, counts by id, edge listings)
+decode them on demand; the goal groups and the id tuples per interface are
+built on first use and kept outside the dataclass fields.  Above a comp
+threshold of 0, edge listings visit only signature pairs that share a token.
 """
 
 from __future__ import annotations
@@ -65,15 +64,13 @@ def _ints() -> array:
 
 @dataclass
 class Hseg:
-    """Built by build_hseg, or derived from another graph by _restrict;
-    treat as immutable once constructed.  `nodes` maps each skill id to its
-    contract in ascending id order, and `adapters` holds the shims the
-    graph was built with, in the order given.  Both ways lay out the same
-    numbered arrays (see the module docstring), then tally the counts and
-    register the adapters the same way, so a derived graph equals a fresh
-    build of its skills field for field.  The goal groups, the id tuples
-    per interface and the id -> position map are not fields: they are built
-    on first use, so eq, repr and dataclasses.fields never see them."""
+    """Built by build_hseg; treat as immutable once constructed.  `nodes`
+    maps each skill id to its contract in ascending id order, and
+    `adapters` holds the shims the graph was built with, in the order given.
+    The other fields are the numbered arrays of the module docstring.  The
+    goal groups, the id tuples per interface and the id -> position map are
+    not fields: they are built on first use, so eq, repr and
+    dataclasses.fields never see them."""
 
     nodes: dict[str, SkillContract]
     comp_threshold: float
@@ -260,27 +257,7 @@ class Hseg:
             pairs.extend((s, d) for s in a_ids[a] for d in p_ids[q] if s != d)
         return sorted(pairs)
 
-    # ---- derivation ------------------------------------------------------
-
-    def _lay_out(self, col: array, a_keys: list, p_keys: list) -> tuple[list, list]:
-        """Set the columns and member CSRs from each position's interface
-        number (col, interfaces numbered in order of first member) and each
-        interface's artifact and precondition keys.  Equal keys share a
-        number, given in order of first interface, which is the order of
-        first member.  Returns the distinct keys of each side by number."""
-        a_of: dict = {}
-        p_of: dict = {}
-        self._iface = col
-        self._iface_a = iface_a = array("i", [a_of.setdefault(k, len(a_of)) for k in a_keys])
-        self._iface_p = array("i", [p_of.setdefault(k, len(p_of)) for k in p_keys])
-        iface_rows: list[list[int]] = [[] for _ in a_keys]
-        a_rows: list[list[int]] = [[] for _ in a_of]
-        for i, k in enumerate(col):
-            iface_rows[k].append(i)
-            a_rows[iface_a[k]].append(i)
-        self._iface_start, self._iface_members = _csr(iface_rows)
-        self._a_start, self._a_members = _csr(a_rows)
-        return list(a_of), list(p_of)
+    # ---- construction ----------------------------------------------------
 
     def _tally(self) -> None:
         """Sum each interface's incident dep and comp counts from the dep
@@ -351,50 +328,6 @@ class Hseg:
                 bridged[shim.dst] = bridged.get(shim.dst, 0) + 1
         self._bridged_counts = bridged
         self._bridges = bridges
-
-    def _restrict(self, survivors, adapters) -> Hseg:
-        """The graph build_hseg(survivors, ..., adapters) returns, derived
-        from this one, equal to it field for field.  Each survivor must be a
-        node here with the same interface and goal, as every maintenance
-        action guarantees.
-
-        Dep and comp hold between signatures whatever skills carry them, so
-        this keeps the surviving positions, renumbers the interfaces and
-        signatures that keep a member in order of first surviving member,
-        and keeps each parent list minus the dropped signatures, renumbered
-        and sorted; _tally then sums the counts from the new group sizes.
-        It builds no postings, runs no subset test and hashes no body."""
-        alive = {s.id: s for s in survivors}
-        nodes = {}
-        new_k = [-1] * len(self._iface_a)
-        old_ks: list[int] = []  # new interface number -> old
-        col = array("i")
-        for sid, k in zip(self.nodes, self._iface):
-            s = alive.get(sid)
-            if s is None:
-                continue
-            nodes[sid] = s
-            if new_k[k] < 0:
-                new_k[k] = len(old_ks)
-                old_ks.append(k)
-            col.append(new_k[k])
-        g = Hseg(nodes=nodes, comp_threshold=self.comp_threshold, dep_mode=self.dep_mode)
-        old_as, old_ps = g._lay_out(
-            col, [self._iface_a[k] for k in old_ks], [self._iface_p[k] for k in old_ks]
-        )
-        g._a_sigs = tuple([self._a_sigs[a] for a in old_as])
-        g._p_sigs = tuple([self._p_sigs[q] for q in old_ps])
-        new_a = [-1] * len(self._a_sigs)
-        for j, a in enumerate(old_as):
-            new_a[a] = j
-        start, parents = self._parent_start, self._parents
-        g._parent_start, g._parents = _csr([
-            sorted([new_a[a] for a in parents[start[q]:start[q + 1]] if new_a[a] >= 0])
-            for q in old_ps
-        ])
-        g._tally()
-        g._register(adapters)
-        return g
 
     def export(self) -> dict:
         """Nodes in id order, edges sorted by (kind, src, dst), and each
@@ -493,7 +426,6 @@ def build_hseg(
         counts = Counter(s.id for s in skills)
         raise DuplicateSkillId(", ".join(sorted(i for i, n in counts.items() if n > 1)))
 
-    g = Hseg(nodes=nodes, comp_threshold=comp_threshold, dep_mode=dep_mode)
     iface_of: dict[tuple, int] = {}
     col = []
     for s in nodes.values():
@@ -502,12 +434,30 @@ def build_hseg(
         if k is None:
             k = iface_of[key] = len(iface_of)
         col.append(k)
-    a_sigs, p_sigs = g._lay_out(
-        array("i", col), [a for _, a in iface_of], [p for p, _ in iface_of]
-    )
-    g._a_sigs, g._p_sigs = tuple(a_sigs), tuple(p_sigs)
-    g._parent_start, g._parents = _csr(_dep_parents(a_sigs, p_sigs, dep_mode == "subset"))
+    # equal signatures share a number, given in order of first interface,
+    # which is the order of first member
+    a_of: dict[frozenset, int] = {}
+    p_of: dict[frozenset, int] = {}
+    iface_a = array("i", [a_of.setdefault(a, len(a_of)) for _, a in iface_of])
+    iface_p = array("i", [p_of.setdefault(p, len(p_of)) for p, _ in iface_of])
+    iface_rows: list[list[int]] = [[] for _ in iface_of]
+    a_rows: list[list[int]] = [[] for _ in a_of]
+    for i, k in enumerate(col):
+        iface_rows[k].append(i)
+        a_rows[iface_a[k]].append(i)
+    a_sigs, p_sigs = tuple(a_of), tuple(p_of)
+    iface_start, iface_members = _csr(iface_rows)
+    a_start, a_members = _csr(a_rows)
+    parent_start, parents = _csr(_dep_parents(a_sigs, p_sigs, dep_mode == "subset"))
 
+    g = Hseg(
+        nodes=nodes, comp_threshold=comp_threshold, dep_mode=dep_mode,
+        _iface=array("i", col), _iface_a=iface_a, _iface_p=iface_p,
+        _a_sigs=a_sigs, _p_sigs=p_sigs,
+        _iface_start=iface_start, _iface_members=iface_members,
+        _a_start=a_start, _a_members=a_members,
+        _parent_start=parent_start, _parents=parents,
+    )
     g._tally()
     g._register(adapters)
     return g

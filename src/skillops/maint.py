@@ -15,8 +15,7 @@ stage leaves is the output.  One typed graph, built from the input, serves
 every stage, because no action changes a skill's interface, goal or body,
 and after the merge stage no two skills share a body: a stage's siblings
 are the graph's red clusters, restricted to the skills that survive.  The
-same graph, restricted to the output, and the input's diagnosis give the
-output's health without diagnosing it again.
+output's health is a fresh diagnosis of the output, over its own graph.
 Replaying the action list one action at a time with apply_action on the
 input library reproduces the output exactly, which the test suite checks.
 Red clusters whose members disagree on body are never merged; they are
@@ -53,7 +52,6 @@ from skillops.health import (
     HealthWeights,
     LibraryHealthReport,
     _check_window,
-    _rediagnosed,
     library_health,
 )
 from skillops.hseg import Hseg, build_hseg
@@ -530,13 +528,12 @@ def _plan_adapters(g: Hseg, work: Library) -> list[MaintenanceAction]:
 
 def _plan(
     lib: Library, trace: ExecutionTrace, cfg: MaintenanceConfig
-) -> tuple[MaintenancePlan, Library, Hseg]:
+) -> tuple[MaintenancePlan, Library]:
     """Diagnose the library, plan every stage and apply it to a shadow copy.
 
-    Returns the plan, the shadow library the actions produce (the input
-    object itself when no action changes anything) and the input's graph.
-    Planning builds that one graph.  It serves every stage, and the output's
-    diagnosis, because of two invariants:
+    Returns the plan and the shadow library the actions produce (the input
+    object itself when no action changes anything).  Planning builds one
+    graph, of the input.  It serves every stage because of two invariants:
 
     - No action changes a skill's interface, goal or body (merge keeps the
       kept skill's body, repair touches only artifact_dirs, add_validator
@@ -587,7 +584,7 @@ def _plan(
         cgpd_triggered=triggered,
         gated=gated,
     )
-    return plan, work, g
+    return plan, work
 
 
 def plan_actions(
@@ -625,8 +622,7 @@ def run_maintenance(
     trace: ExecutionTrace = EMPTY_TRACE,
     cfg: MaintenanceConfig = MaintenanceConfig(),
 ) -> tuple[Library, MaintenanceReport]:
-    """One full maintenance pass: plan, apply, and derive the output's
-    health from the input's diagnosis.
+    """One full maintenance pass: plan, apply, and diagnose the output.
 
     With force off and debt below the gate nothing is planned and the report
     says so; otherwise every planned action is applied in order and the
@@ -634,22 +630,17 @@ def run_maintenance(
     pass leaves the library object untouched (a gated pass, or one whose
     actions all no-op, such as a second pass) H_after is H_before: the same
     diagnosis of the same library and graph gives the same number.
-
-    Otherwise H_after is what a fresh graph and health report of the output
-    would give, bit for bit, derived without building either.  The output's
-    skills keep their ids, interfaces and goals (see _plan), so its graph is
-    the input's restricted to them, with its shims registered, and each
-    skill's U and F, read from its own window of the same trace, are the
-    input diagnosis's.  Only R, C and G are computed again.
+    Otherwise H_after comes from a fresh graph of the output, its shims
+    registered, and a fresh health report over the same trace.
     """
-    plan, work, g = _plan(lib, trace, cfg)
+    plan, work = _plan(lib, trace, cfg)
     counts = {kind: 0 for kind in ACTION_KINDS}
     for a in plan.actions:
         counts[a.kind] += 1
     H_after = plan.health_before.H
     if work is not lib:
-        g_after = g._restrict(work.skills, work.adapters)
-        H_after = _rediagnosed(work, g_after, plan.health_before).H
+        g_after = build_hseg(work.skills, cfg.comp_threshold, cfg.dep_mode, work.adapters)
+        H_after = library_health(work, g_after, trace, cfg.weights, cfg.window).H
     report = MaintenanceReport(
         size_before=len(lib),
         size_after=len(work),

@@ -3,6 +3,7 @@ CLI entry point."""
 
 import codecs
 import importlib.util
+import io
 import json
 import os
 import re
@@ -1597,6 +1598,104 @@ def test_bytes_that_are_not_utf8_name_their_file(tmp_path, capsys, kind, error, 
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
+def _open_spy(monkeypatch):
+    """The normalized absolute path of every file os.open or open is asked
+    for from now on.  A path relative to a dir_fd is joined to the path that
+    descriptor was opened with."""
+    opened = []
+    fd_paths = {}
+    real_os_open, real_open = os.open, io.open
+
+    def spy_os_open(path, flags, mode=0o777, *, dir_fd=None):
+        base = os.getcwd() if dir_fd is None else fd_paths.get(dir_fd, "<unknown fd>")
+        full = os.path.normpath(os.path.join(base, os.fsdecode(path)))
+        opened.append(full)
+        fd = real_os_open(path, flags, mode, dir_fd=dir_fd)
+        fd_paths[fd] = full
+        return fd
+
+    def spy_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            opened.append(os.path.abspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(io, "open", spy_open)
+    monkeypatch.setattr("builtins.open", spy_open)
+    return opened
+
+
+def _first_entry(**fields):
+    return lambda m, outside: m["skills"][0].update(fields)
+
+
+def _first_path(change):
+    return lambda m, outside: m["skills"][0].update(path=change(m["skills"][0]["path"]))
+
+
+# manifest.json rewrites of a saved library, each as fn(manifest, outside),
+# where outside is the path of a skill file copied out of the library
+MANIFEST_REWRITES = {
+    "skills-dict": lambda m, _: m.update(skills={e["id"]: e for e in m["skills"]}),
+    "skills-string": lambda m, _: m.update(skills="skills"),
+    "skills-empty": lambda m, _: m.update(skills=[]),
+    "entry-list": lambda m, _: m["skills"].__setitem__(0, list(m["skills"][0].values())),
+    "entry-repeated": lambda m, _: m["skills"].append(m["skills"][0]),
+    "path-none": _first_entry(path=None),
+    "path-empty": _first_entry(path=""),
+    "path-absolute": lambda m, outside: m["skills"][0].update(path=str(outside)),
+    "path-dotdot": _first_entry(path="skills/../../outside/SKILL.md"),
+    "path-nul": _first_path(lambda p: p + "\0"),
+    "path-trailing-slash": _first_path(lambda p: p.removesuffix("SKILL.md")),
+    "path-directory": _first_path(lambda p: p.removesuffix("/SKILL.md")),
+    "path-missing": _first_path(lambda p: p.replace("SKILL.md", "MISSING.md")),
+    "path-5000-chars": _first_entry(path="skills/" + "x" * 5000),
+    "id-not-its-file": _first_entry(id="not-its-file"),
+    "provenance-int": _first_entry(provenance=1),
+    "adapters-null": lambda m, _: m.update(adapters=None),
+    "adapter-bad-fields": lambda m, _: m.update(adapters=[
+        {"src": 1, "dst": m["skills"][1]["id"], "path": m["skills"][0]["path"]}]),
+    "adapter-outside-the-library": lambda m, _: m.update(adapters=[
+        {"src": "ghost-a", "dst": "ghost-b", "path": m["skills"][0]["path"]}]),
+    "format-version-string": lambda m, _: m.update(format_version="1"),
+}
+
+
+@pytest.mark.parametrize("case", MANIFEST_REWRITES)
+def test_cli_commands_on_a_rewritten_manifest(tmp_path, capsys, monkeypatch, case):
+    lib, prov = build_library(12, 0.5, 3)
+    libdir, outdir = tmp_path / "lib", tmp_path / "out"
+    save_library(lib, libdir, prov)
+    save_library(lib, outdir, prov)
+    outside = tmp_path / "outside" / "SKILL.md"
+    outside.parent.mkdir()
+    outside.write_bytes((libdir / "skills" / lib.skills[0].id / "SKILL.md").read_bytes())
+    manifest = json.loads((libdir / "manifest.json").read_text())
+    MANIFEST_REWRITES[case](manifest, outside)
+    (libdir / "manifest.json").write_text(json.dumps(manifest))
+    saved = {p: p.read_bytes() for p in outdir.rglob("*") if p.is_file()}
+
+    opened = _open_spy(monkeypatch)
+    codes = (
+        main(["diagnose", "--lib", str(libdir)]),
+        main(["maintain", "--lib", str(libdir), "--out", str(outdir)]),
+        main(["plan", "--lib", str(libdir), "--goal", lib.skills[0].goal]),
+    )
+    monkeypatch.undo()
+    capsys.readouterr()
+    # only shims naming skills the library lacks still load, and plan then
+    # exits 1, as it does on the untouched library
+    assert codes == ((0, 0, 1) if case == "adapter-outside-the-library" else (2, 2, 2))
+    if codes[1] != 0:
+        assert {p: p.read_bytes() for p in outdir.rglob("*") if p.is_file()} == saved
+    strays = [
+        path for path in opened
+        if not any(path == str(root) or path.startswith(f"{root}{os.sep}")
+                   for root in (libdir, outdir))
+    ]
+    assert opened and not strays
+
+
 def test_cli_plan_infeasible_exits_one(tmp_path, capsys):
     a = _skill("only", ["never-true"], ["out"])
     libdir = str(tmp_path / "lib")
@@ -1624,6 +1723,23 @@ def test_cli_eval_retrieval(tmp_path, capsys):
     assert code == 0
     assert payload["n"] == 4
     assert payload["precision_at_k"] == 0.0  # decoys win before maintenance
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("lines", [0, 1])
+def test_cli_eval_retrieval_refuses_k_below_one_whatever_the_queries(
+    tmp_path, capsys, k, lines
+):
+    lib, queries = build_retrieval_scenario(2)
+    libdir = str(tmp_path / "lib")
+    save_library(lib, libdir)
+    qfile = tmp_path / "queries.jsonl"
+    qfile.write_text("".join(json.dumps({"query": q, "relevant": sorted(rel)}) + "\n"
+                             for q, rel in queries[:lines]))
+    code = main(["eval-retrieval", "--lib", libdir, "--queries", str(qfile), "--k", str(k)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: k must be positive\n"
 
 
 def test_cli_eval_retrieval_reads_a_query_file_with_a_byte_order_mark(tmp_path, capsys):

@@ -382,13 +382,13 @@ def oracle_counts(skills, adapters, threshold, dep_mode):
 @pytest.mark.parametrize("dep_mode, threshold", GRAPH_CONFIGS)
 def test_generated_library_counts_match_oracle(generated_library, dep_mode, threshold):
     # clone-heavy: many interfaces feed themselves and hold many members.
-    # Checked on a fresh build and on the graph _restrict derives for the
-    # maintained library, whose shims bridge dep-only pairs
+    # Checked on the library and on its maintained output, whose shims
+    # bridge dep-only pairs
     lib = Library(skills=tuple(generated_library))
-    g = build_hseg(lib.skills, threshold, dep_mode)
     cfg = MaintenanceConfig(force=True, comp_threshold=threshold, dep_mode=dep_mode)
     out, _ = run_maintenance(lib, EMPTY_TRACE, cfg)
-    for graph, kept in ((g, lib), (g._restrict(out.skills, out.adapters), out)):
+    for kept in (lib, out):
+        graph = build_hseg(kept.skills, threshold, dep_mode, kept.adapters)
         got = {s.id: graph.incident_dep_counts(s.id) for s in kept.skills}
         assert got == oracle_counts(kept.skills, kept.adapters, threshold, dep_mode)
 
@@ -443,46 +443,6 @@ def test_parents_and_clusters_match_oracle(lib):
                     assert (x, y, "red") in edges
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    libraries(),
-    st.sampled_from(["subset", "overlap"]),
-    st.sampled_from([0.0, 0.3, 0.5, 0.6]),  # 0.5 is a jaccard value drawn skills reach
-    st.data(),
-)
-def test_restrict_equals_a_fresh_build_of_the_survivors(lib, dep_mode, threshold, data):
-    ids = [s.id for s in lib]
-
-    def shims():
-        drawn = data.draw(st.lists(
-            st.tuples(st.sampled_from(ids), st.sampled_from(ids), _tags), max_size=6,
-        ))
-        return tuple(
-            AdapterShim(src=a, dst=b, contract=skill(f"adapt--{a}--{b}", art=t))
-            for a, b, t in drawn
-        )
-
-    before = shims()
-    g = build_hseg(lib, threshold, dep_mode, before)
-    keep = data.draw(st.sets(st.sampled_from(ids), min_size=1))
-    # survivors keep interface, goal and body; some gain a checklist, as
-    # add_validator gives them
-    survivors = [
-        dataclasses.replace(s, checklist=("checked",)) if data.draw(st.booleans()) else s
-        for s in lib if s.id in keep
-    ]
-    # the old shims (some now naming a removed skill) and new ones, which may
-    # be self shims or repeat a pair
-    after = before + shims()
-    derived = g._restrict(survivors, after)
-    fresh = build_hseg(survivors, threshold, dep_mode, after)
-    assert list(derived.nodes) == list(fresh.nodes)
-    assert all(derived.nodes[s.id] is s for s in survivors)
-    for f in dataclasses.fields(Hseg):
-        assert getattr(derived, f.name) == getattr(fresh, f.name), f.name
-    assert reference_edge_set(derived) == reference_edge_set(fresh)
-
-
 def reference_groups(skills, key):
     """(key, members) pairs from one walk over the skills in id order:
     members ascending, keys in order of first member."""
@@ -532,16 +492,10 @@ def test_groups_and_parents_match_a_per_skill_reference(lib, dep_mode, data):
     want = rarest_token_parents(list(g._a_sigs), list(g._p_sigs), dep_mode)
     assert groups["parents"] == list(want.items())
 
-    # goal groups are no field and are built on first use, here and on a
-    # derived graph, as a fresh walk over its nodes would build them
+    # goal groups are no field and are built on first use, as a fresh walk
+    # over the nodes would build them
     assert "_goal_groups" not in {f.name for f in dataclasses.fields(Hseg)}
     assert "_goal_groups" not in vars(g)
     twin = build_hseg(lib, dep_mode=dep_mode)
     assert list(g._goal_groups.items()) == reference_groups(lib, lambda s: s.goal)
     assert g == twin  # a built cache does not enter eq
-    keep = data.draw(st.sets(st.sampled_from([s.id for s in lib]), min_size=1))
-    survivors = [s for s in lib if s.id in keep]
-    derived = g._restrict(survivors, ())
-    assert "_goal_groups" not in vars(derived)
-    assert list(derived._goal_groups.items()) == reference_groups(
-        survivors, lambda s: s.goal)

@@ -1,6 +1,7 @@
 """scripts/identity_digests.py against its committed expected lines, on the
-first library's load, plan, rank and diagnose cases and on the wide
-library's health, CGPD and maintain cases in both dep modes."""
+first library's load, plan, rank and diagnose cases, on every maintain case
+of the noisy second library, and on the wide library's health, CGPD and
+maintain cases in both dep modes."""
 
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 PREFIXES = tuple(
     f"{kind}/lib200-0.0-0/" for kind in ("load", "plan", "rank", "diagnose")
-) + ("wide/wide2000-0.3-42/",)
+) + ("maintain/lib500-0.6-42/", "wide/wide2000-0.3-42/")
 
 
 def test_a_subset_of_the_identity_matrix_prints_the_committed_lines():
@@ -18,7 +19,7 @@ def test_a_subset_of_the_identity_matrix_prints_the_committed_lines():
         line for line in (SCRIPTS / "identity_digests.txt").read_text().splitlines()
         if line.startswith(PREFIXES)
     ]
-    assert len(expected) == 43
+    assert len(expected) == 94
     argv = [sys.executable, str(SCRIPTS / "identity_digests.py")]
     for prefix in PREFIXES:
         argv += ["--only", prefix]
