@@ -33,6 +33,7 @@ import stat
 import sys
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from skillops.cgpd import CgpdConfig, propagate, trigger_set
@@ -70,7 +71,6 @@ from skillops.planner import (
     NoFeasiblePlan,
     PlannerConfig,
     TaskSpec,
-    TraceEntry,
     build_plan,
     grade_plan,
     plan_action_strings,
@@ -423,29 +423,32 @@ def load_library(path: str | Path) -> tuple[Library, dict[str, str]]:
 
 def save_trace(trace: ExecutionTrace, path: str | Path) -> None:
     lines = []
-    for e in trace.entries:
-        obj = {
-            "task_id": e.task_id,
-            "skill_id": e.skill,
-            "step": e.step,
-            "outcome": e.outcome,
-        }
-        if e.error_code is not None:
-            obj["error_code"] = e.error_code
+    for task_id, skill, step, outcome, error_code in zip(
+        trace.task_ids, trace.skills, trace.steps, trace.outcomes, trace.error_codes
+    ):
+        obj = {"task_id": task_id, "skill_id": skill, "step": step, "outcome": outcome}
+        if error_code is not None:
+            obj["error_code"] = error_code
         lines.append(json.dumps(obj, sort_keys=True))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+# A trace's five columns, as the readers below return them and
+# ExecutionTrace._from_columns takes them.
+_TraceColumns = tuple[list[str], list[str], list[int], list[str], list[str | None]]
+
 # The lines save_trace writes: json.dumps(entry, sort_keys=True), so the
 # keys in sorted order after ", " and ": ", error_code only when it is not
 # None, and LF after each line.  A string free of escapes and control
-# characters is its own value.  A step is JSON integer syntax in ASCII
-# digits, at most 18 of them, so int() never meets its digit limit.  ^ and
-# the closing \n hold each match to one whole line, and no group can hold
-# a CR or LF, so a text matches one way or not at all.
-_TRACE_STR = r'"([^"\\\x00-\x1f]*)"'
+# characters is its own value.  The error_code group keeps the quotes, so
+# an empty code ("") differs from an absent one (no match).  A step is JSON
+# integer syntax in ASCII digits, at most 18 of them, so int() never meets
+# its digit limit.  ^ and the closing \n hold each match to one whole line,
+# and no group can hold a CR or LF, so a text matches one way or not at all.
+_TRACE_CHARS = r'[^"\\\x00-\x1f]*'
+_TRACE_STR = rf'"({_TRACE_CHARS})"'
 _TRACE_LINE_RE = re.compile(
-    rf'^\{{(?:"error_code": {_TRACE_STR}, )?'
+    rf'^\{{(?:"error_code": ("{_TRACE_CHARS}"), )?'
     rf'"outcome": "({"|".join(map(re.escape, OUTCOMES))})", '
     rf'"skill_id": {_TRACE_STR}, '
     r'"step": (-?(?:0|[1-9][0-9]{0,17})), '
@@ -454,35 +457,39 @@ _TRACE_LINE_RE = re.compile(
 )
 
 
-def _canonical_entries(text: str) -> tuple[TraceEntry, ...] | None:
-    """The entries of a trace in save_trace's layout, built from one
+def _canonical_columns(text: str) -> _TraceColumns | None:
+    """The columns of a trace in save_trace's layout, filled from one
     finditer pass of _TRACE_LINE_RE; None unless every line matches.  What
     it returns is what _trace_lines returns for the same text.  Neither
-    judges step order: the ExecutionTrace built from them does.  Each line
-    leaves one object the cyclic collector tracks, its entry, built by
-    tuple.__new__ without the Python-level __new__ a NamedTuple call runs.
-    A text whose first line does not match (a trace in another layout
-    throughout, such as CRLF line ends) returns before the pass, which
-    would find no line start to match and so try every position of the
-    text."""
+    judges step order: the ExecutionTrace built from them does.  A line
+    leaves no object the cyclic collector tracks: its match and groups
+    tuple are freed before the next line, and its fields go straight into
+    the five lists.  A text whose first line does not match (a trace in
+    another layout throughout, such as CRLF line ends) returns before the
+    pass, which would find no line start to match and so try every
+    position of the text."""
     if text and (text[-1] != "\n" or _TRACE_LINE_RE.match(text) is None):
         return None
-    entries = []
-    append = entries.append
+    columns = task_ids, skills, steps, outcomes, error_codes = [], [], [], [], []
     for m in _TRACE_LINE_RE.finditer(text):
         error_code, outcome, skill, step, task_id = m.groups()
-        append(tuple.__new__(TraceEntry, (task_id, skill, int(step), outcome, error_code)))
-    if len(entries) != text.count("\n"):
+        task_ids.append(task_id)
+        skills.append(skill)
+        steps.append(int(step))
+        outcomes.append(outcome)
+        error_codes.append(error_code[1:-1] if error_code else None)
+    if len(task_ids) != text.count("\n"):
         return None
-    return tuple(entries)
+    return columns
 
 
-def _trace_lines(text: str) -> tuple[TraceEntry, ...]:
+def _trace_lines(text: str) -> _TraceColumns:
     """The line parser behind load_trace: it reads every JSON-lines layout
-    and raises every MalformedTraceLine load_trace raises.  It does not
-    judge step order; the ExecutionTrace built from its entries does, so a
-    malformed line anywhere wins over a step out of order."""
-    entries = []
+    into the trace's five columns and raises every MalformedTraceLine
+    load_trace raises.  It does not judge step order; the ExecutionTrace
+    built from its columns does, so a malformed line anywhere wins over a
+    step out of order."""
+    columns = task_ids, skills, steps, outcomes, error_codes = [], [], [], [], []
     for line_no, obj in _json_objects(text, MalformedTraceLine):
         try:
             task_id, skill, step, outcome = (
@@ -500,8 +507,12 @@ def _trace_lines(text: str) -> tuple[TraceEntry, ...]:
         error_code = obj.get("error_code")
         if error_code is not None and not isinstance(error_code, str):
             raise MalformedTraceLine(line_no, "error_code must be a string or null")
-        entries.append(TraceEntry(task_id, skill, step, outcome, error_code))
-    return tuple(entries)
+        task_ids.append(task_id)
+        skills.append(skill)
+        steps.append(step)
+        outcomes.append(outcome)
+        error_codes.append(error_code)
+    return columns
 
 
 def load_trace(path: str | Path) -> ExecutionTrace:
@@ -510,19 +521,22 @@ def load_trace(path: str | Path) -> ExecutionTrace:
     string, names an unknown outcome, has a step that is not an integer
     (JSON true and false included) or an error_code that is neither a
     string nor null.  Once every line has parsed, the ExecutionTrace built
-    from the entries raises SkillOpsError if steps do not strictly increase
-    within a task.
+    from the columns raises SkillOpsError if steps do not strictly increase
+    within a task.  Both readers fill the trace's columns directly, so a
+    load builds no per-call object.
 
     The file is read once.  A trace in save_trace's layout whose strings
     hold no escapes, which is every trace save_trace writes for ids and
     error codes of printable ASCII, takes one regex pass
-    (_canonical_entries).  Any other text (CR line ends, blank lines, other
+    (_canonical_columns).  Any other text (CR line ends, blank lines, other
     key orders or spacing, escapes, a null error_code, long steps) and
     every text with a malformed line pays at most that pass, then goes to
     the line parser, which alone raises MalformedTraceLine."""
     text = _read_text(path, MalformedTraceLine)
-    entries = _canonical_entries(text)
-    return ExecutionTrace(entries=entries if entries is not None else _trace_lines(text))
+    columns = _canonical_columns(text)
+    if columns is None:
+        columns = _trace_lines(text)
+    return ExecutionTrace._from_columns(*columns)
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +608,18 @@ def exercise_library(lib: Library, calls: int = 4) -> ExecutionTrace:
     """Probe every skill a fixed number of times through the simulated
     executor and return the combined trace.  One verdict serves all of a
     skill's calls: it reads only the contract, and this executor has no
-    scripted overrides, so every attempt ends the same way."""
+    scripted overrides, so every attempt ends the same way.  The calls go
+    straight into the trace's columns."""
     ex = SimulatedExecutor(lib)
-    entries = []
+    task_ids, skills, steps, outcomes, error_codes = [], [], [], [], []
     for s in sorted(lib.skills, key=lambda s: s.id):
         ok, err = ex.verdict(s.id)
-        task_id, outcome = f"probe-{s.id}", "success" if ok else "failure"
-        entries.extend(TraceEntry(task_id, s.id, i, outcome, err) for i in range(calls))
-    return ExecutionTrace(entries=tuple(entries))
+        task_ids += repeat(f"probe-{s.id}", calls)
+        skills += repeat(s.id, calls)
+        steps += range(calls)
+        outcomes += repeat("success" if ok else "failure", calls)
+        error_codes += repeat(err, calls)
+    return ExecutionTrace._from_columns(task_ids, skills, steps, outcomes, error_codes)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ Each skill gets five signals in [0, 1]:
   F  failure rate over the same window (0.0 when never called)
   G  1 exactly when the skill has no validator checklist
 
-U and F come from one pass over the trace from its newest entry back, which
-counts each skill's successes and calls until its window is full.  R and C
-depend only on the skill's interface, bridging aside, so they are computed
-once per interface number of the graph and read through each skill's
-interface number; C is redone for the skills a shim bridges.
+U and F come from one pass over the trace's skill and outcome columns, from
+the newest call back, which counts each skill's successes and calls until
+its window is full; no per-call entry is built.  R and C depend only on the
+skill's interface, bridging aside, so they are computed once per interface
+number of the graph and read through each skill's interface number; C is
+redone for the skills a shim bridges.
 
 Library health H is the weighted per-skill score averaged over the library,
 debt is 1 - H.  Under uniform weights H equals 1 minus the mean local risk.
@@ -103,17 +104,17 @@ def _check_window(window: int) -> None:
 
 
 def _usage_rates(trace: ExecutionTrace, skills, window: int):
-    """(U, F) of each skill in order, over its last `window` trace entries,
-    from one pass over the trace from its newest entry back that counts
-    successes and calls into two int maps."""
+    """(U, F) of each skill in order, over its last `window` calls in the
+    trace.  One pass over the trace's skill and outcome columns, newest call
+    first, counts successes and calls into two int maps."""
     ok = dict.fromkeys((s.id for s in skills), 0)
     calls = ok.copy()
-    for e in reversed(trace.entries):
-        n = calls.get(e.skill)
+    for skill, outcome in zip(reversed(trace.skills), reversed(trace.outcomes)):
+        n = calls.get(skill)
         if n is not None and n < window:
-            calls[e.skill] = n + 1
-            if e.outcome == "success":
-                ok[e.skill] += 1
+            calls[skill] = n + 1
+            if outcome == "success":
+                ok[skill] += 1
     return (
         (k / n, (n - k) / n) if n else (0.5, 0.0)
         for k, n in zip(ok.values(), calls.values())

@@ -38,7 +38,7 @@ import re
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
@@ -135,9 +135,9 @@ class Plan:
 
 
 class TraceEntry(NamedTuple):
-    """One logged invocation.  A tuple, not a frozen dataclass: traces hold
-    one entry per call, and a tuple is built without a per-field
-    ``object.__setattr__``."""
+    """One logged invocation: the row view of an ExecutionTrace.  A trace
+    stores its calls as columns and builds these tuples only when its
+    `entries` are read."""
 
     task_id: str
     skill: str
@@ -148,17 +148,44 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class ExecutionTrace:
-    """A logged run, valid by construction: building one raises
-    SkillOpsError at the first entry whose outcome is not in OUTCOMES or
-    whose step does not exceed the step of its task's previous entry.  This
-    is the one place that states the per-task step rule; load_trace's
-    readers only parse, and the trace they build judges the order."""
+    """A logged run, stored as five parallel lists, one item per call:
+    `task_ids`, `skills`, `steps`, `outcomes` and `error_codes`.  So the
+    cyclic collector tracks the trace and its five lists, not one object
+    per call.  Equality compares the columns, which is the entries'
+    equality.
 
-    entries: tuple[TraceEntry, ...] = ()
+    It is valid by construction: building one raises SkillOpsError at the
+    first call whose outcome is not in OUTCOMES or whose step does not
+    exceed the step of its task's previous call.  This is the one place
+    that states the per-task step rule, and it judges every trace, whether
+    built from entries (`ExecutionTrace(entries)`, dataclasses.replace) or
+    from columns (`_from_columns`, which load_trace's readers and
+    exercise_library fill directly); the readers only parse.
 
-    def __post_init__(self) -> None:
+    `entries` is the row view, a tuple of TraceEntry built on first read
+    and kept."""
+
+    entries: InitVar[tuple[TraceEntry, ...]] = ()
+    task_ids: list[str] = field(init=False)
+    skills: list[str] = field(init=False)
+    steps: list[int] = field(init=False)
+    outcomes: list[str] = field(init=False)
+    error_codes: list[str | None] = field(init=False)
+
+    def __post_init__(self, entries) -> None:
+        self._fill(*map(list, zip(*entries)) if entries else ([], [], [], [], []))
+
+    @classmethod
+    def _from_columns(cls, task_ids, skills, steps, outcomes, error_codes) -> ExecutionTrace:
+        """A trace over five lists of equal length, which it keeps."""
+        trace = object.__new__(cls)
+        trace._fill(task_ids, skills, steps, outcomes, error_codes)
+        return trace
+
+    def _fill(self, task_ids, skills, steps, outcomes, error_codes) -> None:
+        """Judge every call in order, then keep the columns."""
         last: dict[str, int] = {}
-        for task_id, _, step, outcome, _ in self.entries:
+        for task_id, step, outcome in zip(task_ids, steps, outcomes):
             if outcome not in OUTCOMES:
                 raise SkillOpsError(f"unknown outcome: {outcome!r}")
             if task_id in last and step <= last[task_id]:
@@ -166,6 +193,24 @@ class ExecutionTrace:
                     f"step indices must strictly increase per task: {task_id}"
                 )
             last[task_id] = step
+        self.__dict__.update(task_ids=task_ids, skills=skills, steps=steps,
+                             outcomes=outcomes, error_codes=error_codes)
+
+    def _entries(self) -> tuple[TraceEntry, ...]:
+        entries = self.__dict__.get("_rows")
+        if entries is None:
+            entries = tuple(map(TraceEntry._make, zip(
+                self.task_ids, self.skills, self.steps, self.outcomes, self.error_codes)))
+            object.__setattr__(self, "_rows", entries)
+        return entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+
+# `entries` is an InitVar, whose default __init__ has already bound, so the
+# class attribute is free to become the row view.
+ExecutionTrace.entries = property(ExecutionTrace._entries)
 
 
 EMPTY_TRACE = ExecutionTrace()

@@ -2,6 +2,7 @@
 CLI entry point."""
 
 import codecs
+import gc
 import importlib.util
 import io
 import json
@@ -37,7 +38,7 @@ from skillops.harness import (
     MalformedQueryLine,
     MalformedTraceLine,
     ManifestError,
-    _canonical_entries,
+    _canonical_columns,
     _json_objects,
     _json_text,
     _read_action_list,
@@ -57,6 +58,7 @@ from skillops.harness import (
     save_trace,
     wilson_ci,
 )
+from skillops.health import library_health
 from skillops.hseg import build_hseg
 from skillops.maint import MaintenanceConfig, make_adapter_shim, run_maintenance
 from skillops.planner import (
@@ -837,8 +839,13 @@ def _trace_outcome(read):
 
 def _line_parsed(path):
     """What the line parser alone makes of a trace file."""
-    return _trace_outcome(lambda: ExecutionTrace(
-        entries=_trace_lines(_read_text(path, MalformedTraceLine))))
+    return _trace_outcome(lambda: ExecutionTrace._from_columns(
+        *_trace_lines(_read_text(path, MalformedTraceLine))))
+
+
+def _columns(trace):
+    """A trace's five columns, in the order the readers return them."""
+    return trace.task_ids, trace.skills, trace.steps, trace.outcomes, trace.error_codes
 
 
 _trace_text = st.text(alphabet=st.sampled_from('ab-"\\\x00\x1f\x7f\r\n\u00e9\u2028 '), max_size=4)
@@ -870,11 +877,11 @@ def test_saved_traces_load_back_and_match_the_line_parser(tmp_path_factory, trac
     save_trace(trace, path)
     assert load_trace(path) == trace
     text = _read_text(path, MalformedTraceLine)
-    assert _trace_lines(text) == trace.entries
+    assert _trace_lines(text) == _columns(trace)
     # save_trace escapes quotes, backslashes, control and non-ASCII
     # characters; only a trace without escapes or long steps is canonical
-    canonical = "\\" not in text and all(len(str(abs(e.step))) <= 18 for e in trace.entries)
-    assert _canonical_entries(text) == (trace.entries if canonical else None)
+    canonical = "\\" not in text and all(len(str(abs(step))) <= 18 for step in trace.steps)
+    assert _canonical_columns(text) == (_columns(trace) if canonical else None)
 
 
 _BASE_TRACE = ExecutionTrace(entries=(
@@ -883,6 +890,7 @@ _BASE_TRACE = ExecutionTrace(entries=(
     TraceEntry("t2", "a", 0, "success"),
 ))
 _SUCCESS_LINE = '{"outcome": "success", "skill_id": "a", "step": 0, "task_id": "t2"}'
+_AB = Library(skills=(_skill("a", {"x"}, {"y"}), _skill("b", {"y"}, {"z"})))
 
 
 def _with_line(line):
@@ -914,6 +922,7 @@ def _step(value):
     (_with_line(_SUCCESS_LINE.replace('"t2"', '"t\\u0032"')), _BASE_TRACE),
     (_step("-7"), _last_step(-7)),
     (_step("1" + "0" * 18), _last_step(10**18)),
+    (_step(str(2**70)), _last_step(2**70)),
     (_step("0.0"), MalformedTraceLine),
     (_step("true"), MalformedTraceLine),
     (_step("\u0661"), MalformedTraceLine),
@@ -927,7 +936,7 @@ def _step(value):
     (_with_line(_SUCCESS_LINE + " " + _SUCCESS_LINE), MalformedTraceLine),
 ], ids=["crlf", "bom", "blank-line", "no-final-newline", "reordered-keys",
         "compact-separators", "null-error-code", "extra-key", "duplicate-key", "escape",
-        "negative-step", "step-over-the-digit-cap", "float-step", "true-step",
+        "negative-step", "step-over-the-digit-cap", "70-bit-step", "float-step", "true-step",
         "arabic-indic-step", "trailing-arabic-indic-digit", "5000-digit-step",
         "leading-zero-step", "unknown-outcome", "out-of-order-steps", "cr-in-a-string",
         "leading-junk", "two-objects-on-a-line"])
@@ -935,12 +944,18 @@ def test_every_other_layout_loads_as_the_line_parser_reads_it(tmp_path, rewrite,
     path = tmp_path / "trace.jsonl"
     save_trace(_BASE_TRACE, path)
     text = path.read_text()
-    assert _SUCCESS_LINE in text and _canonical_entries(text) == _BASE_TRACE.entries
+    assert _SUCCESS_LINE in text and _canonical_columns(text) == _columns(_BASE_TRACE)
     path.write_bytes(rewrite(text).encode())
     got = _trace_outcome(lambda: load_trace(path))
     assert got == _line_parsed(path)
     if isinstance(expected, ExecutionTrace):
         assert got == expected
+        # the loaded columns save back in save_trace's layout, a step of any
+        # length included, and health reads them: a passed twice, b failed
+        save_trace(got, path)
+        assert path.read_text() == (text if expected is _BASE_TRACE else rewrite(text))
+        report = library_health(_AB, build_hseg(_AB.skills), got)
+        assert (report.per_skill["a"].U, report.per_skill["b"].F) == (1.0, 1.0)
     else:
         assert got[0] is expected
 
@@ -968,7 +983,7 @@ def test_a_trace_save_trace_writes_never_reaches_the_line_parser(tmp_path, monke
 @st.composite
 def _plain_traces(draw):
     """A valid trace whose strings need no escapes, so save_trace writes it
-    in the layout _canonical_entries reads."""
+    in the layout _canonical_columns reads."""
     last: dict[str, int] = {}
     entries = []
     for task_id, skill, step, outcome, error_code in draw(st.lists(st.tuples(
@@ -1032,13 +1047,13 @@ def test_the_trace_fast_path_agrees_with_the_line_parser_on_mutated_traces(
     tmp_path_factory, trace, data
 ):
     """Neither reader judges step order, so on any text the fast path gives
-    up (None) or reads what the line parser reads, and gives up whenever the
-    line parser raises; load_trace then ends as a trace built from the line
-    parser's entries does, step-order errors included."""
+    up (None) or returns the columns the line parser returns, and gives up
+    whenever the line parser raises; load_trace then ends as a trace built
+    from the line parser's columns does, step-order errors included."""
     path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
     save_trace(trace, path)
     text = _mutate_trace(data.draw, path.read_text())
-    canonical = _canonical_entries(text)
+    canonical = _canonical_columns(text)
     try:
         parsed = _trace_lines(text)
     except SkillOpsError:
@@ -1202,6 +1217,27 @@ def test_exercise_library_traces_every_skill():
         broken = ":missing_artifact:" in prov[sid] or ":stale_clone:" in prov[sid]
         assert (outcomes[0] == "failure") == broken
     assert exercise_library(lib, calls=4) == trace
+
+
+def test_probing_and_loading_a_trace_track_no_object_per_call(tmp_path):
+    """A trace keeps its calls in five columns, so probing a library and
+    loading the saved trace each add fewer than 100 objects to the cyclic
+    collector's youngest generation, not one per call (8,000 here)."""
+    lib = build_library(2000, 0.3, 42)[0]
+    path = tmp_path / "trace.jsonl"
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        trace = exercise_library(lib)
+        probed = gc.get_count()[0] - before
+        save_trace(trace, path)
+        before = gc.get_count()[0]
+        loaded = load_trace(path)
+        read = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert len(trace.steps) == 8000 and loaded == trace
+    assert (probed < 100, read < 100) == (True, True), (probed, read)
 
 
 def reference_exercise(lib, calls=4):

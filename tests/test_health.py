@@ -344,7 +344,7 @@ _TRACE_IDS = ["a", "b", "c", "d", "ghost", "adapt--a--b"]  # last two not in the
         ),
         max_size=60,
     ),
-    window=st.sampled_from([1, 2, 3, 100]),
+    window=st.integers(1, 8) | st.just(100),
 )
 def test_window_counts_equal_the_slice_formula(calls, window):
     sks = [skill(sid) for sid in _TRACE_IDS[:4]]

@@ -16,6 +16,7 @@ from skillops.contract import (
     ConfigInvalid,
     EmptyLibrary,
     Library,
+    SkillOpsError,
     make_contract,
 )
 from skillops.debtgen import build_library
@@ -1222,6 +1223,35 @@ def test_trace_validation():
             TraceEntry("t1", "s", 3, "success"),
         )
     )
+
+
+def test_a_trace_built_from_entries_or_columns_is_one_trace():
+    """A trace keeps its calls as columns; `entries` is the row view, built
+    once and kept, and both constructors run the same checks."""
+    entries = (
+        TraceEntry("t1", "s", 0, "success"),
+        TraceEntry("t2", "r", 2**70, "failure", "e"),
+        TraceEntry("t1", "s", 3, "success"),
+    )
+    trace = ExecutionTrace(entries)
+    columns = (["t1", "t2", "t1"], ["s", "r", "s"], [0, 2**70, 3],
+               ["success", "failure", "success"], [None, "e", None])
+    assert (trace.task_ids, trace.skills, trace.steps, trace.outcomes,
+            trace.error_codes) == columns
+    from_columns = ExecutionTrace._from_columns(*columns)
+    assert from_columns == trace == ExecutionTrace(entries=list(entries))
+    assert hash(from_columns) == hash(trace)
+    assert from_columns.entries == entries and from_columns.entries is from_columns.entries
+    assert all(type(e) is TraceEntry for e in from_columns.entries)
+    assert dataclasses.replace(from_columns) == trace
+    assert dataclasses.replace(trace, entries=entries[:1]) == ExecutionTrace(entries[:1])
+    assert ExecutionTrace() == ExecutionTrace._from_columns([], [], [], [], []) != trace
+    for bad in (TraceEntry("t1", "s", 1, "exploded"), TraceEntry("t1", "s", 3, "success")):
+        with pytest.raises(SkillOpsError) as from_rows:
+            ExecutionTrace(entries + (bad,))
+        with pytest.raises(SkillOpsError) as from_cols:
+            ExecutionTrace._from_columns(*([*c, v] for c, v in zip(columns, bad)))
+        assert str(from_rows.value) == str(from_cols.value)
 
 
 def test_trace_entry_is_an_immutable_record():
