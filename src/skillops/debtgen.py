@@ -128,14 +128,8 @@ DEGRADATION_KINDS = (
     "over_specialized",
 )
 
-_KIND_ABBREV = {
-    "redundant_clone": "rc",
-    "stale_clone": "sc",
-    "missing_validator": "mv",
-    "missing_artifact": "ma",
-    "wrong_interface": "wi",
-    "over_specialized": "os",
-}
+# a degraded copy's id ends in its kind's initials: redundant_clone -> rc
+_KIND_ABBREV = {k: "".join(w[0] for w in k.split("_")) for k in DEGRADATION_KINDS}
 
 _LINK_RE = re.compile(
     r"\b(scripts|references|assets)/([A-Za-z0-9_\-]+(?:\.[A-Za-z0-9_\-]+)*)"

@@ -32,7 +32,7 @@ import shutil
 import stat
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -209,6 +209,12 @@ def _adapter_paths(adapters) -> dict[str, AdapterShim]:
     return paths
 
 
+def _check_replaceable(root: Path) -> None:
+    """Refuse a non-empty non-library directory, which save_library never replaces."""
+    if root.exists() and not (root / "manifest.json").exists() and any(root.iterdir()):
+        raise ManifestError(f"{root} exists and does not look like a library directory")
+
+
 def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | None = None) -> None:
     """Write a library directory, replacing a previous library at the same
     path.  A non-library directory is never deleted.  Every file's text is
@@ -219,11 +225,8 @@ def save_library(lib: Library, path: str | Path, provenance: dict[str, str] | No
     skill_texts = [serialize_skill_file(s) for s in skills]
     adapter_paths = _adapter_paths(lib.adapters)
     adapter_texts = [serialize_skill_file(shim.contract) for shim in adapter_paths.values()]
+    _check_replaceable(root)
     if root.exists():
-        if not (root / "manifest.json").exists() and any(root.iterdir()):
-            raise ManifestError(
-                f"{root} exists and does not look like a library directory"
-            )
         shutil.rmtree(root)
     provenance = provenance or {}
     skills_meta = []
@@ -729,15 +732,7 @@ class EvalReport:
     external_model_calls: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "k": self.k,
-            "conditions": self.conditions,
-            "maintenance": self.maintenance,
-            "timing_s": self.timing_s,
-            "external_model_calls": self.external_model_calls,
-        }
+        return asdict(self)
 
 
 def _library_queries(lib: Library, provenance: dict[str, str], seed: int, count: int):
@@ -760,7 +755,8 @@ def _library_queries(lib: Library, provenance: dict[str, str], seed: int, count:
     return tuple(queries)
 
 
-SCENARIOS = ("clean-200", "noisy-500", "retrieval-20")
+_GENERATED = {"clean-200": (200, 0.0), "noisy-500": (500, 0.60)}  # (size, noise rate)
+SCENARIOS = (*_GENERATED, "retrieval-20")
 
 
 def run_pipeline(scenario: str, seed: int = 0, k: int = 5) -> EvalReport:
@@ -768,12 +764,8 @@ def run_pipeline(scenario: str, seed: int = 0, k: int = 5) -> EvalReport:
     evaluate again."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    if scenario == "clean-200":
-        lib, provenance = build_library(200, 0.0, seed)
-        queries = _library_queries(lib, provenance, seed, 25)
-        trace = exercise_library(lib)
-    elif scenario == "noisy-500":
-        lib, provenance = build_library(500, 0.60, seed)
+    if scenario in _GENERATED:
+        lib, provenance = build_library(*_GENERATED[scenario], seed)
         queries = _library_queries(lib, provenance, seed, 25)
         trace = exercise_library(lib)
     elif scenario == "retrieval-20":
@@ -818,7 +810,7 @@ def diagnose_payload(lib: Library, g: Hseg, trace: ExecutionTrace, window: int,
     payload = report.as_dict()
     if cgpd is not None:
         result = propagate(g, report.local_risks(), cgpd)
-        payload["risk"] = {sid: result.risk[sid] for sid in sorted(result.risk)}
+        payload["risk"] = result.risk
         payload["risk_iterations"] = result.iterations_used
         payload["risk_converged"] = result.converged
         payload["triggered"] = sorted(trigger_set(g, result.risk, lib, cgpd.tau))
@@ -883,6 +875,7 @@ def _add_cgpd_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_inject(args) -> int:
+    _check_replaceable(Path(args.out))
     seed = _resolve_seed(args)
     lib, provenance = build_library(args.n, args.noise, seed)
     save_library(lib, args.out, provenance)
@@ -917,17 +910,24 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_maintain(args) -> int:
-    # save_library replaces the output directory and writes placeholder
-    # artifact files, so saving over the input would destroy its artifacts
-    if args.out and Path(args.out).resolve() == Path(args.lib).resolve():
-        raise ConfigInvalid("--out must not be the --lib directory")
+    if args.out:
+        out = Path(args.out).resolve()
+        # save_library replaces the output directory and writes placeholder
+        # artifact files, so saving over the input would destroy its artifacts
+        if out == Path(args.lib).resolve():
+            raise ConfigInvalid("--out must not be the --lib directory")
+        # the report is written first, so a --report that cannot be written
+        # leaves --out as it was, and replacing --out would delete it
+        if args.report and out in Path(args.report).resolve().parents:
+            raise ConfigInvalid("--report must not be inside --out")
+        _check_replaceable(Path(args.out))
     cfg = MaintenanceConfig(force=not args.no_force, cgpd=_cgpd_config(args))
     lib, provenance = load_library(args.lib)
     trace = load_trace(args.trace) if args.trace else EMPTY_TRACE
     new_lib, report = run_maintenance(lib, trace, cfg)
+    _emit(report.as_dict(), args.report)
     if args.out:
         save_library(new_lib, args.out, provenance)
-    _emit(report.as_dict(), args.report)
     return 0
 
 

@@ -55,7 +55,7 @@ class HealthVector(NamedTuple):
     G: float
 
     def as_dict(self) -> dict[str, float]:
-        return {"U": self.U, "R": self.R, "C": self.C, "F": self.F, "G": self.G}
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,6 @@ class LibraryHealthReport:
     per_skill: dict[str, HealthVector]
     H: float
     debt: float
-    weights: HealthWeights = UNIFORM_WEIGHTS
-    window: int = DEFAULT_WINDOW
 
     def _risks(self) -> dict[str, float]:
         """id -> local risk, kept with object.__setattr__ so eq and repr
@@ -193,6 +191,4 @@ def library_health(
         raise EmptyLibrary("cannot diagnose an empty library")
     per_skill = _vectors(skills, g, _usage_rates(trace, skills, window))
     h = math.fsum(skill_score(hv, weights) for hv in per_skill.values()) / len(per_skill)
-    return LibraryHealthReport(
-        per_skill=per_skill, H=h, debt=1.0 - h, weights=weights, window=window
-    )
+    return LibraryHealthReport(per_skill=per_skill, H=h, debt=1.0 - h)

@@ -28,7 +28,8 @@ preconditions.  build_hseg is the only builder of these arrays; health and
 CGPD read them directly.  Id views (clusters, counts by id, edge listings)
 decode them on demand; the goal groups and the id tuples per interface are
 built on first use and kept outside the dataclass fields.  Above a comp
-threshold of 0, edge listings visit only signature pairs that share a token.
+threshold of 0, edge listings visit only signature pairs that share a token,
+found by the same join under "overlap".
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, permutations
 
 from skillops.contract import (
     AdapterShim,
+    ConfigInvalid,
     DuplicateSkillId,
     SkillContract,
     body_hash,
@@ -204,24 +206,20 @@ class Hseg:
     def iter_edges(self, kinds=EDGE_KINDS):
         """Every edge of the given kinds as (src, dst, kind), each once."""
         if "dep" in kinds or "comp" in kinds:
-            p_sigs = self._p_sigs
-            p_ids = self._p_ids()
+            a_sigs, p_sigs = self._a_sigs, self._p_sigs
             # a dep pair shares a token, and so does a comp pair above
             # threshold 0; at 0 every pair is comp, so every pair is walked
-            postings = _token_postings(p_sigs) if self.comp_threshold > 0 else None
+            sharing = (_dep_parents(a_sigs, p_sigs, subset=False) if self.comp_threshold > 0
+                       else [range(len(a_sigs))] * len(p_sigs))
             a_ids = self._id_rows(self._a_start, self._a_members)
-            for a_sig, srcs in zip(self._a_sigs, a_ids):
-                qs = range(len(p_sigs)) if postings is None else dict.fromkeys(
-                    q for token in a_sig for q in postings.get(token, ())
-                )
-                for q in qs:
-                    p_sig = p_sigs[q]
-                    dep = self._dep_sig(a_sig, p_sig)
-                    comp = self._comp_sig(a_sig, p_sig)
+            for p_sig, dsts, parents in zip(p_sigs, self._p_ids(), sharing):
+                for a in parents:
+                    dep = self._dep_sig(a_sigs[a], p_sig)
+                    comp = self._comp_sig(a_sigs[a], p_sig)
                     if not dep and not comp:
                         continue
-                    for s in srcs:
-                        for d in p_ids[q]:
+                    for s in a_ids[a]:
+                        for d in dsts:
                             if s == d:
                                 continue
                             if dep and "dep" in kinds:
@@ -230,15 +228,12 @@ class Hseg:
                                 yield (s, d, "comp")
         if "red" in kinds:
             for cluster in self._iface_ids:
-                for s, d in combinations(cluster, 2):
+                for s, d in permutations(cluster, 2):
                     yield (s, d, "red")
-                    yield (d, s, "red")
         if "alt" in kinds:
-            for members in self._goal_groups.values():
-                for s, d in combinations(members, 2):
-                    if body_hash(self.nodes[s]) != body_hash(self.nodes[d]):
-                        yield (s, d, "alt")
-                        yield (d, s, "alt")
+            for s in self.nodes:
+                for d in self.alt_neighbors(s):
+                    yield (s, d, "alt")
 
     def dep_not_comp_pairs(self):
         """Ordered (src, dst) pairs holding a dep edge without comp."""
@@ -358,14 +353,11 @@ def _csr(rows) -> tuple[array, array]:
     return offsets, array("i", chain.from_iterable(rows))
 
 
-def _token_postings(p_sigs) -> dict[str, list[int]]:
-    """token -> the numbers of the precondition signatures holding it,
-    ascending."""
-    postings: dict[str, list[int]] = {}
-    for q, p_sig in enumerate(p_sigs):
-        for token in p_sig:
-            postings.setdefault(token, []).append(q)
-    return postings
+def _check_graph_settings(comp_threshold: float, dep_mode: str) -> None:
+    if not 0.0 <= comp_threshold <= 1.0:  # NaN fails this too
+        raise ConfigInvalid(f"comp_threshold must be in [0, 1], got {comp_threshold}")
+    if dep_mode not in ("subset", "overlap"):
+        raise ConfigInvalid(f"dep_mode must be subset or overlap, got {dep_mode!r}")
 
 
 def _dep_parents(a_sigs, p_sigs, subset: bool) -> list[list[int]]:
@@ -418,8 +410,7 @@ def build_hseg(
     cost is O(N + I + dep signature pairs) for N skills over I interfaces
     instead of O(N^2) on libraries full of clones.
     """
-    if dep_mode not in ("subset", "overlap"):
-        raise ValueError(f"dep_mode must be subset or overlap, got {dep_mode!r}")
+    _check_graph_settings(comp_threshold, dep_mode)
     skills = tuple(skills)
     nodes = {s.id: s for s in sorted(skills, key=lambda s: s.id)}
     if len(nodes) != len(skills):

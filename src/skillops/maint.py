@@ -54,7 +54,7 @@ from skillops.health import (
     _check_window,
     library_health,
 )
-from skillops.hseg import Hseg, build_hseg
+from skillops.hseg import Hseg, _check_graph_settings, build_hseg
 from skillops.planner import EMPTY_TRACE, ExecutionTrace
 
 __all__ = [
@@ -163,13 +163,11 @@ class MaintenanceConfig:
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self) -> None:
-        for name in ("debt_gate", "theta_r", "theta_f", "theta_u",
-                     "theta_risk", "comp_threshold"):
+        for name in ("debt_gate", "theta_r", "theta_f", "theta_u", "theta_risk"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigInvalid(f"{name} must be in [0, 1], got {v}")
-        if self.dep_mode not in ("subset", "overlap"):
-            raise ConfigInvalid(f"unknown dep_mode: {self.dep_mode!r}")
+        _check_graph_settings(self.comp_threshold, self.dep_mode)
         _check_window(self.window)
 
 

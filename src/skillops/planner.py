@@ -508,9 +508,8 @@ def rank_candidates(
     index = _library_index(lib, cfg)
     tokens = tokenize(query)
     shortlist = index.top(tokens, cfg.bm25_k)
-    lo = min(score for _, score in shortlist)
-    hi = max(score for _, score in shortlist)
-    span = hi - lo
+    lo = shortlist[-1][1]  # top() lists the shortlist by descending score
+    span = shortlist[0][1] - lo
     sems = index._cosines(_hash_vector(tokens), [pos for pos, _ in shortlist])
     rescored = []
     for (pos, raw), sem in zip(shortlist, sems):
@@ -713,10 +712,7 @@ def execute_with_repair(
 
 def grade_plan(predicted, gold) -> bool:
     """Strict-order grading: exact element-wise equality."""
-    predicted, gold = list(predicted), list(gold)
-    return len(predicted) == len(gold) and all(
-        p == g for p, g in zip(predicted, gold)
-    )
+    return list(predicted) == list(gold)
 
 
 def plan_action_strings(plan: Plan) -> tuple[str, ...]:

@@ -678,6 +678,31 @@ def test_cli_reports_a_malformed_skill_file(tmp_path, capsys):
     assert captured.err == f"error: skills/{lib.skills[1].id}/SKILL.md: {err.value}\n"
 
 
+def test_a_canonical_skill_file_that_breaks_an_invariant_reads_as_its_crlf_rewrite(tmp_path):
+    """A file in save_library's layout whose contract breaks an invariant
+    falls through the one-match reader to the line parser, so it raises the
+    MalformedFrontMatter its CRLF rewrite raises, alone and in a library."""
+    lib, prov = build_library(4, 0.0, seed=2)
+    target = tmp_path / "lib"
+    save_library(lib, target, prov)
+    sid = lib.skills[1].id
+    path = target / "skills" / sid / "SKILL.md"
+    bad = re.sub(r"\npreconditions: [^\n]*\n", "\npreconditions: [Bad]\n", path.read_text())
+    assert contract_module._CANONICAL_RE.match(bad)
+    messages = []
+    for text in (bad, bad.replace("\n", "\r\n")):
+        with pytest.raises(MalformedFrontMatter) as err:
+            parse_skill_file(text)
+        assert type(err.value) is MalformedFrontMatter
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    path.write_text(bad)
+    with pytest.raises(MalformedFrontMatter) as err:
+        load_library(target)
+    assert type(err.value) is MalformedFrontMatter
+    assert str(err.value) == f"skills/{sid}/SKILL.md: {messages[0]}"
+
+
 def test_a_broken_skill_file_in_a_library_names_its_file(tmp_path, capsys):
     lib, prov = build_library(30, 0.0, seed=4)
     target = tmp_path / "lib"
@@ -1472,6 +1497,64 @@ def test_cli_maintain_refuses_to_save_over_its_input(tmp_path, capsys, spelling)
     assert "--out must not be the --lib directory" in captured.err
     assert captured.out == ""
     assert {p: p.read_bytes() for p in libdir.rglob("*") if p.is_file()} == before
+
+
+def test_cli_maintain_that_cannot_write_its_report_leaves_out_as_it_was(tmp_path, capsys):
+    """--report is written before --out is replaced, so a report in a
+    missing directory exits 2 with the library at --out untouched."""
+    lib, out = tmp_path / "lib", tmp_path / "out"
+    for path, (built, prov) in ((lib, build_library(30, 0.5, seed=4)),
+                                (out, build_library(10, 0.0, seed=5))):
+        save_library(built, path, prov)
+    before = _tree_bytes(out)
+    report = tmp_path / "nodir" / "r.json"
+    code = main(["maintain", "--lib", str(lib), "--out", str(out), "--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert str(report) in captured.err
+    assert captured.out == ""
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("report", ["r.json", "sub/r.json", "sub/../r.json"])
+def test_cli_maintain_refuses_a_report_inside_out(tmp_path, capsys, report):
+    """The report is written before --out is replaced, and the replacement
+    would delete a report inside --out, so that is refused before --lib is
+    read; the library at --out is left as it was."""
+    out = tmp_path / "out"
+    built, prov = build_library(5, 0.0, seed=1)
+    save_library(built, out, prov)
+    before = _tree_bytes(out)
+    code = main(["maintain", "--lib", str(tmp_path / "missing"), "--out", str(out),
+                 "--report", f"{out}/{report}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --report must not be inside --out\n"
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("command", ["maintain", "inject"])
+def test_cli_refuses_a_non_library_out_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       command):
+    """maintain refuses an --out that holds files but no manifest.json
+    before it reads --lib, and inject before it generates a library; the
+    directory is left as it was."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("precious")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(harness, "build_library", no_work)
+    argv = {"maintain": ["maintain", "--lib", str(tmp_path / "missing")],
+            "inject": ["inject", "--n", "5"]}[command]
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {out} exists and does not look like a library directory\n"
+    assert captured.out == ""
+    assert _tree_bytes(out) == {"keep.txt": b"precious"}
 
 
 def test_cli_plan_and_grade(tmp_path, capsys):

@@ -1,11 +1,18 @@
 import dataclasses
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skillops.contract import AdapterShim, DuplicateSkillId, Library, make_contract
+from skillops.contract import (
+    AdapterShim,
+    ConfigInvalid,
+    DuplicateSkillId,
+    Library,
+    make_contract,
+)
 from skillops.debtgen import build_library
 from skillops.hseg import EDGE_KINDS, Hseg, build_hseg, jaccard
 from skillops.maint import MaintenanceConfig, run_maintenance
@@ -195,8 +202,26 @@ def test_unknown_edge_kind_and_dep_mode_rejected():
     g = build_hseg([skill("a", art=("x",)), skill("b", pre=("x",))])
     with pytest.raises(ValueError, match="^unknown edge kind: next$"):
         g.edge_exists("next", "a", "b")
-    with pytest.raises(ValueError, match="dep_mode must be subset or overlap, got 'x'"):
+    with pytest.raises(ConfigInvalid, match="dep_mode must be subset or overlap, got 'x'"):
         build_hseg([skill("a")], dep_mode="x")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"comp_threshold": -0.1}, "comp_threshold must be in [0, 1], got -0.1"),
+    ({"comp_threshold": 1.5}, "comp_threshold must be in [0, 1], got 1.5"),
+    ({"comp_threshold": math.nan}, "comp_threshold must be in [0, 1], got nan"),
+    ({"dep_mode": "x"}, "dep_mode must be subset or overlap, got 'x'"),
+])
+def test_the_graph_refuses_the_settings_maintenance_refuses(bad, message):
+    """build_hseg and MaintenanceConfig share one check of the graph
+    settings: the same type and the same message for each bad value."""
+    with pytest.raises(ConfigInvalid) as built:
+        build_hseg([skill("a")], **bad)
+    with pytest.raises(ConfigInvalid) as configured:
+        MaintenanceConfig(**bad)
+    for raised in (built, configured):
+        assert type(raised.value) is ConfigInvalid
+        assert str(raised.value) == message
 
 
 def test_dep_mode_overlap():

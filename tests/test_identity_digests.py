@@ -1,7 +1,7 @@
 """scripts/identity_digests.py against its committed expected lines, on
-every load, trace and diagnose case, on the first library's plan and rank
-cases, on every maintain case of the noisy second library, and on the wide
-library's health, CGPD and maintain cases in both dep modes."""
+every load, trace, diagnose, rank and pipeline case, on the first library's
+plan cases, on every maintain case of the noisy second library, and on the
+wide library's health, CGPD and maintain cases in both dep modes."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-PREFIXES = ("load/", "trace/", "diagnose/", "plan/lib200-0.0-0/", "rank/lib200-0.0-0/",
+PREFIXES = ("load/", "trace/", "diagnose/", "plan/lib200-0.0-0/", "rank/", "pipeline/",
             "maintain/lib500-0.6-42/", "wide/wide2000-0.3-42/")
 
 
@@ -18,7 +18,7 @@ def test_a_subset_of_the_identity_matrix_prints_the_committed_lines():
         line for line in (SCRIPTS / "identity_digests.txt").read_text().splitlines()
         if line.startswith(PREFIXES)
     ]
-    assert len(expected) == 125
+    assert len(expected) == 141
     argv = [sys.executable, str(SCRIPTS / "identity_digests.py")]
     for prefix in PREFIXES:
         argv += ["--only", prefix]

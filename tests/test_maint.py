@@ -143,6 +143,20 @@ def test_repair_without_sibling_is_a_noop():
     assert out is lib
 
 
+def test_repair_from_a_sibling_with_no_new_name_is_a_noop():
+    """A sibling holding no script or reference name the target lacks
+    changes nothing, so the input library comes back as it is."""
+    target = skill("target", pre=("x",), art=("y",), body="one variant",
+                   dirs=ArtifactDirs(scripts=("run.sh",), references=("guide.md",)))
+    donor = skill("donor", pre=("x",), art=("y",), body="another variant",
+                  dirs=ArtifactDirs(scripts=("run.sh",), assets=("logo.png",)))
+    lib = Library(skills=(target, donor))
+    out = apply_action(
+        lib, MaintenanceAction(kind="repair", target="target", source_sibling="donor")
+    )
+    assert out is lib
+
+
 def test_repair_rejects_unrelated_source():
     a = skill("a", pre=("x",), art=("y",), body="one")
     b = skill("b", pre=("p",), art=("q",), body="two")

@@ -52,7 +52,7 @@ INVALID = [
     (MaintenanceConfig, {"comp_threshold": nan}, ConfigInvalid,
      "comp_threshold must be in [0, 1], got nan"),
     (MaintenanceConfig, {"dep_mode": "sideways"}, ConfigInvalid,
-     "unknown dep_mode: 'sideways'"),
+     "dep_mode must be subset or overlap, got 'sideways'"),
     (MaintenanceConfig, {"window": 0}, ConfigInvalid, "window must be positive, got 0"),
     (MaintenanceConfig, {"debt_gate": -1.0, "window": 0}, ConfigInvalid,
      "debt_gate must be in [0, 1], got -1.0"),
